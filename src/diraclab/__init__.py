@@ -26,9 +26,8 @@ from .potentials import (
     coulomb_field,
     cutoff_zeta,
     cutoff_zeta_prime,
-    freezing_jacobian_bound,
-    freezing_map_apply,
     pullback,
+    regularization_eps,
     residual_potential,
 )
 from .hartree import apply_nonlinearity, bilinear_estimate_report, hartree_potential
@@ -41,6 +40,7 @@ from .propagator import (
     frozen_step,
     product_formula_evolve,
     split_step_nonlinear,
+    strang_step,
     trajectory_sensitivity,
 )
 from .newton import (

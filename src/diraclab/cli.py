@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, groundstate as gs
-from .config import ConfigError, build_initial_state, effective_eps, load_config
+from .config import ConfigError, build_initial_state, load_config
 from .dirac import dirac_matrices
 from .hartree import bilinear_estimate_report
 from .lattice import (
@@ -40,7 +40,7 @@ from .newton import (
     force_breakdown,
     total_momentum,
 )
-from .potentials import Trajectory
+from .potentials import Trajectory, regularization_eps
 from .propagator import (
     AdmissibilityError,
     ContractionWindowError,
@@ -48,6 +48,7 @@ from .propagator import (
     PropagatorPlan,
     check_contraction_window,
     product_formula_evolve,
+    step_count,
 )
 
 EXIT_OK = 0
@@ -115,11 +116,11 @@ def cmd_simulate(args) -> int:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    eps = effective_eps(cfg)
+    eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     plan = PropagatorPlan(
         frame="comoving_single" if cfg.solver.mode == "comoving" else "lab",
         n_slices=cfg.time.n_slices, eps_reg=eps, velocity_cap=cfg.solver.velocity_cap)
-    n_steps = max(1, int(round(cfg.time.T / cfg.time.dt)))
+    n_steps = step_count(cfg.time.T, cfg.time.dt)
     manifest = {
         "version": __version__, "config_hash": cfg.config_hash(), "seed": cfg.seed,
         "config": json.loads(json.dumps(asdict(cfg), default=str)),
@@ -388,7 +389,7 @@ def cmd_convergence(args) -> int:
         return EXIT_CONFIG
     outdir = _output_root(args) / args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    eps = effective_eps(cfg)
+    eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     charges = [nuc.Z for nuc in nuclei]
     masses = [nuc.m for nuc in nuclei]
     traj = Trajectory.constant_velocity(

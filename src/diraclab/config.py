@@ -34,7 +34,7 @@ class GridConfig:
 class PhysicsConfig:
     charges: list
     masses: list
-    epsilon_reg: float = None   # default: 2 * spacing
+    epsilon_reg: float = None   # unset: potentials.regularization_eps
     epsilon0: float = 0.25
 
 
@@ -238,7 +238,11 @@ def build_initial_state(cfg: SimConfig):
         weights = [_complexify(w) for w in cfg.init.gaussian.spinor_weights]
         u0 = gaussian_spinor(grid, cfg.init.gaussian.center, cfg.init.gaussian.width, weights)
     else:
-        u0, _, _, _, _, _ = read_checkpoint(cfg.init.checkpoint)
+        try:
+            u0, _, _, _, _, _ = read_checkpoint(cfg.init.checkpoint)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"init.field.checkpoint {cfg.init.checkpoint!r} "
+                              f"cannot be read: {exc}") from exc
         if u0.grid.n != grid.n or abs(u0.grid.box_length - grid.box_length) > 1e-12:
             raise ConfigError(
                 f"checkpoint grid ({u0.grid.n}, {u0.grid.box_length}) does not match "
@@ -247,9 +251,3 @@ def build_initial_state(cfg: SimConfig):
               zip(cfg.physics.charges, cfg.physics.masses, cfg.init.positions,
                   cfg.init.velocities)]
     return grid, u0, nuclei
-
-
-def effective_eps(cfg: SimConfig) -> float:
-    if cfg.physics.epsilon_reg is not None:
-        return cfg.physics.epsilon_reg
-    return 2.0 * cfg.grid.box_length / cfg.grid.n

@@ -76,22 +76,6 @@ def groundstate_fourier(model: GroundStateModel, k):
     return out if out.ndim else float(out)
 
 
-def groundstate_fourier_quadrature(model: GroundStateModel, k: float,
-                                   tol: float = 1e-12) -> float:
-    """Independent oracle: the radial sine transform by adaptive quadrature."""
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
-    a, b = model.a, model.b
-
-    def integrand(r):
-        return np.exp(-a * r) * r**b
-
-    upper = max(60.0 / a, 10.0)
-    val, _ = quad(integrand, 0.0, upper, weight="sin", wvar=k, limit=400,
-                  epsabs=tol, epsrel=tol)
-    return float(4.0 * np.pi * model.norm_const * val / k)
-
-
 def sobolev_threshold(nu: float) -> float:
     """Largest-regularity threshold ``sigma_max(nu) = sqrt(1 - nu^2) + 1/2``."""
     if not 0.0 < nu < NU_LIMIT:

@@ -13,6 +13,7 @@ Conventions (natural units, hbar = c = electron mass = 1):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,7 @@ N_COMPONENTS = 4
 
 CHECKPOINT_MAGIC = b"DNS1"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER_BYTES = 32  # magic, version, n, L, t, nucleus count
 
 POSITION = "position"
 MOMENTUM = "momentum"
@@ -349,15 +351,27 @@ def write_checkpoint(path, u: SpinorField, t: float, charges=(), masses=(),
 
 
 def read_checkpoint(path):
-    """Read a "DNS1" checkpoint; returns (field, t, charges, masses, positions, velocities)."""
+    """Read a "DNS1" checkpoint; returns (field, t, charges, masses, positions, velocities).
+
+    The file must be exactly as long as its header says; trailing or missing
+    bytes raise ValueError naming the expected and actual byte counts.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(CHECKPOINT_HEADER_BYTES)
+        if len(header) < CHECKPOINT_HEADER_BYTES:
+            raise ValueError(f"checkpoint {path} is {size} bytes, shorter than the "
+                             f"{CHECKPOINT_HEADER_BYTES}-byte header")
+        magic = header[:4]
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, n = struct.unpack("<II", fh.read(8))
+        version, n, box_length, t, n_nuc = struct.unpack("<IIddI", header[4:])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        box_length, t, n_nuc = struct.unpack("<ddI", fh.read(20))
+        expected = CHECKPOINT_HEADER_BYTES + 64 * n_nuc + 16 * N_COMPONENTS * n**3
+        if size != expected:
+            raise ValueError(f"checkpoint {path} is {size} bytes, expected {expected} "
+                             f"for n={n} with {n_nuc} nuclei")
         recs = np.frombuffer(fh.read(8 * 8 * n_nuc), dtype="<f8").reshape(n_nuc, 8)
         raw = np.frombuffer(fh.read(16 * n**3 * N_COMPONENTS), dtype="<c16")
     grid = GridSpec(int(n), float(box_length))

@@ -20,14 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import kinetic_expectation
-from .hartree import hartree_energy, hartree_potential
-from .lattice import SpinorField, as_momentum, as_position, charge, density
-from .potentials import NucleusState, Trajectory, admissibility_check, coulomb_field
+from .hartree import hartree_energy
+from .lattice import SpinorField, as_momentum, as_position, charge, density, translate
+from .potentials import (
+    NucleusState,
+    Trajectory,
+    admissibility_check,
+    coulomb_field,
+    regularization_eps,
+)
 from .propagator import (
+    COMOVING_SINGLE,
     FieldSolution,
     PropagatorPlan,
     check_contraction_window,
     duhamel_picard,
+    snapshot_count,
+    step_count,
+    strang_step,
 )
 
 
@@ -190,28 +200,25 @@ def _integrate_force_series(times: np.ndarray, F: np.ndarray, masses: np.ndarray
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
                      plan: PropagatorPlan = None, picard_tol: float = 1e-8,
                      picard_max_iter: int = 30, n_steps: int = None,
-                     eps0: float = None, enforce_window: bool = False,
-                     sigma: float = 1.25):
+                     eps0: float = None, sigma: float = 1.25):
     """One application of the trajectory map: solve the field along ``traj_in``,
     then integrate ``m_k qddot = F_k(t)`` from the input's initial data.
 
     The force series is evaluated along the *input* trajectory (field force
     from the solved field, internuclear force from the input positions), so
     P is an explicit double integration; its fixed points solve the coupled
-    system.  Returns (trajectory, field solution, admissibility report).
+    system.  The inner Picard solve does not check the contraction window
+    (:func:`coupled_fixed_point` checks it once, for ``u0``).  Returns
+    (trajectory, field solution, admissibility report).
     """
     plan = plan or PropagatorPlan()
-    grid = u0.grid
-    eps = plan.eps_reg if plan.eps_reg is not None else 2.0 * grid.spacing
-    M = n_steps if n_steps is not None else max(8, plan.n_slices)
+    eps = regularization_eps(plan.eps_reg, u0.grid)
+    M = snapshot_count(plan, n_steps)
     if charge(u0) == 0.0:
         times = traj_in.t0 + np.linspace(0.0, T, M + 1)
         zero = as_position(u0)
         fsol = FieldSolution(times, [zero] * (M + 1), sigma=sigma)
     else:
-        from .lattice import translate
-        from .propagator import COMOVING_SINGLE
-
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
         # term is exactly translation-covariant, so translating in at t0 and
         # back per snapshot recovers the lab-frame field
@@ -219,7 +226,7 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
         u_start = translate(u0, traj_in.position(traj_in.t0)[0]) if comoving else u0
         fsol, _ = duhamel_picard(u_start, traj_in, T, tol=picard_tol,
                                  max_iter=picard_max_iter, plan=plan, n_steps=M,
-                                 sigma=sigma, enforce_window=enforce_window)
+                                 sigma=sigma, enforce_window=False)
         if comoving:
             snaps = [translate(s, -traj_in.position(t)[0])
                      for s, t in zip(fsol.snapshots, fsol.times)]
@@ -283,17 +290,14 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     masses = np.array([nuc.m for nuc in nuclei0])
     a = np.array([nuc.q for nuc in nuclei0])
     b = np.array([nuc.qdot for nuc in nuclei0])
-    M = n_steps if n_steps is not None else max(8, plan.n_slices)
+    M = snapshot_count(plan, n_steps)
     traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, M)
     history = []
     converged = False
-    fsol = None
-    report_adm = None
     for it in range(max_outer):
-        traj_P, fsol, report_adm = trajectory_map_P(
+        traj_P, _, _ = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
-            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0,
-            enforce_window=False, sigma=sigma)
+            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0, sigma=sigma)
         new_pos = (1 - theta) * traj.positions + theta * traj_P.positions
         new_vel = (1 - theta) * traj.velocities + theta * traj_P.velocities
         step = float(np.max(np.abs(new_vel - traj.velocities)))
@@ -309,8 +313,8 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     # final self-consistent field along the converged trajectory
     _, fsol, report_adm = trajectory_map_P(
         traj, u0, T, plan=plan, picard_tol=picard_tol, picard_max_iter=picard_max_iter,
-        n_steps=M, eps0=eps0, enforce_window=False, sigma=sigma)
-    eps = plan.eps_reg if plan.eps_reg is not None else 2.0 * u0.grid.spacing
+        n_steps=M, eps0=eps0, sigma=sigma)
+    eps = regularization_eps(plan.eps_reg, u0.grid)
     resid = _newton_residual(traj, fsol, eps)
     report = FixedPointReport(len(history), history, converged, resid,
                               report_adm.failures)
@@ -331,25 +335,24 @@ class DirectRunReport:
 
 
 def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float,
-                   eps_reg: float = None, include_hartree: bool = True,
-                   sigma: float = 1.25, collision_floor: float = None):
+                   eps_reg: float = None, sigma: float = 1.25):
     """Interleaved velocity-Verlet + split-step integrator for the coupled system.
 
-    The field advances by one Strang split-step per nuclear step, with the
-    nuclear potential evaluated at the step-start and step-end positions in
-    the two half-kicks.  Returns (FieldSolution, Trajectory, DirectRunReport)
-    with energy/momentum/charge drift diagnostics.
+    The field advances by one :func:`propagator.strang_step` per nuclear
+    step, with the Hartree term refreshed in each half-kick and the nuclear
+    potential evaluated at the step-start and step-end positions in the two
+    half-kicks.  Raises :class:`CollisionError` when two nuclei come closer
+    than two grid spacings.  Returns (FieldSolution, Trajectory,
+    DirectRunReport) with energy/momentum/charge drift diagnostics.
     """
-    from .dirac import step_momentum_data
-
     nuclei0 = list(nuclei0)
-    up = as_position(u0)
-    grid = up.grid
-    eps = eps_reg if eps_reg is not None else 2.0 * grid.spacing
-    floor = collision_floor if collision_floor is not None else 2.0 * grid.spacing
+    u = as_position(u0)
+    grid = u.grid
+    eps = regularization_eps(eps_reg, grid)
+    floor = 2.0 * grid.spacing
     charges = np.array([nuc.Z for nuc in nuclei0])
     masses = np.array([nuc.m for nuc in nuclei0])
-    M = max(1, int(round(T / dt)))
+    M = step_count(T, dt)
     delta = T / M
     times = np.linspace(0.0, T, M + 1)
     n = len(nuclei0)
@@ -361,10 +364,6 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float,
     def nuclei_at(j):
         return [NucleusState(charges[k], masses[k], q[k, j], v[k, j]) for k in range(n)]
 
-    def forces(u, nucs):
-        fb = force_breakdown(u, nucs, eps)
-        return fb.total
-
     def check_collision(j):
         for k in range(n):
             for l in range(k + 1, n):
@@ -373,32 +372,24 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float,
                         f"nuclei {k} and {l} closer than the resolvable scale {floor:.4g} "
                         f"at t={times[j]:.6g}")
 
-    u = up
     snaps = [u.copy()]
     energies = [energy_breakdown(u, nuclei_at(0), eps)]
     momenta = [total_momentum(u, nuclei_at(0))]
-    F = forces(u, nuclei_at(0)) if n else np.zeros((0, 3))
+    F = force_breakdown(u, nuclei_at(0), eps).total if n else np.zeros((0, 3))
+    # the step-end potential of one step is the step-start potential of the next
+    V = coulomb_field(nuclei_at(0), eps, grid).data if n else 0.0
     for j in range(M):
         if n:
             vhalf = v[:, j] + 0.5 * delta * F / masses[:, None]
             q[:, j + 1] = q[:, j] + delta * vhalf
             check_collision(j + 1)
-        V1 = coulomb_field(nuclei_at(j), eps, grid).data if n else 0.0
-        Vh1 = V1 + (hartree_potential(u).data if include_hartree else 0.0)
-        data = u.data * np.exp(-0.5j * delta * Vh1)[..., None] if np.ndim(Vh1) else u.data
-        data = np.fft.fftn(data, axes=(0, 1, 2))
-        data = step_momentum_data(grid, data, delta, None)
-        data = np.fft.ifftn(data, axes=(0, 1, 2))
-        w = SpinorField(grid, data, "position")
         nucs_end = [NucleusState(charges[k], masses[k], q[k, j + 1], v[k, j]) for k in range(n)]
-        V2 = coulomb_field(nucs_end, eps, grid).data if n else 0.0
-        Vh2 = V2 + (hartree_potential(w).data if include_hartree else 0.0)
-        u = SpinorField(grid, w.data * np.exp(-0.5j * delta * Vh2)[..., None], "position") \
-            if np.ndim(Vh2) else w
+        V_end = coulomb_field(nucs_end, eps, grid).data if n else 0.0
+        u = strang_step(u, delta, V, V_out=V_end, hartree=True)
+        V = V_end
         if n:
-            F_new = forces(u, nucs_end)
-            v[:, j + 1] = vhalf + 0.5 * delta * F_new / masses[:, None]
-            F = F_new
+            F = force_breakdown(u, nucs_end, eps).total
+            v[:, j + 1] = vhalf + 0.5 * delta * F / masses[:, None]
         snaps.append(u)
         energies.append(energy_breakdown(u, nuclei_at(j + 1), eps))
         momenta.append(total_momentum(u, nuclei_at(j + 1)))

@@ -315,6 +315,11 @@ def coulomb_value(charges, centers, points, eps: float = 0.0, box_length=None) -
     return out if len(out) > 1 else float(out[0])
 
 
+def regularization_eps(eps_reg, grid: GridSpec) -> float:
+    """The Coulomb regularization scale: ``eps_reg``, or two grid spacings when unset."""
+    return eps_reg if eps_reg is not None else 2.0 * grid.spacing
+
+
 def coulomb_field(nuclei, eps: float, grid: GridSpec) -> ScalarField:
     """Regularized multi-center potential ``-sum_k Z_k/sqrt(d_min^2 + eps^2)`` on the grid."""
     if not eps > 0:
@@ -407,14 +412,6 @@ class FreezingMap:
 
     def is_bijective(self, t: float) -> bool:
         return self.jacobian_deviation(t) < 1.0
-
-
-def freezing_map_apply(fmap: FreezingMap, t: float, x, box_length=None) -> np.ndarray:
-    return fmap.apply(t, x, box_length=box_length)
-
-
-def freezing_jacobian_bound(fmap: FreezingMap, t: float) -> float:
-    return fmap.jacobian_deviation(t)
 
 
 def pullback(fmap: FreezingMap, t: float, u: SpinorField, order: int = 3,

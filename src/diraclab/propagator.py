@@ -7,6 +7,8 @@ exponential is evaluated by Strang splitting between the pointwise potential
 factor and the exact per-mode kinetic (plus optional comoving drift) factor,
 so every factor is unitary and charge is preserved to roundoff.  Backward
 evolution applies the adjoint product (reversed factors, negated durations).
+One Strang kick-drift-kick is :func:`strang_step`; the split-step integrator
+below and the direct coupled integrator in ``newton`` step with it too.
 
 The nonlinear field solver comes in two independent flavours used to check
 each other: a Picard iteration on the Duhamel integral form (trapezoid
@@ -31,8 +33,8 @@ from .lattice import (
     sobolev_norm,
     translate,
 )
-from .hartree import hartree_potential
-from .potentials import Trajectory, admissibility_check, coulomb_field
+from .hartree import apply_nonlinearity, hartree_potential
+from .potentials import Trajectory, admissibility_check, coulomb_field, regularization_eps
 
 LAB = "lab"
 COMOVING_SINGLE = "comoving_single"
@@ -64,15 +66,15 @@ class PropagatorPlan:
 
     ``n_slices`` counts slices over the full trajectory window; ``substeps``
     Strang substeps are taken inside each slice.  ``eps_reg`` is the Coulomb
-    regularization scale (defaults to two grid spacings at the point of use).
+    regularization scale (unset: :func:`potentials.regularization_eps`).
+    ``max_levels`` bounds the slice doublings of :func:`evolve_linear`, whose
+    tolerance is its own argument.
     """
 
     frame: str = LAB
     n_slices: int = 16
     substeps: int = 1
-    splitting: str = "strang"
     eps_reg: float = None
-    tol: float = 1e-3
     max_levels: int = 6
     velocity_cap: float = 0.25
 
@@ -81,8 +83,6 @@ class PropagatorPlan:
             raise ValueError("n_slices and substeps must be >= 1")
         if self.frame not in (LAB, COMOVING_SINGLE):
             raise ValueError(f"unknown frame {self.frame!r}")
-        if self.splitting != "strang":
-            raise ValueError("only strang splitting is implemented")
         if self.eps_reg is not None and not self.eps_reg > 0:
             raise ValueError("eps_reg must be positive")
 
@@ -121,8 +121,14 @@ class FieldSolution:
         return float(np.max(np.abs(self.charges - c0)) / c0) if c0 > 0 else 0.0
 
 
-def _effective_eps(plan: PropagatorPlan, grid: GridSpec) -> float:
-    return plan.eps_reg if plan.eps_reg is not None else 2.0 * grid.spacing
+def step_count(T: float, dt: float) -> int:
+    """Number of equal steps covering [0, T] with steps of about ``dt`` (at least one)."""
+    return max(1, int(round(T / dt)))
+
+
+def snapshot_count(plan: PropagatorPlan, n_steps: int = None) -> int:
+    """Snapshot intervals of a Picard solve: ``n_steps``, or ``max(8, plan.n_slices)``."""
+    return n_steps if n_steps is not None else max(8, plan.n_slices)
 
 
 def _comoving_potential(traj: Trajectory, eps: float, grid: GridSpec):
@@ -135,21 +141,41 @@ def _comoving_potential(traj: Trajectory, eps: float, grid: GridSpec):
     return coulomb_field([frozen], eps, grid)
 
 
+def _half_kick(delta: float, V):
+    """The factor ``exp(-i delta/2 V)``, broadcast over the spinor components."""
+    return np.exp(-0.5j * delta * V)[..., None]
+
+
+def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
+                drift=None) -> SpinorField:
+    """One Strang kick-drift-kick: ``exp(-i delta/2 V_out) exp(-i delta K) exp(-i delta/2 V) u``.
+
+    ``V`` and ``V_out`` are the potentials of the first and second half-kick
+    (``V_out`` defaults to ``V``; with ``hartree`` either may be the scalar
+    0.0, for no nuclei).  With ``hartree`` each half-kick adds the Hartree
+    potential of the field it acts on.  ``drift`` is the comoving drift
+    velocity of the kinetic factor.  Returns a position-space field.
+    """
+    up = as_position(u)
+    grid = up.grid
+    kick = _half_kick(delta, V + hartree_potential(up).data if hartree else V)
+    data = np.fft.fftn(up.data * kick, axes=(0, 1, 2))
+    data = dirac.step_momentum_data(grid, data, delta, drift)
+    data = np.fft.ifftn(data, axes=(0, 1, 2))
+    if hartree:
+        w = SpinorField(grid, data, "position")
+        kick = _half_kick(delta, (V if V_out is None else V_out) + hartree_potential(w).data)
+    elif V_out is not None:
+        kick = _half_kick(delta, V_out)
+    return SpinorField(grid, data * kick, "position")
+
+
 def _strang_segment(u: SpinorField, V: np.ndarray, dt: float, substeps: int,
                     drift=None) -> SpinorField:
     """exp(-i dt (K + V)) by ``substeps`` Strang steps; returns position space."""
-    up = as_position(u)
-    grid = up.grid
-    delta = dt / substeps
-    half = np.exp(-0.5j * delta * V)[..., None]
-    full = half * half
-    data = up.data * half
-    for m in range(substeps):
-        data = np.fft.fftn(data, axes=(0, 1, 2))
-        data = dirac.step_momentum_data(grid, data, delta, drift)
-        data = np.fft.ifftn(data, axes=(0, 1, 2))
-        data = data * (full if m < substeps - 1 else half)
-    return SpinorField(grid, data, "position")
+    for _ in range(substeps):
+        u = strang_step(u, dt / substeps, V, drift=drift)
+    return u
 
 
 def frozen_step(u: SpinorField, nuclei_frozen, dt: float, plan: PropagatorPlan,
@@ -161,8 +187,7 @@ def frozen_step(u: SpinorField, nuclei_frozen, dt: float, plan: PropagatorPlan,
     """
     up = as_position(u)
     if potential is None:
-        eps = _effective_eps(plan, up.grid)
-        potential = coulomb_field(nuclei_frozen, eps, up.grid)
+        potential = coulomb_field(nuclei_frozen, regularization_eps(plan.eps_reg, up.grid), up.grid)
     return _strang_segment(up, potential.data, dt, plan.substeps, drift=drift)
 
 
@@ -209,7 +234,7 @@ def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory
             raise AdmissibilityError(report)
     up = as_position(u0)
     grid = up.grid
-    eps = _effective_eps(plan, grid)
+    eps = regularization_eps(plan.eps_reg, grid)
     if abs(t - s) == 0.0:
         return up.copy()
     backward = t < s
@@ -251,8 +276,7 @@ def evolve_linear(u0: SpinorField, s: float, t: float, traj: Trajectory, tol: fl
     exhausted.
     """
     plan = plan or PropagatorPlan()
-    grid = u0.grid
-    eps = _effective_eps(plan, grid)
+    eps = regularization_eps(plan.eps_reg, u0.grid)
     history = []
     prev = None
     achieved = None
@@ -366,7 +390,7 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     if enforce_window:
         check_contraction_window(T, u0, sigma, contraction_const)
     up = as_position(u0)
-    M = n_steps if n_steps is not None else max(8, plan.n_slices)
+    M = snapshot_count(plan, n_steps)
     times = traj.t0 + np.linspace(0.0, T, M + 1)
     delta = T / M
     slices_per_step = max(1, int(round(plan.n_slices / M)))
@@ -380,8 +404,6 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     iterates = [up.copy()]
     for j in range(M):
         iterates.append(linear_step(iterates[-1], j))
-
-    from .hartree import apply_nonlinearity
 
     distances = []
     converged = False
@@ -420,29 +442,15 @@ def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,
     that path exactly); the Hartree potential uses the current field in the
     first half-kick and the post-kinetic field in the second.
     """
-    up = as_position(u0)
-    grid = up.grid
-    eps = eps_reg if eps_reg is not None else 2.0 * grid.spacing
-    M = max(1, int(round(T / dt)))
+    u = as_position(u0)
+    grid = u.grid
+    eps = regularization_eps(eps_reg, grid)
+    M = step_count(T, dt)
     delta = T / M
     times = traj.t0 + np.linspace(0.0, T, M + 1)
-    snaps = [up.copy()]
-    u = up
+    snaps = [u.copy()]
     for j in range(M):
         V = coulomb_field(traj.nuclei_at(times[j]), eps, grid).data
-        if include_hartree:
-            Vh = V + hartree_potential(u).data
-        else:
-            Vh = V
-        data = u.data * np.exp(-0.5j * delta * Vh)[..., None]
-        data = np.fft.fftn(data, axes=(0, 1, 2))
-        data = dirac.step_momentum_data(grid, data, delta, None)
-        data = np.fft.ifftn(data, axes=(0, 1, 2))
-        w = SpinorField(grid, data, "position")
-        if include_hartree:
-            Vh2 = V + hartree_potential(w).data
-        else:
-            Vh2 = V
-        u = SpinorField(grid, w.data * np.exp(-0.5j * delta * Vh2)[..., None], "position")
+        u = strang_step(u, delta, V, hartree=include_hartree)
         snaps.append(u)
     return FieldSolution(times, snaps, sigma=sigma)

@@ -186,6 +186,24 @@ def test_simulate_solver_failure_writes_record(tmp_path, capsys):
     assert record["history"]
 
 
+@pytest.mark.parametrize("keep", [None, -100, 20], ids=["missing", "truncated", "short-header"])
+def test_simulate_rejects_unreadable_checkpoint(tmp_path, capsys, keep):
+    ck = tmp_path / "init.dns"
+    if keep is not None:
+        u = lat.gaussian_spinor(lat.make_grid(8, 8.0), (0, 0, 0), 1.0, (1, 0, 0, 0))
+        lat.write_checkpoint(ck, u, 0.0, [0.5], [10.0], [[0, 0, 0]], [[0, 0, 0]])
+        ck.write_bytes(ck.read_bytes()[:keep])
+    raw = _cfg()
+    raw["init"]["field"] = {"checkpoint": str(ck)}
+    p = _write_cfg(tmp_path, raw)
+    # an escaping exception (a traceback from the console script) fails the call itself
+    rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected:") and str(ck) in err
+    assert "Traceback" not in err
+
+
 def test_validate_unknown_suite(tmp_path, capsys):
     rc = cli.main(["--output-root", str(tmp_path), "validate", "--suite", "nonsense"])
     assert rc == cli.EXIT_CONFIG

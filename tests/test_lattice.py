@@ -178,3 +178,46 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     p.write_bytes(b"XXXX" + b"\x00" * 64)
     with pytest.raises(ValueError):
         lat.read_checkpoint(p)
+
+
+@settings(max_examples=16, deadline=None)
+@given(n=st.sampled_from([8, 16]), n_nuc=st.integers(0, 3), seed=st.integers(0, 2**31),
+       t=st.floats(-1e3, 1e3))
+def test_checkpoint_round_trip_property(tmp_path_factory, n, n_nuc, seed, t):
+    g = lat.make_grid(n, 7.0)
+    rng = np.random.default_rng(seed)
+    shape = (n, n, n, lat.N_COMPONENTS)
+    u = lat.SpinorField(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    recs = rng.normal(size=(n_nuc, 8))
+    path = tmp_path_factory.mktemp("ck") / "state.dns"
+    lat.write_checkpoint(path, u, t, recs[:, 0], recs[:, 1], recs[:, 2:5], recs[:, 5:8])
+    assert path.stat().st_size == 32 + 64 * n_nuc + 64 * n**3
+    v, t2, Z, m, q, qd = lat.read_checkpoint(path)
+    assert t2 == t
+    assert v.grid == g
+    assert np.array_equal(v.data, u.data)
+    assert np.array_equal(np.column_stack([Z, m, q, qd]).reshape(n_nuc, 8), recs)
+
+
+# an n = 8 checkpoint with two nuclei: 32 header + 2*64 record + 512*4*16 field bytes
+CK_SIZE = 32 + 2 * 64 + 64 * 8**3
+CK_FIELD = 32 + 2 * 64
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda b: b + b"\x00" * 7, f"{CK_SIZE + 7} bytes, expected {CK_SIZE}"),
+    (lambda b: b[:20], "20 bytes, shorter than the 32-byte header"),
+    (lambda b: b[:32 + 64 + 10], f"{32 + 64 + 10} bytes, expected {CK_SIZE}"),
+    (lambda b: b[:CK_FIELD + 16 * 5 + 8], f"{CK_FIELD + 16 * 5 + 8} bytes, expected {CK_SIZE}"),
+    (lambda b: b[:CK_FIELD + 16 * 100], f"{CK_FIELD + 16 * 100} bytes, expected {CK_SIZE}"),
+], ids=["trailing-bytes", "in-header", "in-nucleus-records", "in-complex-entry",
+        "at-entry-boundary"])
+def test_checkpoint_rejects_wrong_length(tmp_path, cut, message):
+    g = lat.make_grid(8, 6.0)
+    path = tmp_path / "state.dns"
+    lat.write_checkpoint(path, lat.gaussian_spinor(g, (0, 0, 0), 1.0, (1, 0, 0, 0)), 0.5,
+                         [0.5, 0.4], [10.0, 12.0], [[0, 0, 0], [2, 0, 0]], [[0, 0, 0]] * 2)
+    assert path.stat().st_size == CK_SIZE
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        lat.read_checkpoint(path)

@@ -136,7 +136,7 @@ def test_map_P_mirror_symmetry(grid16):
                                         [[-1.25, 0, 0], [1.25, 0, 0]],
                                         [[0.04, 0, 0], [-0.04, 0, 0]], 0.0, 0.3, 24)
     out, _, _ = nt.trajectory_map_P(traj, u0, 0.3, plan=PropagatorPlan(n_slices=24, eps_reg=0.8),
-                                    n_steps=24, eps0=eps0, enforce_window=False)
+                                    n_steps=24, eps0=eps0)
     # point reflection through the origin swaps the two nuclei
     assert np.max(np.abs(out.positions[0] + out.positions[1])) < 1e-8
     assert np.max(np.abs(out.velocities[0] + out.velocities[1])) < 5e-8

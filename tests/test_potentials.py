@@ -161,14 +161,14 @@ def test_freezing_map_rejects_overlapping_supports():
 
 def test_jacobian_bound_zero_at_start():
     fmap = _single_map()
-    assert pot.freezing_jacobian_bound(fmap, 0.0) == 0.0
+    assert fmap.jacobian_deviation(0.0) == 0.0
 
 
 def test_jacobian_bound_vs_displacement():
     eps0 = 1.0
     for delta in (0.1, 0.3, 0.6):
         fmap = _single_map(eps0=eps0, disp=(delta * eps0, 0, 0))
-        bound = pot.freezing_jacobian_bound(fmap, 1.0)
+        bound = fmap.jacobian_deviation(1.0)
         assert bound <= 1.5 * delta + 1e-6
         assert bound <= fmap.closed_form_jacobian_bound(1.0) + 1e-6
         assert bound >= 1.4 * delta  # sup |zeta'| = 3/2 is attained on the plateau
@@ -182,14 +182,14 @@ def test_jacobian_bound_matches_direct_sampling():
     jac = fmap.jacobian_matrix(t, pts)
     cols = np.linalg.norm(jac - np.eye(3), axis=1)  # column norms
     sampled = float(np.max(cols))
-    bound = pot.freezing_jacobian_bound(fmap, t)
+    bound = fmap.jacobian_deviation(t)
     assert sampled <= bound + 1e-9
     assert sampled >= 0.75 * bound  # random sampling approaches the radial sup
 
 
 def test_non_bijective_flagged():
     fmap = _single_map(eps0=0.5, disp=(0.45, 0, 0))  # 1.5*0.45/0.5 = 1.35 >= 1
-    assert pot.freezing_jacobian_bound(fmap, 1.0) >= 1.0
+    assert fmap.jacobian_deviation(1.0) >= 1.0
     assert not fmap.is_bijective(1.0)
     u = lat.zero_spinor(lat.make_grid(16, 8.0))
     with pytest.raises(ValueError, match="bijectivity"):
@@ -225,7 +225,7 @@ def test_pullback_l2_ratio_within_jacobian_bounds():
     fmap = _single_map(eps0=2.5, disp=(1.0, 0.4, 0.0))
     u = lat.gaussian_spinor(g, (0.5, 0, 0), 1.6, (1, 0, 0.2, 0))
     out = pot.pullback(fmap, 1.0, u)  # raises if the ratio leaves the window
-    b = pot.freezing_jacobian_bound(fmap, 1.0)
+    b = fmap.jacobian_deviation(1.0)
     C = (1 + b) ** 1.5
     ratio = lat.l2_norm(out) / lat.l2_norm(u)
     assert (1 - 0.05) / C <= ratio <= C * (1 + 0.05)
@@ -305,7 +305,7 @@ def test_gradient_decomposition_bound():
     fmap = _single_map(eps0=2.5, disp=(0.7, 0.3, 0.0))
     u = lat.gaussian_spinor(g, (0.3, 0, 0), 1.6, (1, 0, 0.2, 0))
     t = 1.0
-    bound = pot.freezing_jacobian_bound(fmap, t)
+    bound = fmap.jacobian_deviation(t)
     um = lat.to_momentum(u)
     kx, ky, kz = g.freq_mesh
     grads = [lat.to_position(lat.SpinorField(g, 1j * K[..., None] * um.data, lat.MOMENTUM))
