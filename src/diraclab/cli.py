@@ -36,9 +36,6 @@ from .newton import (
     FixedPointDivergence,
     coupled_direct,
     coupled_fixed_point,
-    energy_breakdown,
-    force_breakdown,
-    total_momentum,
 )
 from .potentials import Trajectory, regularization_eps
 from .propagator import (
@@ -68,31 +65,29 @@ def _output_root(args) -> Path:
     return Path(root)
 
 
-def _write_timeseries(path: Path, fsol, traj, eps: float, every: int, sigma: float) -> None:
-    n_nuc = traj.n_nuclei if traj is not None else 0
+def _write_timeseries(path: Path, fsol, traj, rep, every: int, sigma: float) -> None:
+    """One CSV row per ``every``-th snapshot: energy, momentum and force from the
+    solver's report, q and v from ``traj`` at the snapshot time; only the
+    H^sigma norm is computed here."""
     cols = ["t", "charge", "hsigma",
             "E_field_kinetic", "E_interaction", "E_hartree", "E_nuclear_kinetic",
             "E_internuclear", "E_total", "p_x", "p_y", "p_z"]
-    for k in range(n_nuc):
+    for k in range(traj.n_nuclei):
         for name in ("q", "v", "F_field", "F_internuclear", "F_total"):
             cols += [f"{name}{k}_{ax}" for ax in "xyz"]
     lines = [",".join(cols)]
     for j in range(0, len(fsol.times), max(1, every)):
         t = fsol.times[j]
-        u = fsol.snapshots[j]
-        nuclei = traj.nuclei_at(t) if traj is not None else []
-        eb = energy_breakdown(u, nuclei, eps)
-        p = total_momentum(u, nuclei)
-        row = [_fmt(t), _fmt(fsol.charges[j]), _fmt(sobolev_norm(u, sigma)),
+        eb, p, fb = rep.energies[j], rep.momenta[j], rep.forces[j]
+        row = [_fmt(t), _fmt(fsol.charges[j]), _fmt(sobolev_norm(fsol.snapshots[j], sigma)),
                _fmt(eb.field_kinetic), _fmt(eb.interaction), _fmt(eb.hartree),
                _fmt(eb.nuclear_kinetic), _fmt(eb.internuclear), _fmt(eb.total),
                _fmt(p[0]), _fmt(p[1]), _fmt(p[2])]
-        if nuclei:
-            fb = force_breakdown(u, nuclei, eps, t=t)
-            for k in range(n_nuc):
-                for vec in (nuclei[k].q, nuclei[k].qdot, fb.field[k],
-                            fb.internuclear[k], fb.total[k]):
-                    row += [_fmt(vec[0]), _fmt(vec[1]), _fmt(vec[2])]
+        nuclei = traj.nuclei_at(t)
+        for k in range(traj.n_nuclei):
+            for vec in (nuclei[k].q, nuclei[k].qdot, fb.field[k],
+                        fb.internuclear[k], fb.total[k]):
+                row += [_fmt(vec[0]), _fmt(vec[1]), _fmt(vec[2])]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -103,8 +98,6 @@ def cmd_simulate(args) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    outdir = _output_root(args) / cfg.output.path
-    outdir.mkdir(parents=True, exist_ok=True)
     for w in cfg.warnings:
         print(f"warning: {w}", file=sys.stderr)
     try:
@@ -115,6 +108,9 @@ def cmd_simulate(args) -> int:
     except (ConfigError, ContractionWindowError, ValueError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # created once the run is accepted, before the solve, so that failure.json has a home
+    outdir = _output_root(args) / cfg.output.path
+    outdir.mkdir(parents=True, exist_ok=True)
 
     eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     plan = PropagatorPlan(
@@ -137,7 +133,7 @@ def cmd_simulate(args) -> int:
                 picard_tol=cfg.solver.picard.tol, picard_max_iter=cfg.solver.picard.max_iter,
                 sigma=cfg.solver.sigma, contraction_const=cfg.solver.contraction_const,
                 enforce_window=False)
-            results["fixed_point"] = (fsol, traj)
+            results["fixed_point"] = (fsol, traj, rep)
             manifest["solvers"]["fixed_point"] = {
                 "outer_iterations": rep.outer_iterations, "step_history": rep.step_history,
                 "newton_residual": rep.newton_residual,
@@ -148,7 +144,7 @@ def cmd_simulate(args) -> int:
             t0 = time.time()
             fsol, traj, rep = coupled_direct(
                 u0, nuclei, cfg.time.T, cfg.time.dt, eps_reg=eps, sigma=cfg.solver.sigma)
-            results["direct"] = (fsol, traj)
+            results["direct"] = (fsol, traj, rep)
             manifest["solvers"]["direct"] = {
                 "energy_drift": rep.energy_drift, "momentum_drift": rep.momentum_drift,
                 "charge_drift": rep.charge_drift, "wall_time": time.time() - t0,
@@ -161,24 +157,19 @@ def cmd_simulate(args) -> int:
         return EXIT_SOLVER
 
     if len(results) == 2:
-        (fa, ta), (fb, tb) = results["fixed_point"], results["direct"]
+        (fa, ta, _), (fb, tb, _) = results["fixed_point"], results["direct"]
         manifest["cross_check"] = {
-            "q_final_max_diff": float(np.max(np.abs(ta.positions[:, -1] - tb.positions[:, -1])))
-            if ta is not None else 0.0,
+            "q_final_max_diff": float(np.max(np.abs(ta.positions[:, -1] - tb.positions[:, -1]))),
             "field_final_l2_diff": l2_distance(fa.final, fb.final),
         }
-    for name, (fsol, traj) in results.items():
+    for name, (fsol, traj, rep) in results.items():
         ts_path = outdir / f"timeseries_{name}.csv"
-        _write_timeseries(ts_path, fsol, traj, eps, cfg.output.every, cfg.solver.sigma)
+        _write_timeseries(ts_path, fsol, traj, rep, cfg.output.every, cfg.solver.sigma)
         manifest["outputs"].append(ts_path.name)
-    primary = results.get("fixed_point", results.get("direct"))
-    fsol, traj = primary
+    fsol, traj, _ = results.get("fixed_point", results.get("direct"))
     ck_path = outdir / "final.dns"
-    if traj is not None:
-        write_checkpoint(ck_path, fsol.final, float(fsol.times[-1]), traj.charges,
-                         traj.masses, traj.positions[:, -1], traj.velocities[:, -1])
-    else:
-        write_checkpoint(ck_path, fsol.final, float(fsol.times[-1]))
+    write_checkpoint(ck_path, fsol.final, float(fsol.times[-1]), traj.charges,
+                     traj.masses, traj.positions[:, -1], traj.velocities[:, -1])
     manifest["outputs"].append(ck_path.name)
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
     print(f"ok: outputs in {outdir}")

@@ -136,6 +136,8 @@ def parse_config(raw: dict) -> SimConfig:
 
     charges = [float(z) for z in psec["charges"]]
     masses = [float(m) for m in psec["masses"]]
+    if not charges:
+        raise ConfigError("nucleus hypothesis violated: require at least one nucleus, got none")
     eps0 = float(psec.get("epsilon0", 0.25))
     eps_reg = psec.get("epsilon_reg")
     eps_reg = float(eps_reg) if eps_reg is not None else None
@@ -172,16 +174,14 @@ def parse_config(raw: dict) -> SimConfig:
     if solver.method not in ("fixed_point", "direct", "both"):
         raise ConfigError(f"solver method must be fixed_point, direct or both, got {solver.method!r}")
 
-    n_nuc = len(charges)
-    if n_nuc >= 2:
-        for k in range(n_nuc):
-            for l in range(k + 1, n_nuc):
-                sep = float(np.linalg.norm(np.array(positions[k]) - np.array(positions[l])))
-                if sep < 8.0 * eps0 - 1e-12:
-                    raise ConfigError(
-                        "separation hypothesis violated: require "
-                        f"min |q_k(0) - q_l(0)| >= 8*epsilon0 = {8 * eps0:.6g}, "
-                        f"got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
+    for k in range(len(charges)):
+        for l in range(k + 1, len(charges)):
+            sep = float(np.linalg.norm(np.array(positions[k]) - np.array(positions[l])))
+            if sep < 8.0 * eps0 - 1e-12:
+                raise ConfigError(
+                    "separation hypothesis violated: require "
+                    f"min |q_k(0) - q_l(0)| >= 8*epsilon0 = {8 * eps0:.6g}, "
+                    f"got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
     for k, v in enumerate(velocities):
         speed = float(np.linalg.norm(v))
         if speed > solver.velocity_cap + 1e-15:
@@ -215,7 +215,7 @@ def parse_config(raw: dict) -> SimConfig:
                     init=init, time=time, solver=solver, output=output,
                     seed=int(raw.get("seed", 0)))
 
-    max_q = max((float(np.linalg.norm(p)) for p in positions), default=0.0)
+    max_q = max(float(np.linalg.norm(p)) for p in positions)
     if max_q > 0 and grid.box_length < 4.0 * max_q:
         cfg.warnings.append(
             f"box_length {grid.box_length} below 4*max|q| = {4 * max_q:.6g}; "

@@ -53,7 +53,6 @@ class CollisionError(RuntimeError):
 
 @dataclass
 class ForceBreakdown:
-    t: float
     field: np.ndarray         # (n_nuclei, 3)
     internuclear: np.ndarray  # (n_nuclei, 3)
 
@@ -118,9 +117,9 @@ def internuclear_force(nuclei) -> np.ndarray:
     return F
 
 
-def force_breakdown(u: SpinorField, nuclei, eps: float, t: float = 0.0) -> ForceBreakdown:
+def force_breakdown(u: SpinorField, nuclei, eps: float) -> ForceBreakdown:
     fld = np.array([field_force(u, nuc, eps) for nuc in nuclei])
-    return ForceBreakdown(t=t, field=fld, internuclear=internuclear_force(nuclei))
+    return ForceBreakdown(field=fld, internuclear=internuclear_force(nuclei))
 
 
 def internuclear_energy(nuclei) -> float:
@@ -139,10 +138,10 @@ def energy_breakdown(u: SpinorField, nuclei, eps: float) -> EnergyBreakdown:
     nuclei = list(nuclei)
     return EnergyBreakdown(
         field_kinetic=kinetic_expectation(u),
-        interaction=interaction_energy(u, nuclei, eps) if nuclei else 0.0,
+        interaction=interaction_energy(u, nuclei, eps),
         hartree=hartree_energy(u),
         nuclear_kinetic=float(sum(0.5 * nuc.m * nuc.qdot @ nuc.qdot for nuc in nuclei)),
-        internuclear=internuclear_energy(nuclei) if len(nuclei) > 1 else 0.0,
+        internuclear=internuclear_energy(nuclei),
     )
 
 
@@ -166,19 +165,22 @@ def total_momentum(u: SpinorField, nuclei) -> np.ndarray:
 # trajectory map P
 
 
-def _forces_along(fsol: FieldSolution, traj: Trajectory, eps: float) -> np.ndarray:
-    """Force time series (n_times, n_nuclei, 3) along the input trajectory."""
-    out = np.zeros((len(fsol.times), traj.n_nuclei, 3))
-    for j, t in enumerate(fsol.times):
-        nuclei = traj.nuclei_at(t)
-        fb = force_breakdown(fsol.snapshots[j], nuclei, eps, t=t)
-        out[j] = fb.total
-    return out
+def _initial_arrays(nuclei0: list):
+    """(charges, masses, positions, velocities) arrays; the solvers need a nucleus."""
+    if not nuclei0:
+        raise ValueError("the coupled solvers require at least one nucleus, got none")
+    return tuple(np.array([getattr(nuc, f) for nuc in nuclei0]) for f in ("Z", "m", "q", "qdot"))
 
 
-def _integrate_force_series(times: np.ndarray, F: np.ndarray, masses: np.ndarray,
-                            a: np.ndarray, b: np.ndarray):
-    """Second-order double integration of a known force series from (a, b).
+def _forces_along(fsol: FieldSolution, traj: Trajectory, eps: float) -> list:
+    """One ForceBreakdown per snapshot, with the nuclei at ``traj.nuclei_at(t)``."""
+    return [force_breakdown(u, traj.nuclei_at(t), eps)
+            for u, t in zip(fsol.snapshots, fsol.times)]
+
+
+def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarray) -> Trajectory:
+    """Second-order double integration of a known force series from the
+    initial data of ``traj_in``.
 
     This is velocity-Verlet specialized to a force that is an explicit
     function of time: drift with half-kick, then trapezoid velocity update.
@@ -188,13 +190,13 @@ def _integrate_force_series(times: np.ndarray, F: np.ndarray, masses: np.ndarray
     n = F.shape[1]
     q = np.zeros((n, M + 1, 3))
     v = np.zeros((n, M + 1, 3))
-    q[:, 0] = a
-    v[:, 0] = b
-    acc = F / masses[None, :, None]
+    q[:, 0] = traj_in.positions[:, 0]
+    v[:, 0] = traj_in.velocities[:, 0]
+    acc = F / traj_in.masses[None, :, None]
     for j in range(M):
         q[:, j + 1] = q[:, j] + delta * v[:, j] + 0.5 * delta**2 * acc[j]
         v[:, j + 1] = v[:, j] + 0.5 * delta * (acc[j] + acc[j + 1])
-    return q, v
+    return Trajectory(traj_in.charges, traj_in.masses, times, q, v)
 
 
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
@@ -212,12 +214,18 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     (trajectory, field solution, admissibility report).
     """
     plan = plan or PropagatorPlan()
+    return _map_P(traj_in, u0, T, plan, picard_tol, picard_max_iter,
+                  snapshot_count(plan, n_steps), eps0, sigma)[:3]
+
+
+def _map_P(traj_in: Trajectory, u0: SpinorField, T: float, plan: PropagatorPlan,
+           picard_tol: float, picard_max_iter: int, M: int, eps0, sigma: float):
+    """:func:`trajectory_map_P` with ``M`` snapshot intervals; also returns the
+    force breakdowns along ``traj_in``, one per snapshot."""
     eps = regularization_eps(plan.eps_reg, u0.grid)
-    M = snapshot_count(plan, n_steps)
     if charge(u0) == 0.0:
-        times = traj_in.t0 + np.linspace(0.0, T, M + 1)
-        zero = as_position(u0)
-        fsol = FieldSolution(times, [zero] * (M + 1), sigma=sigma)
+        fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, M + 1),
+                             [as_position(u0)] * (M + 1), sigma=sigma)
     else:
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
         # term is exactly translation-covariant, so translating in at t0 and
@@ -231,18 +239,32 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
             snaps = [translate(s, -traj_in.position(t)[0])
                      for s, t in zip(fsol.snapshots, fsol.times)]
             fsol = FieldSolution(fsol.times, snaps, sigma=sigma)
-    F = _forces_along(fsol, traj_in, eps)
-    a = traj_in.positions[:, 0]
-    b = traj_in.velocities[:, 0]
-    q, v = _integrate_force_series(fsol.times, F, traj_in.masses, a, b)
-    out = Trajectory(traj_in.charges, traj_in.masses, fsol.times, q, v)
-    report = admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
-                                 velocity_cap=plan.velocity_cap)
-    return out, fsol, report
+    forces = _forces_along(fsol, traj_in, eps)
+    out = _integrate_force_series(traj_in, fsol.times, np.array([fb.total for fb in forces]))
+    return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
+                                          velocity_cap=plan.velocity_cap), forces
 
 
 @dataclass
-class FixedPointReport:
+class RunDiagnostics:
+    """Computed by the solver, per snapshot of the returned field: EnergyBreakdown,
+    total momentum (a row of the (n_times, 3) array) and ForceBreakdown."""
+
+    energies: list
+    momenta: np.ndarray
+    forces: list
+
+
+def _energies_and_momenta(snapshots: list, nuclei: list, eps: float):
+    """EnergyBreakdowns and (n_times, 3) total momenta, one per snapshot and nuclei list."""
+    return ([energy_breakdown(u, nucs, eps) for u, nucs in zip(snapshots, nuclei)],
+            np.array([total_momentum(u, nucs) for u, nucs in zip(snapshots, nuclei)]))
+
+
+@dataclass
+class FixedPointReport(RunDiagnostics):
+    """Outer iteration record; diagnostics with the nuclei at ``traj.nuclei_at(t)``."""
+
     outer_iterations: int
     step_history: list
     converged: bool
@@ -250,10 +272,10 @@ class FixedPointReport:
     admissibility_failures: list
 
 
-def _newton_residual(traj: Trajectory, u_series: FieldSolution, eps: float) -> float:
-    """Max over interior nodes of |qddot (central difference) - F/m|."""
+def _newton_residual(traj: Trajectory, forces: list) -> float:
+    """Max over interior nodes of |qddot (central difference) - F/m|, F per node."""
     delta = traj.dt
-    F = _forces_along(u_series, traj, eps)
+    F = np.array([fb.total for fb in forces])
     acc_fd = (traj.positions[:, 2:] - 2 * traj.positions[:, 1:-1] + traj.positions[:, :-2]) / delta**2
     acc_force = np.transpose(F[1:-1] / traj.masses[None, :, None], (1, 0, 2))
     return float(np.max(np.linalg.norm(acc_fd - acc_force, axis=2)))
@@ -272,28 +294,24 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     present, and T inside the contraction window (configurable constant).
     Convergence is declared when the damped update moves the velocity series
     by less than ``tol`` in sup norm; the returned report carries the Newton
-    residual of the converged pair.
+    residual of the converged pair and its per-snapshot energy, momentum and
+    force, from the one force pass along it.  Raises ValueError without nuclei.
     """
     nuclei0 = list(nuclei0)
+    charges, masses, a, b = _initial_arrays(nuclei0)
     plan = plan or PropagatorPlan()
-    if len(nuclei0) >= 2:
-        for k in range(len(nuclei0)):
-            for l in range(k + 1, len(nuclei0)):
-                sep = np.linalg.norm(nuclei0[k].q - nuclei0[l].q)
-                if sep < 8.0 * eps0 - 1e-12:
-                    raise ValueError(
-                        "separation hypothesis violated: require min |q_k(0) - q_l(0)| "
-                        f">= 8*eps0 = {8 * eps0:.6g}, got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
+    for k in range(len(nuclei0)):
+        for l in range(k + 1, len(nuclei0)):
+            sep = np.linalg.norm(nuclei0[k].q - nuclei0[l].q)
+            if sep < 8.0 * eps0 - 1e-12:
+                raise ValueError(
+                    "separation hypothesis violated: require min |q_k(0) - q_l(0)| "
+                    f">= 8*eps0 = {8 * eps0:.6g}, got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
     if enforce_window and charge(u0) > 0:
         check_contraction_window(T, u0, sigma, contraction_const)
-    charges = np.array([nuc.Z for nuc in nuclei0])
-    masses = np.array([nuc.m for nuc in nuclei0])
-    a = np.array([nuc.q for nuc in nuclei0])
-    b = np.array([nuc.qdot for nuc in nuclei0])
     M = snapshot_count(plan, n_steps)
     traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, M)
     history = []
-    converged = False
     for it in range(max_outer):
         traj_P, _, _ = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
@@ -304,20 +322,21 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
         history.append(step)
         traj = Trajectory(charges, masses, traj.times, new_pos, new_vel)
         if step < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise FixedPointDivergence(
             f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
             f"(damped steps: {history})", history)
     # final self-consistent field along the converged trajectory
-    _, fsol, report_adm = trajectory_map_P(
-        traj, u0, T, plan=plan, picard_tol=picard_tol, picard_max_iter=picard_max_iter,
-        n_steps=M, eps0=eps0, sigma=sigma)
-    eps = regularization_eps(plan.eps_reg, u0.grid)
-    resid = _newton_residual(traj, fsol, eps)
-    report = FixedPointReport(len(history), history, converged, resid,
-                              report_adm.failures)
+    _, fsol, report_adm, forces = _map_P(traj, u0, T, plan, picard_tol, picard_max_iter,
+                                         M, eps0, sigma)
+    energies, momenta = _energies_and_momenta(
+        fsol.snapshots, [traj.nuclei_at(t) for t in fsol.times],
+        regularization_eps(plan.eps_reg, u0.grid))
+    report = FixedPointReport(
+        energies, momenta, forces, outer_iterations=len(history), step_history=history,
+        converged=True, newton_residual=_newton_residual(traj, forces),
+        admissibility_failures=report_adm.failures)
     return fsol, traj, report
 
 
@@ -326,9 +345,9 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
 
 
 @dataclass
-class DirectRunReport:
-    energies: list               # EnergyBreakdown per step
-    momenta: np.ndarray          # (n_times, 3)
+class DirectRunReport(RunDiagnostics):
+    """Drifts; diagnostics at the step's nodes, forces as used by the Verlet kicks."""
+
     energy_drift: float
     momentum_drift: float
     charge_drift: float
@@ -342,24 +361,21 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float,
     step, with the Hartree term refreshed in each half-kick and the nuclear
     potential evaluated at the step-start and step-end positions in the two
     half-kicks.  Raises :class:`CollisionError` when two nuclei come closer
-    than two grid spacings.  Returns (FieldSolution, Trajectory,
-    DirectRunReport) with energy/momentum/charge drift diagnostics.
+    than two grid spacings, and ValueError without nuclei.  Returns
+    (FieldSolution, Trajectory, DirectRunReport).
     """
-    nuclei0 = list(nuclei0)
+    charges, masses, q0, v0 = _initial_arrays(list(nuclei0))
     u = as_position(u0)
     grid = u.grid
     eps = regularization_eps(eps_reg, grid)
     floor = 2.0 * grid.spacing
-    charges = np.array([nuc.Z for nuc in nuclei0])
-    masses = np.array([nuc.m for nuc in nuclei0])
     M = step_count(T, dt)
     delta = T / M
     times = np.linspace(0.0, T, M + 1)
-    n = len(nuclei0)
+    n = len(charges)
     q = np.zeros((n, M + 1, 3))
     v = np.zeros((n, M + 1, 3))
-    q[:, 0] = [nuc.q for nuc in nuclei0]
-    v[:, 0] = [nuc.qdot for nuc in nuclei0]
+    q[:, 0], v[:, 0] = q0, v0
 
     def nuclei_at(j):
         return [NucleusState(charges[k], masses[k], q[k, j], v[k, j]) for k in range(n)]
@@ -373,40 +389,32 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float,
                         f"at t={times[j]:.6g}")
 
     snaps = [u.copy()]
-    energies = [energy_breakdown(u, nuclei_at(0), eps)]
-    momenta = [total_momentum(u, nuclei_at(0))]
-    F = force_breakdown(u, nuclei_at(0), eps).total if n else np.zeros((0, 3))
+    forces = [force_breakdown(u, nuclei_at(0), eps)]
     # the step-end potential of one step is the step-start potential of the next
-    V = coulomb_field(nuclei_at(0), eps, grid).data if n else 0.0
+    V = coulomb_field(nuclei_at(0), eps, grid).data
     for j in range(M):
-        if n:
-            vhalf = v[:, j] + 0.5 * delta * F / masses[:, None]
-            q[:, j + 1] = q[:, j] + delta * vhalf
-            check_collision(j + 1)
+        vhalf = v[:, j] + 0.5 * delta * forces[-1].total / masses[:, None]
+        q[:, j + 1] = q[:, j] + delta * vhalf
+        check_collision(j + 1)
         nucs_end = [NucleusState(charges[k], masses[k], q[k, j + 1], v[k, j]) for k in range(n)]
-        V_end = coulomb_field(nucs_end, eps, grid).data if n else 0.0
+        V_end = coulomb_field(nucs_end, eps, grid).data
         u = strang_step(u, delta, V, V_out=V_end, hartree=True)
         V = V_end
-        if n:
-            F = force_breakdown(u, nucs_end, eps).total
-            v[:, j + 1] = vhalf + 0.5 * delta * F / masses[:, None]
+        forces.append(force_breakdown(u, nucs_end, eps))
+        v[:, j + 1] = vhalf + 0.5 * delta * forces[-1].total / masses[:, None]
         snaps.append(u)
-        energies.append(energy_breakdown(u, nuclei_at(j + 1), eps))
-        momenta.append(total_momentum(u, nuclei_at(j + 1)))
 
     fsol = FieldSolution(times, snaps, sigma=sigma)
-    traj = Trajectory(charges, masses, times, q, v) if n else None
-    momenta = np.array(momenta)
+    traj = Trajectory(charges, masses, times, q, v)
+    energies, momenta = _energies_and_momenta(snaps, [nuclei_at(j) for j in range(M + 1)], eps)
     e_tot = np.array([e.total for e in energies])
     e_scale = max(max(e.component_scale() for e in energies), 1e-30)
     p_scale = max(float(np.max(np.linalg.norm(momenta, axis=1))),
                   max(float(np.sum(masses * np.linalg.norm(v[:, j], axis=-1)))
-                      for j in range(M + 1)) if n else 0.0, 1e-30)
+                      for j in range(M + 1)), 1e-30)
     report = DirectRunReport(
-        energies=energies,
-        momenta=momenta,
+        energies, momenta, forces,
         energy_drift=float(np.max(np.abs(e_tot - e_tot[0])) / e_scale),
         momentum_drift=float(np.max(np.linalg.norm(momenta - momenta[0], axis=1)) / p_scale),
-        charge_drift=fsol.charge_drift(),
-    )
+        charge_drift=fsol.charge_drift())
     return fsol, traj, report

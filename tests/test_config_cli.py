@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import yaml
 from diraclab import cli
 from diraclab import config as cf
 from diraclab import lattice as lat
+from diraclab import newton as nt
 
 
 BASE = {
@@ -149,13 +151,81 @@ def test_simulate_end_to_end(tmp_path):
 
 
 def test_simulate_deterministic_output(tmp_path):
-    p = _write_cfg(tmp_path, _cfg())
-    for sub in ("a", "b"):
-        rc = cli.main(["--output-root", str(tmp_path / sub), "simulate", "--config", str(p)])
-        assert rc == 0
-    csv_a = (tmp_path / "a" / "run" / "timeseries_direct.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "run" / "timeseries_direct.csv").read_bytes()
-    assert csv_a == csv_b
+    cases = {"direct": ["timeseries_direct.csv"],
+             "both": ["timeseries_fixed_point.csv", "timeseries_direct.csv", "final.dns"]}
+    for method, files in cases.items():
+        p = _write_cfg(tmp_path, _cfg(**{"solver.method": method}), name=f"{method}.yaml")
+        for sub in ("a", "b"):
+            rc = cli.main(["--output-root", str(tmp_path / method / sub), "simulate",
+                           "--config", str(p)])
+            assert rc == 0
+        for name in files:
+            out_a = (tmp_path / method / "a" / "run" / name).read_bytes()
+            out_b = (tmp_path / method / "b" / "run" / name).read_bytes()
+            assert out_a == out_b, (method, name)
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [{k: float(v) for k, v in row.items()} for row in rows]
+
+
+def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
+    # energy and momentum are the solvers' own per-snapshot diagnostics; the
+    # CSV writer formats them and recomputes nothing
+    calls = {"energy_breakdown": 0, "total_momentum": 0}
+    for name in calls:
+        fn = getattr(nt, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (nt, cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    p = _write_cfg(tmp_path, _cfg(**{"solver.method": "both", "output.every": 1}))
+    rc = cli.main(["--output-root", str(tmp_path / "every1"), "simulate", "--config", str(p)])
+    assert rc == 0
+    snapshots = sum(len(_read_csv(tmp_path / "every1" / "run" / f"timeseries_{s}.csv"))
+                    for s in ("fixed_point", "direct"))
+    assert snapshots == 10
+    assert calls == {"energy_breakdown": snapshots, "total_momentum": snapshots}
+
+    # at every: 2 each row must still match a fresh evaluation of its snapshot
+    returned = {}
+    for solver in ("coupled_fixed_point", "coupled_direct"):
+        def recorded(*args, _fn=getattr(nt, solver), _name=solver, **kwargs):
+            returned[_name] = _fn(*args, **kwargs)
+            return returned[_name]
+
+        monkeypatch.setattr(cli, solver, recorded)
+    p = _write_cfg(tmp_path, _cfg(**{"solver.method": "both", "output.every": 2}))
+    rc = cli.main(["--output-root", str(tmp_path / "every2"), "simulate", "--config", str(p)])
+    assert rc == 0
+    eps = BASE["physics"]["epsilon_reg"]
+    for solver, name in (("coupled_fixed_point", "fixed_point"), ("coupled_direct", "direct")):
+        fsol, traj, _ = returned[solver]
+        rows = _read_csv(tmp_path / "every2" / "run" / f"timeseries_{name}.csv")
+        assert len(rows) == (len(fsol.times) + 1) // 2
+        for i, row in enumerate(rows):
+            j = 2 * i
+            assert row["t"] == fsol.times[j]
+            nuclei = traj.nuclei_at(fsol.times[j])
+            eb = nt.energy_breakdown(fsol.snapshots[j], nuclei, eps)
+            fb = nt.force_breakdown(fsol.snapshots[j], nuclei, eps)
+            energy = [eb.field_kinetic, eb.interaction, eb.hartree, eb.nuclear_kinetic,
+                      eb.internuclear, eb.total]
+            got = [row[c] for c in ("E_field_kinetic", "E_interaction", "E_hartree",
+                                    "E_nuclear_kinetic", "E_internuclear", "E_total")]
+            np.testing.assert_allclose(got, energy, rtol=1e-12,
+                                       atol=1e-12 * max(map(abs, energy)))
+            for label, vec in (("F_field", fb.field), ("F_internuclear", fb.internuclear),
+                               ("F_total", fb.total)):
+                got = [[row[f"{label}{k}_{ax}"] for ax in "xyz"] for k in range(len(nuclei))]
+                np.testing.assert_allclose(got, vec, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(vec)))
 
 
 def test_simulate_rejects_bad_charge(tmp_path, capsys):
@@ -172,6 +242,25 @@ def test_simulate_rejects_window_violation(tmp_path, capsys):
     rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
     assert rc == cli.EXIT_CONFIG
     assert "time hypothesis" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_rejects_no_nuclei(tmp_path, capsys):
+    raw = _cfg(**{"physics.charges": [], "physics.masses": [],
+                  "init.positions": [], "init.velocities": []})
+    with pytest.raises(cf.ConfigError, match="at least one nucleus"):
+        cf.parse_config(raw)
+    p = _write_cfg(tmp_path, raw)
+    rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "at least one nucleus" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+    u0 = lat.gaussian_spinor(lat.make_grid(8, 8.0), (0, 0, 0), 1.0, (0.3, 0, 0, 0))
+    with pytest.raises(ValueError, match="at least one nucleus"):
+        nt.coupled_direct(u0, [], 0.1, 0.025)
+    with pytest.raises(ValueError, match="at least one nucleus"):
+        nt.coupled_fixed_point(u0, [], 0.1, contraction_const=0.2)
 
 
 def test_simulate_solver_failure_writes_record(tmp_path, capsys):
@@ -202,6 +291,7 @@ def test_simulate_rejects_unreadable_checkpoint(tmp_path, capsys, keep):
     err = capsys.readouterr().err
     assert err.startswith("config rejected:") and str(ck) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_validate_unknown_suite(tmp_path, capsys):
