@@ -3,7 +3,6 @@ coupled to classically moving point nuclei on a periodic box."""
 
 from .lattice import (
     GridSpec,
-    ScalarField,
     SpinorField,
     charge,
     gaussian_spinor,

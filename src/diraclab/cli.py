@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
                 max_outer=cfg.solver.fixedpoint.max_outer, theta=cfg.solver.fixedpoint.damping,
                 plan=plan, n_steps=n_steps, eps0=cfg.physics.epsilon0,
                 picard_tol=cfg.solver.picard.tol, picard_max_iter=cfg.solver.picard.max_iter,
-                sigma=cfg.solver.sigma, contraction_const=cfg.solver.contraction_const,
-                enforce_window=False)
+                sigma=cfg.solver.sigma, contraction_const=cfg.solver.contraction_const)
             results["fixed_point"] = (fsol, traj, rep)
             manifest["solvers"]["fixed_point"] = {
                 "outer_iterations": rep.outer_iterations, "step_history": rep.step_history,
@@ -142,8 +141,7 @@ def cmd_simulate(args) -> int:
             }
         if cfg.solver.method in ("direct", "both"):
             t0 = time.time()
-            fsol, traj, rep = coupled_direct(
-                u0, nuclei, cfg.time.T, cfg.time.dt, eps_reg=eps, sigma=cfg.solver.sigma)
+            fsol, traj, rep = coupled_direct(u0, nuclei, cfg.time.T, cfg.time.dt, eps_reg=eps)
             results["direct"] = (fsol, traj, rep)
             manifest["solvers"]["direct"] = {
                 "energy_drift": rep.energy_drift, "momentum_drift": rep.momentum_drift,

@@ -15,7 +15,6 @@ import numpy as np
 
 from .lattice import (
     GridSpec,
-    ScalarField,
     SpinorField,
     as_position,
     density,
@@ -44,19 +43,19 @@ def convolve_inverse_distance(grid: GridSpec, source: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(shat * mult) / grid.spacing**3
 
 
-def hartree_potential(u: SpinorField) -> ScalarField:
+def hartree_potential(u: SpinorField) -> np.ndarray:
     """The mean-field potential ``(<u,u> * 1/|x|)`` of the field's own density."""
     up = as_position(u)
     rho = density(up)
     phi = convolve_inverse_distance(up.grid, rho)
-    return ScalarField(up.grid, np.real(phi))
+    return np.real(phi)
 
 
 def apply_nonlinearity(u: SpinorField) -> SpinorField:
     """Return ``(|u|^2 * 1/|x|) u`` in position space."""
     up = as_position(u)
     phi = hartree_potential(up)
-    return SpinorField(up.grid, phi.data[..., None] * up.data, up.space)
+    return SpinorField(up.grid, phi[..., None] * up.data, up.space)
 
 
 def hartree_energy(u: SpinorField) -> float:

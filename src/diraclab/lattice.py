@@ -1,4 +1,4 @@
-"""Periodic cubic lattice, 4-spinor and scalar fields, transforms, Sobolev norms.
+"""Periodic cubic lattice, 4-spinor fields, transforms, Sobolev norms.
 
 Conventions (natural units, hbar = c = electron mass = 1):
 
@@ -127,24 +127,6 @@ class SpinorField:
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data.view(np.float64))))
-
-
-@dataclass
-class ScalarField:
-    """Real scalar field on a :class:`GridSpec` (potentials, densities)."""
-
-    grid: GridSpec
-    data: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.grid.n, self.grid.n, self.grid.n)
-        if self.data.shape != expected:
-            raise ValueError(f"scalar data shape {self.data.shape} != {expected}")
-        if self.data.dtype != np.float64:
-            self.data = self.data.astype(np.float64)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def interaction_energy(u: SpinorField, nuclei, eps: float) -> float:
     """``h^3 sum rho V_eps`` with the same regularized potential as the propagator."""
     up = as_position(u)
     V = coulomb_field(nuclei, eps, up.grid)
-    return float(up.grid.spacing**3 * np.sum(density(up) * V.data))
+    return float(up.grid.spacing**3 * np.sum(density(up) * V))
 
 
 def internuclear_force(nuclei) -> np.ndarray:
@@ -202,7 +202,7 @@ def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarra
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
                      plan: PropagatorPlan = None, picard_tol: float = 1e-8,
                      picard_max_iter: int = 30, n_steps: int = None,
-                     eps0: float = None, sigma: float = 1.25):
+                     eps0: float = None):
     """One application of the trajectory map: solve the field along ``traj_in``,
     then integrate ``m_k qddot = F_k(t)`` from the input's initial data.
 
@@ -211,21 +211,15 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     P is an explicit double integration; its fixed points solve the coupled
     system.  The inner Picard solve does not check the contraction window
     (:func:`coupled_fixed_point` checks it once, for ``u0``).  Returns
-    (trajectory, field solution, admissibility report).
+    (trajectory, field solution, admissibility report, forces), where
+    ``forces`` holds one ForceBreakdown per snapshot along ``traj_in``.
     """
     plan = plan or PropagatorPlan()
-    return _map_P(traj_in, u0, T, plan, picard_tol, picard_max_iter,
-                  snapshot_count(plan, n_steps), eps0, sigma)[:3]
-
-
-def _map_P(traj_in: Trajectory, u0: SpinorField, T: float, plan: PropagatorPlan,
-           picard_tol: float, picard_max_iter: int, M: int, eps0, sigma: float):
-    """:func:`trajectory_map_P` with ``M`` snapshot intervals; also returns the
-    force breakdowns along ``traj_in``, one per snapshot."""
+    M = snapshot_count(plan, n_steps)
     eps = regularization_eps(plan.eps_reg, u0.grid)
     if charge(u0) == 0.0:
         fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, M + 1),
-                             [as_position(u0)] * (M + 1), sigma=sigma)
+                             [as_position(u0)] * (M + 1))
     else:
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
         # term is exactly translation-covariant, so translating in at t0 and
@@ -234,11 +228,11 @@ def _map_P(traj_in: Trajectory, u0: SpinorField, T: float, plan: PropagatorPlan,
         u_start = translate(u0, traj_in.position(traj_in.t0)[0]) if comoving else u0
         fsol, _ = duhamel_picard(u_start, traj_in, T, tol=picard_tol,
                                  max_iter=picard_max_iter, plan=plan, n_steps=M,
-                                 sigma=sigma, enforce_window=False)
+                                 enforce_window=False)
         if comoving:
             snaps = [translate(s, -traj_in.position(t)[0])
                      for s, t in zip(fsol.snapshots, fsol.times)]
-            fsol = FieldSolution(fsol.times, snaps, sigma=sigma)
+            fsol = FieldSolution(fsol.times, snaps)
     forces = _forces_along(fsol, traj_in, eps)
     out = _integrate_force_series(traj_in, fsol.times, np.array([fb.total for fb in forces]))
     return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
@@ -286,16 +280,18 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
                         plan: PropagatorPlan = None, n_steps: int = None,
                         eps0: float = 0.25, picard_tol: float = 1e-9,
                         picard_max_iter: int = 30, sigma: float = 1.25,
-                        contraction_const: float = 1.0,
-                        enforce_window: bool = True):
+                        contraction_const: float = 1.0):
     """Damped outer iteration ``q <- (1-theta) q + theta P(q)`` to self-consistency.
 
     Preconditions: initial separations >= 8*eps0 when several nuclei are
-    present, and T inside the contraction window (configurable constant).
-    Convergence is declared when the damped update moves the velocity series
-    by less than ``tol`` in sup norm; the returned report carries the Newton
-    residual of the converged pair and its per-snapshot energy, momentum and
-    force, from the one force pass along it.  Raises ValueError without nuclei.
+    present, and T inside the contraction window (configurable constant,
+    checked in H^sigma for nonzero u0).  Convergence is declared when the
+    damped update moves the velocity series by less than ``tol`` in sup norm.
+    The returned field is that of the last P evaluation, along the converged
+    trajectory; the report carries that evaluation's admissibility failures
+    and force pass, the pair's Newton residual, and per-snapshot energy and
+    momentum.  Raises :class:`FixedPointDivergence` after ``max_outer`` damped
+    steps without convergence, and ValueError without nuclei.
     """
     nuclei0 = list(nuclei0)
     charges, masses, a, b = _initial_arrays(nuclei0)
@@ -307,29 +303,29 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
                 raise ValueError(
                     "separation hypothesis violated: require min |q_k(0) - q_l(0)| "
                     f">= 8*eps0 = {8 * eps0:.6g}, got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
-    if enforce_window and charge(u0) > 0:
+    if charge(u0) > 0:
         check_contraction_window(T, u0, sigma, contraction_const)
     M = snapshot_count(plan, n_steps)
     traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, M)
     history = []
-    for it in range(max_outer):
-        traj_P, _, _ = trajectory_map_P(
+    converged = False
+    while True:
+        if not converged and len(history) >= max_outer:
+            raise FixedPointDivergence(
+                f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
+                f"(damped steps: {history})", history)
+        traj_P, fsol, report_adm, forces = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
-            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0, sigma=sigma)
+            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0)
+        if converged:
+            break
+        del fsol  # free it before the next evaluation (peak memory); only the last is returned
         new_pos = (1 - theta) * traj.positions + theta * traj_P.positions
         new_vel = (1 - theta) * traj.velocities + theta * traj_P.velocities
         step = float(np.max(np.abs(new_vel - traj.velocities)))
         history.append(step)
         traj = Trajectory(charges, masses, traj.times, new_pos, new_vel)
-        if step < tol:
-            break
-    else:
-        raise FixedPointDivergence(
-            f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
-            f"(damped steps: {history})", history)
-    # final self-consistent field along the converged trajectory
-    _, fsol, report_adm, forces = _map_P(traj, u0, T, plan, picard_tol, picard_max_iter,
-                                         M, eps0, sigma)
+        converged = step < tol
     energies, momenta = _energies_and_momenta(
         fsol.snapshots, [traj.nuclei_at(t) for t in fsol.times],
         regularization_eps(plan.eps_reg, u0.grid))
@@ -353,8 +349,7 @@ class DirectRunReport(RunDiagnostics):
     charge_drift: float
 
 
-def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float,
-                   eps_reg: float = None, sigma: float = 1.25):
+def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float = None):
     """Interleaved velocity-Verlet + split-step integrator for the coupled system.
 
     The field advances by one :func:`propagator.strang_step` per nuclear
@@ -391,20 +386,20 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float,
     snaps = [u.copy()]
     forces = [force_breakdown(u, nuclei_at(0), eps)]
     # the step-end potential of one step is the step-start potential of the next
-    V = coulomb_field(nuclei_at(0), eps, grid).data
+    V = coulomb_field(nuclei_at(0), eps, grid)
     for j in range(M):
         vhalf = v[:, j] + 0.5 * delta * forces[-1].total / masses[:, None]
         q[:, j + 1] = q[:, j] + delta * vhalf
         check_collision(j + 1)
         nucs_end = [NucleusState(charges[k], masses[k], q[k, j + 1], v[k, j]) for k in range(n)]
-        V_end = coulomb_field(nucs_end, eps, grid).data
+        V_end = coulomb_field(nucs_end, eps, grid)
         u = strang_step(u, delta, V, V_out=V_end, hartree=True)
         V = V_end
         forces.append(force_breakdown(u, nucs_end, eps))
         v[:, j + 1] = vhalf + 0.5 * delta * forces[-1].total / masses[:, None]
         snaps.append(u)
 
-    fsol = FieldSolution(times, snaps, sigma=sigma)
+    fsol = FieldSolution(times, snaps)
     traj = Trajectory(charges, masses, times, q, v)
     energies, momenta = _energies_and_momenta(snaps, [nuclei_at(j) for j in range(M + 1)], eps)
     e_tot = np.array([e.total for e in energies])

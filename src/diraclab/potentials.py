@@ -21,7 +21,6 @@ from scipy.ndimage import map_coordinates
 
 from .lattice import (
     GridSpec,
-    ScalarField,
     SpinorField,
     as_position,
     l2_norm,
@@ -117,10 +116,15 @@ class Trajectory:
         tt = float(t)
         if tt < self.times[0] - 1e-12 or tt > self.times[-1] + 1e-12:
             raise ValueError(f"time {tt} outside trajectory window [{self.t0}, {self.t_final}]")
-        i = int(np.clip(np.floor((tt - self.t0) / self.dt), 0, len(self.times) - 2))
-        tau = (tt - self.times[i]) / self.dt
-        tau = min(max(tau, 0.0), 1.0)
-        return i, tau
+        x = (tt - self.t0) / self.dt
+        i = int(np.clip(np.floor(x), 0, len(self.times) - 2))
+        if abs(x - round(x)) < 1e-9:
+            # a node time up to roundoff: tau of exactly 0 or 1 makes the
+            # interpolant return that node's data bit for bit
+            tau = float(round(x) - i)
+        else:
+            tau = (tt - self.times[i]) / self.dt
+        return i, min(max(tau, 0.0), 1.0)
 
     def position(self, t: float) -> np.ndarray:
         """Cubic-Hermite interpolated positions, shape (n_nuclei, 3)."""
@@ -320,7 +324,7 @@ def regularization_eps(eps_reg, grid: GridSpec) -> float:
     return eps_reg if eps_reg is not None else 2.0 * grid.spacing
 
 
-def coulomb_field(nuclei, eps: float, grid: GridSpec) -> ScalarField:
+def coulomb_field(nuclei, eps: float, grid: GridSpec) -> np.ndarray:
     """Regularized multi-center potential ``-sum_k Z_k/sqrt(d_min^2 + eps^2)`` on the grid."""
     if not eps > 0:
         raise ValueError(f"regularization eps must be positive, got {eps}")
@@ -328,7 +332,7 @@ def coulomb_field(nuclei, eps: float, grid: GridSpec) -> ScalarField:
     for nuc in nuclei:
         r2 = grid.radius_sq_from(nuc.q)
         V -= nuc.Z / np.sqrt(r2 + eps**2)
-    return ScalarField(grid, V)
+    return V
 
 
 # ---------------------------------------------------------------------------

@@ -89,28 +89,21 @@ class PropagatorPlan:
 
 @dataclass
 class FieldSolution:
-    """Snapshots of a field evolution with per-step diagnostics (computed lazily)."""
+    """Snapshots of a field evolution at ``times``; the per-snapshot charges
+    are computed on first use."""
 
     times: np.ndarray
     snapshots: list
-    sigma: float = 1.25
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self._charges = None
-        self._hsigma = None
 
     @property
     def charges(self) -> np.ndarray:
         if self._charges is None:
             self._charges = np.array([charge(u) for u in self.snapshots])
         return self._charges
-
-    @property
-    def hsigma(self) -> np.ndarray:
-        if self._hsigma is None:
-            self._hsigma = np.array([sobolev_norm(u, self.sigma) for u in self.snapshots])
-        return self._hsigma
 
     @property
     def final(self) -> SpinorField:
@@ -131,7 +124,7 @@ def snapshot_count(plan: PropagatorPlan, n_steps: int = None) -> int:
     return n_steps if n_steps is not None else max(8, plan.n_slices)
 
 
-def _comoving_potential(traj: Trajectory, eps: float, grid: GridSpec):
+def _comoving_potential(traj: Trajectory, eps: float, grid: GridSpec) -> np.ndarray:
     if traj.n_nuclei != 1:
         raise ValueError("comoving frame is implemented for a single nucleus only")
     center_nucleus = traj.nuclei_at(traj.t0)[0]
@@ -158,13 +151,13 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     """
     up = as_position(u)
     grid = up.grid
-    kick = _half_kick(delta, V + hartree_potential(up).data if hartree else V)
+    kick = _half_kick(delta, V + hartree_potential(up) if hartree else V)
     data = np.fft.fftn(up.data * kick, axes=(0, 1, 2))
     data = dirac.step_momentum_data(grid, data, delta, drift)
     data = np.fft.ifftn(data, axes=(0, 1, 2))
     if hartree:
         w = SpinorField(grid, data, "position")
-        kick = _half_kick(delta, (V if V_out is None else V_out) + hartree_potential(w).data)
+        kick = _half_kick(delta, (V if V_out is None else V_out) + hartree_potential(w))
     elif V_out is not None:
         kick = _half_kick(delta, V_out)
     return SpinorField(grid, data * kick, "position")
@@ -183,12 +176,12 @@ def frozen_step(u: SpinorField, nuclei_frozen, dt: float, plan: PropagatorPlan,
     """One frozen-Hamiltonian exponential: Strang potential/kinetic composition.
 
     ``nuclei_frozen`` is a list of NucleusState at fixed positions; passing a
-    precomputed ``potential`` (ScalarField) skips the Coulomb rebuild.
+    precomputed ``potential`` (an (n, n, n) array) skips the Coulomb rebuild.
     """
     up = as_position(u)
     if potential is None:
         potential = coulomb_field(nuclei_frozen, regularization_eps(plan.eps_reg, up.grid), up.grid)
-    return _strang_segment(up, potential.data, dt, plan.substeps, drift=drift)
+    return _strang_segment(up, potential, dt, plan.substeps, drift=drift)
 
 
 def _segments(traj: Trajectory, s: float, t: float, n_slices: int):
@@ -250,10 +243,10 @@ def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory
         dt = y - x
         if plan.frame == COMOVING_SINGLE:
             drift = traj.velocity(tf)[0]
-            u = _strang_segment(u, static_potential.data, dt, plan.substeps, drift=drift)
+            u = _strang_segment(u, static_potential, dt, plan.substeps, drift=drift)
         else:
             V = coulomb_field(traj.nuclei_at(tf), eps, grid)
-            u = _strang_segment(u, V.data, dt, plan.substeps, drift=None)
+            u = _strang_segment(u, V, dt, plan.substeps, drift=None)
     return u
 
 
@@ -266,12 +259,13 @@ class RefinementReport:
 
 
 def evolve_linear(u0: SpinorField, s: float, t: float, traj: Trajectory, tol: float,
-                  plan: PropagatorPlan = None, record_times=None, sigma: float = 1.25):
+                  plan: PropagatorPlan = None):
     """Refine the sliced propagator until successive answers differ by < tol in L2.
 
     Doubles ``n_slices`` per level (the slice-freezing error dominates; Strang
     substeps and the regularization eps are held at their plan values and
-    recorded per level).  Returns (FieldSolution, RefinementReport); raises
+    recorded per level).  Returns (FieldSolution at ``[s, t]`` holding a copy
+    of ``u0`` and the converged level's field, RefinementReport); raises
     :class:`ConvergenceFailure` with the level history when the budget is
     exhausted.
     """
@@ -279,33 +273,19 @@ def evolve_linear(u0: SpinorField, s: float, t: float, traj: Trajectory, tol: fl
     eps = regularization_eps(plan.eps_reg, u0.grid)
     history = []
     prev = None
-    achieved = None
     for level in range(plan.max_levels + 1):
         n_slices = plan.n_slices * 2**level
-        cur_plan = replace(plan, n_slices=n_slices)
-        u = product_formula_evolve(u0, s, t, traj, cur_plan, check_admissibility=(level == 0))
+        u = product_formula_evolve(u0, s, t, traj, replace(plan, n_slices=n_slices),
+                                   check_admissibility=(level == 0))
         diff = None if prev is None else l2_distance(u, prev)
         history.append((n_slices, plan.substeps, eps, diff))
         if diff is not None and diff < tol:
-            achieved = cur_plan
-            break
+            sol = FieldSolution([s, t], [as_position(u0).copy(), u])
+            return sol, RefinementReport(history, True, n_slices, tol)
         prev = u
-    if achieved is None:
-        raise ConvergenceFailure(
-            f"linear evolution did not reach tol={tol} within {plan.max_levels} refinements",
-            history)
-    times = np.asarray(record_times, dtype=float) if record_times is not None \
-        else np.array([s, t])
-    snaps = []
-    u = as_position(u0)
-    t_prev = times[0]
-    snaps.append(u.copy())
-    for tt in times[1:]:
-        u = product_formula_evolve(u, t_prev, tt, traj, achieved, check_admissibility=False)
-        snaps.append(u)
-        t_prev = tt
-    sol = FieldSolution(times, snaps, sigma=sigma)
-    return sol, RefinementReport(history, True, achieved.n_slices, tol)
+    raise ConvergenceFailure(
+        f"linear evolution did not reach tol={tol} within {plan.max_levels} refinements",
+        history)
 
 
 def measured_l2_operator_norm(traj: Trajectory, plan: PropagatorPlan, grid: GridSpec,
@@ -429,12 +409,11 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
         raise ConvergenceFailure(
             f"Picard iteration did not reach tol={tol} in {max_iter} iterations "
             f"(distances: {distances})", distances)
-    return FieldSolution(times, iterates, sigma=sigma), report
+    return FieldSolution(times, iterates), report
 
 
 def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,
-                         eps_reg: float = None, include_hartree: bool = True,
-                         sigma: float = 1.25) -> FieldSolution:
+                         eps_reg: float = None, include_hartree: bool = True) -> FieldSolution:
     """Strang split-step cross-check integrator with refreshed Hartree potential.
 
     The nuclear potential is frozen at each step's left endpoint (matching
@@ -450,7 +429,7 @@ def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,
     times = traj.t0 + np.linspace(0.0, T, M + 1)
     snaps = [u.copy()]
     for j in range(M):
-        V = coulomb_field(traj.nuclei_at(times[j]), eps, grid).data
+        V = coulomb_field(traj.nuclei_at(times[j]), eps, grid)
         u = strang_step(u, delta, V, hartree=include_hartree)
         snaps.append(u)
-    return FieldSolution(times, snaps, sigma=sigma)
+    return FieldSolution(times, snaps)

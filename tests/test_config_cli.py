@@ -263,7 +263,15 @@ def test_simulate_rejects_no_nuclei(tmp_path, capsys):
         nt.coupled_fixed_point(u0, [], 0.1, contraction_const=0.2)
 
 
-def test_simulate_solver_failure_writes_record(tmp_path, capsys):
+def test_simulate_solver_failure_writes_record(tmp_path, capsys, monkeypatch):
+    map_P = nt.trajectory_map_P
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return map_P(*args, **kwargs)
+
+    monkeypatch.setattr(nt, "trajectory_map_P", counted)
     raw = _cfg(**{"solver.method": "fixed_point"})
     raw["solver"]["fixedpoint"] = {"tol": 1e-30, "max_outer": 1}
     p = _write_cfg(tmp_path, raw)
@@ -272,7 +280,9 @@ def test_simulate_solver_failure_writes_record(tmp_path, capsys):
     record = json.loads((tmp_path / "run" / "failure.json").read_text())
     assert record["status"] == "failure"
     assert record["error"] == "FixedPointDivergence"
-    assert record["history"]
+    assert len(record["history"]) == 1
+    # max_outer: 1 allows one damped step, so P is evaluated exactly once
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("keep", [None, -100, 20], ids=["missing", "truncated", "short-header"])

@@ -19,7 +19,7 @@ def test_kernel_multiplier_properties(grid16):
 
 def test_potential_of_zero_field(grid16):
     u = lat.zero_spinor(grid16)
-    assert np.max(np.abs(ht.hartree_potential(u).data)) == 0.0
+    assert np.max(np.abs(ht.hartree_potential(u))) == 0.0
 
 
 def test_gaussian_potential_matches_erf_formula():
@@ -28,7 +28,7 @@ def test_gaussian_potential_matches_erf_formula():
     # zero-mean); error measured against the local exact value
     g = lat.make_grid(64, 20.0)
     u = lat.gaussian_spinor(g, (0, 0, 0), 1.0, (1, 0, 0, 0))  # density |u|^2 = e^{-r^2}
-    phi = ht.hartree_potential(u).data
+    phi = ht.hartree_potential(u)
     r = g.radius_from((0, 0, 0))
     exact = np.where(r > 1e-12, np.pi**1.5 * erf(r) / np.maximum(r, 1e-12), 2 * np.pi)
     mask = r <= 2.0
@@ -75,8 +75,8 @@ def test_phase_invariance(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.7)
     theta = 0.814
     u_rot = lat.SpinorField(grid16, np.exp(1j * theta) * u.data, u.space)
-    phi1 = ht.hartree_potential(u).data
-    phi2 = ht.hartree_potential(u_rot).data
+    phi1 = ht.hartree_potential(u)
+    phi2 = ht.hartree_potential(u_rot)
     assert np.max(np.abs(phi1 - phi2)) <= 1e-10 * max(1.0, np.max(np.abs(phi1)))
     n1 = ht.apply_nonlinearity(u).data
     n2 = ht.apply_nonlinearity(u_rot).data

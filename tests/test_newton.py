@@ -98,7 +98,7 @@ def test_map_P_symmetric_resting_nucleus_stays(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.3, (0.4, 0, 0, 0))
     traj = Trajectory.static([0.5], [10.0], [[0, 0, 0]], 0.0, 0.3, 24)
     plan = PropagatorPlan(n_slices=24, eps_reg=0.8)
-    out, fsol, rep = nt.trajectory_map_P(traj, u0, 0.3, plan=plan, n_steps=24)
+    out, fsol, rep, _ = nt.trajectory_map_P(traj, u0, 0.3, plan=plan, n_steps=24)
     assert np.max(np.abs(out.positions)) < 1e-8
     # velocities carry the raw force integral; the Nyquist-row parity artifact
     # of the discrete Dirac symbol leaves a ~1e-8 floor at this resolution
@@ -121,8 +121,8 @@ def test_map_P_kepler_fixed_point(grid16):
     vel = ys[6:].reshape(2, 3, M + 1).transpose(0, 2, 1)
     traj_in = Trajectory(charges, masses, times, pos, vel)
     u0 = lat.zero_spinor(grid16)
-    out, _, _ = nt.trajectory_map_P(traj_in, u0, T, plan=PropagatorPlan(eps_reg=0.8),
-                                    n_steps=M)
+    out, _, _, _ = nt.trajectory_map_P(traj_in, u0, T, plan=PropagatorPlan(eps_reg=0.8),
+                                       n_steps=M)
     assert np.max(np.abs(out.positions - pos)) < 1e-6
     assert np.max(np.abs(out.velocities - vel)) < 1e-6
 
@@ -135,8 +135,9 @@ def test_map_P_mirror_symmetry(grid16):
     traj = Trajectory.constant_velocity(charges, masses,
                                         [[-1.25, 0, 0], [1.25, 0, 0]],
                                         [[0.04, 0, 0], [-0.04, 0, 0]], 0.0, 0.3, 24)
-    out, _, _ = nt.trajectory_map_P(traj, u0, 0.3, plan=PropagatorPlan(n_slices=24, eps_reg=0.8),
-                                    n_steps=24, eps0=eps0)
+    out, _, _, _ = nt.trajectory_map_P(traj, u0, 0.3,
+                                       plan=PropagatorPlan(n_slices=24, eps_reg=0.8),
+                                       n_steps=24, eps0=eps0)
     # point reflection through the origin swaps the two nuclei
     assert np.max(np.abs(out.positions[0] + out.positions[1])) < 1e-8
     assert np.max(np.abs(out.velocities[0] + out.velocities[1])) < 5e-8
@@ -154,6 +155,37 @@ def test_fixed_point_symmetric_rest(grid16):
         n_steps=16, contraction_const=0.2)
     assert rep.converged
     assert np.max(np.abs(traj.positions[:, -1])) < 1e-8
+
+
+def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
+    # P is evaluated once per damped step plus once along the converged
+    # trajectory, and the returned field and forces are those of that last
+    # evaluation, bit for bit
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
+    nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
+    T = 0.2
+    plan = PropagatorPlan(n_slices=8, eps_reg=0.75)
+    map_P = nt.trajectory_map_P
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return map_P(*args, **kwargs)
+
+    monkeypatch.setattr(nt, "trajectory_map_P", counted)
+    fsol, traj, rep = nt.coupled_fixed_point(u0, nuclei, T, tol=1e-6, plan=plan, n_steps=8,
+                                             contraction_const=0.2)
+    assert rep.outer_iterations >= 2
+    assert len(calls) == rep.outer_iterations + 1
+    _, fresh, adm, forces = map_P(traj, u0, T, plan=plan, picard_tol=1e-9, n_steps=8,
+                                  eps0=0.25)
+    assert np.array_equal(fsol.times, fresh.times)
+    for a, b in zip(fsol.snapshots, fresh.snapshots, strict=True):
+        assert np.array_equal(a.data, b.data)
+    for a, b in zip(rep.forces, forces, strict=True):
+        assert np.array_equal(a.field, b.field)
+        assert np.array_equal(a.internuclear, b.internuclear)
+    assert rep.admissibility_failures == adm.failures
 
 
 def test_fixed_point_separation_guard(grid16):

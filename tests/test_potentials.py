@@ -29,6 +29,20 @@ def test_trajectory_interpolation_exact_for_cubic():
         assert np.allclose(traj.velocity(t), vf(t), atol=1e-12)
 
 
+def test_trajectory_returns_node_data_exactly():
+    # on the 48-step grid of scripts/configs/two_nuclei.yaml, (t - t0)/dt at
+    # some node times falls a few ulps short of the node index; the
+    # interpolant must still return the node data bit for bit
+    rng = np.random.default_rng(0)
+    times = np.linspace(0.0, 0.25, 49)
+    q = rng.normal(size=(2, 49, 3))
+    v = rng.normal(size=(2, 49, 3))
+    traj = pot.Trajectory([0.5, 0.4], [12.0, 10.0], times, q, v)
+    for j, t in enumerate(times):
+        assert np.array_equal(traj.position(t), q[:, j]), j
+        assert np.array_equal(traj.velocity(t), v[:, j]), j
+
+
 def test_trajectory_consistency_residual_small_for_smooth_paths():
     times = np.linspace(0.0, 1.0, 65)
     qf = lambda t: np.array([[np.sin(t), np.cos(t), 0.0]])
@@ -65,15 +79,15 @@ def test_coulomb_field_value_at_center(grid16):
     nuc = pot.NucleusState(0.6, 1.0, (0, 0, 0), (0, 0, 0))
     eps = 0.5
     V = pot.coulomb_field([nuc], eps, grid16)
-    assert V.data[0, 0, 0] == pytest.approx(-0.6 / eps, rel=1e-14)
-    assert np.max(np.abs(V.data)) <= 0.6 / eps + 1e-14
+    assert V[0, 0, 0] == pytest.approx(-0.6 / eps, rel=1e-14)
+    assert np.max(np.abs(V)) <= 0.6 / eps + 1e-14
 
 
 def test_coulomb_field_even_under_reflection(grid16):
     d = 1.5
     nuclei = [pot.NucleusState(0.4, 1.0, (d, 0, 0), (0, 0, 0)),
               pot.NucleusState(0.4, 1.0, (-d, 0, 0), (0, 0, 0))]
-    V = pot.coulomb_field(nuclei, 0.7, grid16).data
+    V = pot.coulomb_field(nuclei, 0.7, grid16)
     # x -> -x on the grid: index i -> (-i) mod n
     reflected = np.roll(V[::-1, :, :], 1, axis=0)
     assert np.max(np.abs(V - reflected)) < 1e-12

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ def test_frozen_step_constant_potential_is_global_phase(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
     plan = pr.PropagatorPlan(substeps=2)
     c = -0.37
-    V = lat.ScalarField(grid16, np.full((grid16.n,) * 3, c))
+    V = np.full((grid16.n,) * 3, c)
     dt = 0.4
     out = pr.frozen_step(u, [], dt, plan, potential=V)
     free = dr.free_propagator_step(u, dt)
@@ -146,6 +148,28 @@ def test_evolve_linear_composition_within_tolerance(grid16):
     second, _ = pr.evolve_linear(first.final, 0.25, 0.5, traj, tol, plan)
     resid = lat.l2_distance(whole.final, second.final)
     assert resid < 2 * tol
+
+
+def test_evolve_linear_returns_converged_level(grid16, monkeypatch):
+    # one product-formula solve per refinement level, and the returned field
+    # is that of the converged level, bit for bit
+    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (1, 0.1, 0, 0))
+    traj = _moving_traj(T=0.5)
+    plan = pr.PropagatorPlan(n_slices=8, substeps=1, eps_reg=1.0, max_levels=8)
+    evolve = pr.product_formula_evolve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "product_formula_evolve", counted)
+    sol, rep = pr.evolve_linear(u0, 0.0, 0.5, traj, 1e-4, plan)
+    assert len(calls) == len(rep.levels) >= 2
+    fresh = evolve(u0, 0.0, 0.5, traj, replace(plan, n_slices=rep.achieved_n_slices))
+    assert np.array_equal(sol.final.data, fresh.data)
+    assert list(sol.times) == [0.0, 0.5]
+    assert sol.snapshots[0] is not u0 and np.array_equal(sol.snapshots[0].data, u0.data)
 
 
 def test_evolve_linear_nonconvergence_reports_history(grid16):
@@ -291,13 +315,10 @@ def test_hsigma_growth_envelope_reported(grid16, capsys):
         envelopes = []
         for ns in (16, 32):
             plan = pr.PropagatorPlan(n_slices=ns, substeps=1, eps_reg=1.0)
-            sol = pr.FieldSolution(
-                np.linspace(0, 0.5, 9),
-                [pr.product_formula_evolve(u0, 0.0, t, traj, plan,
-                                           check_admissibility=False)
-                 for t in np.linspace(0, 0.5, 9)],
-                sigma=sigma)
-            envelopes.append(float(np.max(sol.hsigma) / sol.hsigma[0]))
+            snaps = [pr.product_formula_evolve(u0, 0.0, t, traj, plan, check_admissibility=False)
+                     for t in np.linspace(0, 0.5, 9)]
+            hsigma = [lat.sobolev_norm(u, sigma) for u in snaps]
+            envelopes.append(float(np.max(hsigma) / hsigma[0]))
         rows.append((sigma, envelopes))
         assert all(np.isfinite(e) for e in envelopes)
         assert abs(envelopes[1] - envelopes[0]) / envelopes[0] < 0.05
