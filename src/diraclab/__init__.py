@@ -36,7 +36,6 @@ from .propagator import (
     duhamel_picard,
     evolve_linear,
     frame_equivalence_residual,
-    frozen_step,
     product_formula_evolve,
     split_step_nonlinear,
     strang_step,

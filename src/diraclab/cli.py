@@ -76,7 +76,7 @@ def _write_timeseries(path: Path, fsol, traj, rep, every: int, sigma: float) -> 
         for name in ("q", "v", "F_field", "F_internuclear", "F_total"):
             cols += [f"{name}{k}_{ax}" for ax in "xyz"]
     lines = [",".join(cols)]
-    for j in range(0, len(fsol.times), max(1, every)):
+    for j in range(0, len(fsol.times), every):
         t = fsol.times[j]
         eb, p, fb = rep.energies[j], rep.momenta[j], rep.forces[j]
         row = [_fmt(t), _fmt(fsol.charges[j]), _fmt(sobolev_norm(fsol.snapshots[j], sigma)),

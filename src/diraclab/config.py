@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -116,6 +117,36 @@ def _complexify(entry) -> complex:
     return complex(float(entry), 0.0)
 
 
+def _number(sec: dict, key: str, default, where: str, integer: bool = False):
+    """``sec[key]`` (or ``default``) as a finite float, or an int with ``integer``."""
+    raw = sec.get(key, default)
+    try:
+        if isinstance(raw, bool):
+            raise TypeError
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}.{key} must be a number, got {raw!r}") from None
+    if integer:
+        if not value.is_integer():
+            raise ConfigError(f"{where}.{key} must be an integer, got {raw!r}")
+        return int(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {raw!r}")
+    return value
+
+
+def _solver_subsection(ssec: dict, name: str, cls) -> dict:
+    """The ``solver.<name>`` mapping, rejecting keys that ``cls`` does not have."""
+    sec = ssec.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"solver.{name} must be a mapping, got {sec!r}")
+    known = [f.name for f in fields(cls)]
+    for key in sec:
+        if key not in known:
+            raise ConfigError(f"unknown key solver.{name}.{key} (known: {', '.join(known)})")
+    return sec
+
+
 def parse_config(raw: dict) -> SimConfig:
     """Validate a raw key tree against the model hypotheses; raises ConfigError."""
     try:
@@ -160,15 +191,38 @@ def parse_config(raw: dict) -> SimConfig:
     velocities = [list(map(float, v)) for v in isec["velocities"]]
     if len(positions) != len(charges) or len(velocities) != len(charges):
         raise ConfigError("positions/velocities must match the number of charges")
+    fp_sec = _solver_subsection(ssec, "fixedpoint", FixedPointConfig)
+    pi_sec = _solver_subsection(ssec, "picard", PicardConfig)
     solver = SolverConfig(
         mode=str(ssec.get("mode", "lab")),
         method=str(ssec.get("method", "both")),
-        fixedpoint=FixedPointConfig(**ssec.get("fixedpoint", {})),
-        picard=PicardConfig(**ssec.get("picard", {})),
-        contraction_const=float(ssec.get("contraction_const", 1.0)),
-        velocity_cap=float(ssec.get("velocity_cap", DEFAULT_VELOCITY_CAP)),
-        sigma=float(ssec.get("sigma", 1.25)),
+        fixedpoint=FixedPointConfig(
+            tol=_number(fp_sec, "tol", FixedPointConfig.tol, "solver.fixedpoint"),
+            max_outer=_number(fp_sec, "max_outer", FixedPointConfig.max_outer,
+                              "solver.fixedpoint", integer=True),
+            damping=_number(fp_sec, "damping", FixedPointConfig.damping, "solver.fixedpoint")),
+        picard=PicardConfig(
+            tol=_number(pi_sec, "tol", PicardConfig.tol, "solver.picard"),
+            max_iter=_number(pi_sec, "max_iter", PicardConfig.max_iter, "solver.picard",
+                             integer=True)),
+        contraction_const=_number(ssec, "contraction_const", 1.0, "solver"),
+        velocity_cap=_number(ssec, "velocity_cap", DEFAULT_VELOCITY_CAP, "solver"),
+        sigma=_number(ssec, "sigma", 1.25, "solver"),
     )
+    for key, value, ok, need in (
+        ("solver.fixedpoint.tol", solver.fixedpoint.tol, solver.fixedpoint.tol > 0, "> 0"),
+        ("solver.fixedpoint.max_outer", solver.fixedpoint.max_outer,
+         solver.fixedpoint.max_outer >= 1, ">= 1"),
+        ("solver.fixedpoint.damping", solver.fixedpoint.damping,
+         0 < solver.fixedpoint.damping <= 1, "in (0, 1]"),
+        ("solver.picard.tol", solver.picard.tol, solver.picard.tol > 0, "> 0"),
+        ("solver.picard.max_iter", solver.picard.max_iter, solver.picard.max_iter >= 1, ">= 1"),
+        ("solver.contraction_const", solver.contraction_const, solver.contraction_const > 0,
+         "> 0"),
+        ("solver.sigma", solver.sigma, 0 <= solver.sigma <= 2, "in [0, 2]"),
+    ):
+        if not ok:
+            raise ConfigError(f"{key} must be {need}, got {value}")
     if solver.mode not in ("lab", "comoving"):
         raise ConfigError(f"solver mode must be lab or comoving, got {solver.mode!r}")
     if solver.method not in ("fixed_point", "direct", "both"):
@@ -210,7 +264,10 @@ def parse_config(raw: dict) -> SimConfig:
     if time.T <= 0 or time.dt <= 0 or time.n_slices < 1:
         raise ConfigError("time section requires T > 0, dt > 0, n_slices >= 1")
 
-    output = OutputConfig(every=int(osec.get("every", 1)), path=str(osec.get("path", "run")))
+    output = OutputConfig(every=_number(osec, "every", 1, "output", integer=True),
+                          path=str(osec.get("path", "run")))
+    if output.every < 1:
+        raise ConfigError(f"output.every must be >= 1, got {output.every}")
     cfg = SimConfig(grid=grid, physics=PhysicsConfig(charges, masses, eps_reg, eps0),
                     init=init, time=time, solver=solver, output=output,
                     seed=int(raw.get("seed", 0)))

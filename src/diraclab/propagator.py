@@ -7,8 +7,10 @@ exponential is evaluated by Strang splitting between the pointwise potential
 factor and the exact per-mode kinetic (plus optional comoving drift) factor,
 so every factor is unitary and charge is preserved to roundoff.  Backward
 evolution applies the adjoint product (reversed factors, negated durations).
-One Strang kick-drift-kick is :func:`strang_step`; the split-step integrator
-below and the direct coupled integrator in ``newton`` step with it too.
+:func:`_frozen_slices` is the one slice builder and :func:`_apply_slices` the
+one applier; the Picard solve builds its slices once per solve.  One Strang
+kick-drift-kick is :func:`strang_step`; the split-step integrator below and
+the direct coupled integrator in ``newton`` step with it too.
 
 The nonlinear field solver comes in two independent flavours used to check
 each other: a Picard iteration on the Duhamel integral form (trapezoid
@@ -34,7 +36,13 @@ from .lattice import (
     translate,
 )
 from .hartree import apply_nonlinearity, hartree_potential
-from .potentials import Trajectory, admissibility_check, coulomb_field, regularization_eps
+from .potentials import (
+    NucleusState,
+    Trajectory,
+    admissibility_check,
+    coulomb_field,
+    regularization_eps,
+)
 
 LAB = "lab"
 COMOVING_SINGLE = "comoving_single"
@@ -124,16 +132,6 @@ def snapshot_count(plan: PropagatorPlan, n_steps: int = None) -> int:
     return n_steps if n_steps is not None else max(8, plan.n_slices)
 
 
-def _comoving_potential(traj: Trajectory, eps: float, grid: GridSpec) -> np.ndarray:
-    if traj.n_nuclei != 1:
-        raise ValueError("comoving frame is implemented for a single nucleus only")
-    center_nucleus = traj.nuclei_at(traj.t0)[0]
-    from .potentials import NucleusState
-
-    frozen = NucleusState(center_nucleus.Z, center_nucleus.m, np.zeros(3), np.zeros(3))
-    return coulomb_field([frozen], eps, grid)
-
-
 def _half_kick(delta: float, V):
     """The factor ``exp(-i delta/2 V)``, broadcast over the spinor components."""
     return np.exp(-0.5j * delta * V)[..., None]
@@ -163,27 +161,6 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     return SpinorField(grid, data * kick, "position")
 
 
-def _strang_segment(u: SpinorField, V: np.ndarray, dt: float, substeps: int,
-                    drift=None) -> SpinorField:
-    """exp(-i dt (K + V)) by ``substeps`` Strang steps; returns position space."""
-    for _ in range(substeps):
-        u = strang_step(u, dt / substeps, V, drift=drift)
-    return u
-
-
-def frozen_step(u: SpinorField, nuclei_frozen, dt: float, plan: PropagatorPlan,
-                drift=None, potential=None) -> SpinorField:
-    """One frozen-Hamiltonian exponential: Strang potential/kinetic composition.
-
-    ``nuclei_frozen`` is a list of NucleusState at fixed positions; passing a
-    precomputed ``potential`` (an (n, n, n) array) skips the Coulomb rebuild.
-    """
-    up = as_position(u)
-    if potential is None:
-        potential = coulomb_field(nuclei_frozen, regularization_eps(plan.eps_reg, up.grid), up.grid)
-    return _strang_segment(up, potential, dt, plan.substeps, drift=drift)
-
-
 def _segments(traj: Trajectory, s: float, t: float, n_slices: int):
     """Slice [s, t] along the lattice tau_j = t0 + j*(T/n_slices).
 
@@ -210,6 +187,38 @@ def _segments(traj: Trajectory, s: float, t: float, n_slices: int):
     return segs
 
 
+def _frozen_slices(traj: Trajectory, s: float, t: float, plan: PropagatorPlan, grid: GridSpec):
+    """Yield ``(duration, potential, drift)`` per slice of [s, t] in application
+    order (adjoint order when ``t < s``).  Lab frame: the nuclei's potential at
+    the slice's lattice point, built as the slice is reached, no drift.  Comoving
+    frame: one potential of the nucleus at the origin per call, its velocity as drift.
+    """
+    eps = regularization_eps(plan.eps_reg, grid)
+    segs = _segments(traj, min(s, t), max(s, t), plan.n_slices)
+    if t < s:
+        segs = [(y, x, f) for (x, y, f) in reversed(segs)]
+    if plan.frame == COMOVING_SINGLE:
+        if traj.n_nuclei != 1:
+            raise ValueError("comoving frame is implemented for a single nucleus only")
+        center = traj.nuclei_at(traj.t0)[0]
+        static = coulomb_field([NucleusState(center.Z, center.m, np.zeros(3), np.zeros(3))],
+                               eps, grid)
+        for (x, y, tf) in segs:
+            yield y - x, static, traj.velocity(tf)[0]
+    else:
+        for (x, y, tf) in segs:
+            yield y - x, coulomb_field(traj.nuclei_at(tf), eps, grid), None
+
+
+def _apply_slices(u: SpinorField, slices, substeps: int) -> SpinorField:
+    """Apply ``exp(-i dt (K + V))`` for each ``(dt, V, drift)`` slice in turn,
+    each by ``substeps`` Strang steps; returns position space."""
+    for (dt, V, drift) in slices:
+        for _ in range(substeps):
+            u = strang_step(u, dt / substeps, V, drift=drift)
+    return u
+
+
 def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory,
                            plan: PropagatorPlan, check_admissibility: bool = True) -> SpinorField:
     """Evolve u0 from time s to time t under the sliced frozen-Hamiltonian product.
@@ -226,28 +235,9 @@ def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory
         if report.failures:
             raise AdmissibilityError(report)
     up = as_position(u0)
-    grid = up.grid
-    eps = regularization_eps(plan.eps_reg, grid)
-    if abs(t - s) == 0.0:
+    if t == s:
         return up.copy()
-    backward = t < s
-    a, b = (t, s) if backward else (s, t)
-    segs = _segments(traj, a, b, plan.n_slices)
-    if backward:
-        segs = [(y, x, f) for (x, y, f) in reversed(segs)]
-    static_potential = None
-    if plan.frame == COMOVING_SINGLE:
-        static_potential = _comoving_potential(traj, eps, grid)
-    u = up
-    for (x, y, tf) in segs:
-        dt = y - x
-        if plan.frame == COMOVING_SINGLE:
-            drift = traj.velocity(tf)[0]
-            u = _strang_segment(u, static_potential, dt, plan.substeps, drift=drift)
-        else:
-            V = coulomb_field(traj.nuclei_at(tf), eps, grid)
-            u = _strang_segment(u, V, dt, plan.substeps, drift=None)
-    return u
+    return _apply_slices(up, _frozen_slices(traj, s, t, plan, up.grid), plan.substeps)
 
 
 @dataclass
@@ -376,9 +366,12 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     slices_per_step = max(1, int(round(plan.n_slices / M)))
     step_plan = replace(plan, n_slices=M * slices_per_step)
 
+    # the trajectory is fixed for the whole solve: build each step's slices once
+    steps = [list(_frozen_slices(traj, times[j], times[j + 1], step_plan, up.grid))
+             for j in range(M)]
+
     def linear_step(u: SpinorField, j: int) -> SpinorField:
-        return product_formula_evolve(u, times[j], times[j + 1], traj, step_plan,
-                                      check_admissibility=False)
+        return _apply_slices(u, steps[j], plan.substeps)
 
     # iterate 0: the linear evolution
     iterates = [up.copy()]

@@ -235,6 +235,35 @@ def test_simulate_rejects_bad_charge(tmp_path, capsys):
     assert "charge hypothesis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("solver.fixedpoint.tol", -1.0),
+    ("solver.fixedpoint.tol", "abc"),
+    ("solver.fixedpoint.max_outer", 0),
+    ("solver.fixedpoint.damping", 0.0),
+    ("solver.fixedpoint.damping", 1.7),
+    ("solver.picard.tol", 0),
+    ("solver.picard.max_iter", 0),
+    ("solver.picard.maxiter", 5),
+    ("solver.contraction_const", 0),
+    ("solver.sigma", 2.5),
+    ("output.every", 0),
+])
+def test_simulate_rejects_unusable_solver_values(tmp_path, capsys, key, value):
+    raw = _cfg()
+    node = raw
+    *parents, leaf = key.split(".")
+    for k in parents:
+        node = node.setdefault(k, {})
+    node[leaf] = value
+    p = _write_cfg(tmp_path, raw)
+    # an escaping exception fails the call itself
+    rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_rejects_window_violation(tmp_path, capsys):
     raw = _cfg(**{"time.T": 5.0, "time.dt": 0.5, "solver.contraction_const": 1.0})
     raw["init"]["field"]["gaussian"]["spinor_weights"] = [3.0, 0, 0, 0]

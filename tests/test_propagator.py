@@ -6,7 +6,7 @@ import pytest
 from diraclab import dirac as dr
 from diraclab import lattice as lat
 from diraclab import propagator as pr
-from diraclab.potentials import NucleusState, Trajectory
+from diraclab.potentials import NucleusState, Trajectory, coulomb_field, regularization_eps
 
 
 def _static_traj(Z=0.5, T=0.5, steps=16, q=(0, 0, 0)):
@@ -28,28 +28,26 @@ def test_plan_validation():
 
 def test_frozen_step_zero_potential_is_free_step(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
-    plan = pr.PropagatorPlan(substeps=1)
-    zero_nuc = [NucleusState(0.0, 1.0, (0, 0, 0), (0, 0, 0))]
-    out = pr.frozen_step(u, zero_nuc, 0.3, plan)
+    plan = pr.PropagatorPlan(n_slices=1, substeps=1)
+    out = pr.product_formula_evolve(u, 0.0, 0.3, _static_traj(Z=0.0, T=0.3), plan)
     free = dr.free_propagator_step(u, 0.3)
     assert lat.l2_distance(out, free) / lat.l2_norm(u) < 1e-12
 
 
 def test_frozen_step_zero_dt_identity(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
-    plan = pr.PropagatorPlan()
     nuc = [NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))]
-    out = pr.frozen_step(u, nuc, 0.0, plan)
+    V = coulomb_field(nuc, regularization_eps(None, grid16), grid16)
+    out = pr.strang_step(u, 0.0, V)
     assert lat.l2_distance(out, u) / lat.l2_norm(u) < 1e-13
 
 
 def test_frozen_step_constant_potential_is_global_phase(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
-    plan = pr.PropagatorPlan(substeps=2)
     c = -0.37
     V = np.full((grid16.n,) * 3, c)
     dt = 0.4
-    out = pr.frozen_step(u, [], dt, plan, potential=V)
+    out = pr.strang_step(pr.strang_step(u, dt / 2, V), dt / 2, V)
     free = dr.free_propagator_step(u, dt)
     expected = lat.SpinorField(grid16, np.exp(-1j * dt * c) * free.data, "position")
     assert lat.l2_distance(out, expected) / lat.l2_norm(u) < 1e-12
@@ -253,6 +251,31 @@ def test_picard_contraction_monotone_and_matches_split_step(grid16):
     assert rep.monotone_after_two
     oracle = pr.split_step_nonlinear(u0, traj, 0.4, 0.4 / 32, eps_reg=0.8)
     assert lat.l2_distance(sol.final, oracle.final) < 1e-4
+
+
+@pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
+def test_picard_builds_potentials_once_per_solve(grid16, monkeypatch, frame):
+    # the trajectory is fixed for the solve, so each slice's potential is
+    # built once however many Picard sweeps reuse it
+    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
+    traj = _moving_traj(T=0.4)
+    M, slices_per_step = 8, 2
+    build = pr.coulomb_field
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "coulomb_field", counted)
+    plan = pr.PropagatorPlan(frame=frame, n_slices=M * slices_per_step, eps_reg=0.8)
+    _, rep = pr.duhamel_picard(u0, traj, 0.4, tol=1e-10, max_iter=25, plan=plan,
+                               n_steps=M, enforce_window=False)
+    assert rep.converged and rep.iterations >= 3
+    if frame == pr.LAB:
+        assert len(calls) == M * slices_per_step
+    else:
+        assert 1 <= len(calls) <= M
 
 
 def test_picard_window_guard(grid16):

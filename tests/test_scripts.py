@@ -1,0 +1,26 @@
+"""Smoke tests: the study scripts run end to end on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script,args", [
+    ("epsilon_study.py", ["--n", "8", "--factors", "4", "2", "--T", "0.05"]),
+    ("box_convergence.py", ["--boxes", "6", "9", "--out", "{tmp}/box.json"]),
+    ("run_full_lab.py", ["--help"]),
+])
+def test_script_runs(tmp_path, script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(ROOT / "scripts" / script)]
+    cmd += [a.format(tmp=tmp_path) for a in args]
+    proc = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
