@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import analysis, groundstate as gs
 from .config import ConfigError, build_initial_state, load_config
-from .dirac import dirac_matrices
+from .dirac import apply_free_dirac, dirac_matrices
 from .hartree import bilinear_estimate_report
 from .lattice import (
     charge,
@@ -95,17 +95,13 @@ def _write_timeseries(path: Path, fsol, traj, rep, every: int, sigma: float) -> 
 def cmd_simulate(args) -> int:
     try:
         cfg = load_config(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    for w in cfg.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    try:
+        for w in cfg.warnings:
+            print(f"warning: {w}", file=sys.stderr)
         grid, u0, nuclei = build_initial_state(cfg)
         if charge(u0) > 0:
             check_contraction_window(cfg.time.T, u0, cfg.solver.sigma,
                                      cfg.solver.contraction_const)
-    except (ConfigError, ContractionWindowError, ValueError) as exc:
+    except (ConfigError, ContractionWindowError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # created once the run is accepted, before the solve, so that failure.json has a home
@@ -190,8 +186,6 @@ def _suite_dirac(n: int, seed: int, outdir: Path):
                 failures.append(f"anticommutation identity failed for pair ({i},{j})")
         if not np.array_equal(A, A.conj().T):
             failures.append(f"matrix {i} not hermitian")
-    from .dirac import apply_free_dirac
-
     grid = make_grid(min(n, 32), 12.0)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -329,9 +323,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    if not args.nu or not args.sigma:
-        print("usage error: provide at least one --nu and one --sigma", file=sys.stderr)
-        return EXIT_CONFIG
     outdir = _output_root(args) / args.out
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["nu,a,b,sigma,sigma_max,classification,measured_exponent,expected_exponent,"
@@ -339,11 +330,7 @@ def cmd_groundstate(args) -> int:
     records = []
     consistent_all = True
     for nu in args.nu:
-        try:
-            model = gs.GroundStateModel(nu)
-        except ValueError as exc:
-            print(f"config rejected: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        model = gs.GroundStateModel(nu)
         tail = gs.fourier_tail_exponent(model)
         for sigma in args.sigma:
             rep = gs.verify_regularity(model, sigma)
@@ -369,40 +356,45 @@ def cmd_groundstate(args) -> int:
 def cmd_convergence(args) -> int:
     try:
         cfg = load_config(args.config)
-        grid, u0, nuclei = build_initial_state(cfg)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+        grid, u0, _ = build_initial_state(cfg)
+    except ConfigError as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not args.ladder or len(args.ladder) < 2:
+    if len(args.ladder) < 2:
         print("usage error: --ladder needs at least two n_slices values", file=sys.stderr)
         return EXIT_CONFIG
     outdir = _output_root(args) / args.out
     outdir.mkdir(parents=True, exist_ok=True)
     eps = regularization_eps(cfg.physics.epsilon_reg, grid)
-    charges = [nuc.Z for nuc in nuclei]
-    masses = [nuc.m for nuc in nuclei]
     traj = Trajectory.constant_velocity(
-        charges, masses, [nuc.q for nuc in nuclei], [nuc.qdot for nuc in nuclei],
+        cfg.physics.charges, cfg.physics.masses, cfg.init.positions, cfg.init.velocities,
         0.0, cfg.time.T, max(16, cfg.time.n_slices))
     rows = ["n_slices,l2_diff_to_previous,empirical_order"]
-    prev = None
-    prev_diff = None
-    finals = []
+    prev = prev_diff = None
     for ns in sorted(args.ladder):
-        plan = PropagatorPlan(n_slices=int(ns), eps_reg=eps,
-                              velocity_cap=cfg.solver.velocity_cap)
+        plan = PropagatorPlan(n_slices=ns, eps_reg=eps, velocity_cap=cfg.solver.velocity_cap)
         u = product_formula_evolve(u0, 0.0, cfg.time.T, traj, plan)
         diff = l2_distance(u, prev) if prev is not None else None
         order = (np.log2(prev_diff / diff) if (diff is not None and prev_diff is not None
                                                and diff > 0) else None)
-        rows.append(",".join([str(int(ns)),
+        rows.append(",".join([str(ns),
                               _fmt(diff) if diff is not None else "",
                               _fmt(order) if order is not None else ""]))
-        finals.append((int(ns), diff, order))
         prev, prev_diff = u, diff if diff is not None else prev_diff
     (outdir / "convergence.csv").write_text("\n".join(rows) + "\n")
     print(f"ok: wrote {outdir / 'convergence.csv'}")
     return EXIT_OK
+
+
+def _checked(cast, need: str, ok):
+    """An argparse ``type=`` that casts with ``cast`` and rejects values failing ``ok``."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"require {need}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,20 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("validate", help="run inequality/property suites")
     pv.add_argument("--suite", required=True,
                     help=f"one of {sorted(SUITES)} or 'all'")
-    pv.add_argument("--n", type=int, default=32)
+    pv.add_argument("--n", default=32, type=_checked(
+        int, "a power of two >= 8", lambda n: n >= 8 and n & (n - 1) == 0))
     pv.add_argument("--seed", type=int, default=2024)
     pv.add_argument("--out", default="validate")
     pv.set_defaults(func=cmd_validate)
 
     pg = sub.add_parser("groundstate", help="regularity classification tables")
-    pg.add_argument("--nu", type=float, nargs="+", required=True)
-    pg.add_argument("--sigma", type=float, nargs="+", required=True)
+    pg.add_argument("--nu", nargs="+", required=True, type=_checked(
+        float, "0 < nu < sqrt(3)/2 (coupling hypothesis)", lambda nu: 0 < nu < gs.NU_LIMIT))
+    pg.add_argument("--sigma", nargs="+", required=True,
+                    type=_checked(float, "0 <= sigma <= 2", lambda s: 0 <= s <= 2))
     pg.add_argument("--out", default="groundstate")
     pg.set_defaults(func=cmd_groundstate)
 
     pc = sub.add_parser("convergence", help="slice-refinement study from a config")
     pc.add_argument("--config", required=True)
-    pc.add_argument("--ladder", type=int, nargs="+", required=True)
+    pc.add_argument("--ladder", nargs="+", required=True,
+                    type=_checked(int, "n_slices >= 1", lambda n: n >= 1))
     pc.add_argument("--out", default="convergence")
     pc.set_defaults(func=cmd_convergence)
     return p

@@ -1,8 +1,8 @@
 """Run configuration: parsing, hypothesis guards, initial-state construction.
 
-Configs are YAML/JSON key trees mirroring the solver preconditions; every
-rejection names the violated hypothesis explicitly so a failing run can be
-traced to the assumption it broke.
+Configs are YAML/JSON key trees mirroring the dataclasses below, all read by
+one walker, :func:`_read`; :func:`parse_config` then checks the hypotheses
+that tie keys together.  Every rejection names the key it concerns.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 import yaml
@@ -18,11 +19,13 @@ import yaml
 from .lattice import gaussian_spinor, make_grid, read_checkpoint
 from .potentials import CHARGE_LIMIT, NucleusState
 
-DEFAULT_VELOCITY_CAP = 0.25
+# list shapes: a number per nucleus, a 3-vector, a 3-vector per nucleus, and
+# four spinor weights (numbers or [re, im] pairs); _SHAPES reads each
+Numbers = Vector = Vectors = Weights = list
 
 
 class ConfigError(ValueError):
-    """Configuration rejected at parse time; the message names the hypothesis."""
+    """Configuration rejected at parse time; the message names the key."""
 
 
 @dataclass
@@ -33,25 +36,25 @@ class GridConfig:
 
 @dataclass
 class PhysicsConfig:
-    charges: list
-    masses: list
+    charges: Numbers
+    masses: Numbers
     epsilon_reg: float = None   # unset: potentials.regularization_eps
     epsilon0: float = 0.25
 
 
 @dataclass
 class GaussianInit:
-    center: list
+    center: Vector
     width: float
-    spinor_weights: list
+    spinor_weights: Weights
 
 
 @dataclass
 class InitConfig:
-    positions: list
-    velocities: list
-    gaussian: GaussianInit = None
-    checkpoint: str = None
+    positions: Vectors
+    velocities: Vectors
+    gaussian: GaussianInit = field(default=None, metadata={"under": "field"})
+    checkpoint: str = field(default=None, metadata={"under": "field"})
 
 
 @dataclass
@@ -76,12 +79,12 @@ class PicardConfig:
 
 @dataclass
 class SolverConfig:
-    mode: str = "lab"
+    mode: str = "lab"           # lab | comoving
     method: str = "both"        # fixed_point | direct | both
     fixedpoint: FixedPointConfig = field(default_factory=FixedPointConfig)
     picard: PicardConfig = field(default_factory=PicardConfig)
     contraction_const: float = 1.0
-    velocity_cap: float = DEFAULT_VELOCITY_CAP
+    velocity_cap: float = 0.25
     sigma: float = 1.25
 
 
@@ -97,10 +100,10 @@ class SimConfig:
     physics: PhysicsConfig
     init: InitConfig
     time: TimeConfig
-    solver: SolverConfig
-    output: OutputConfig
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
     seed: int = 0
-    warnings: list = field(default_factory=list)
+    warnings: list = field(default_factory=list, init=False)
 
     def config_hash(self) -> str:
         payload = asdict(self)
@@ -109,182 +112,190 @@ class SimConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _complexify(entry) -> complex:
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise ConfigError(f"spinor weight entries must be numbers or [re, im] pairs, got {entry}")
-        return complex(float(entry[0]), float(entry[1]))
-    return complex(float(entry), 0.0)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_COUNT = (">= 1", lambda v: v >= 1)
+
+# the usable range of each numeric key and the choices of each string key
+_RANGES = {
+    "grid.n": ("a power of two >= 8", lambda n: n >= 8 and n & (n - 1) == 0),
+    "grid.box_length": ("positive", lambda v: v > 0),
+    "physics.epsilon_reg": _POSITIVE,
+    "physics.epsilon0": _POSITIVE,
+    "init.field.gaussian.width": _POSITIVE,
+    "time.T": _POSITIVE,
+    "time.dt": _POSITIVE,
+    "time.n_slices": _COUNT,
+    "solver.mode": ("in {lab, comoving}", lambda v: v in ("lab", "comoving")),
+    "solver.method": ("in {fixed_point, direct, both}",
+                      lambda v: v in ("fixed_point", "direct", "both")),
+    "solver.fixedpoint.tol": _POSITIVE,
+    "solver.fixedpoint.max_outer": _COUNT,
+    "solver.fixedpoint.damping": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "solver.picard.tol": _POSITIVE,
+    "solver.picard.max_iter": _COUNT,
+    "solver.contraction_const": _POSITIVE,
+    "solver.velocity_cap": _POSITIVE,
+    "solver.sigma": ("in [0, 2]", lambda v: 0 <= v <= 2),
+    "output.every": _COUNT,
+}
 
 
-def _number(sec: dict, key: str, default, where: str, integer: bool = False):
-    """``sec[key]`` (or ``default``) as a finite float, or an int with ``integer``."""
-    raw = sec.get(key, default)
+def _number(raw, where: str, integer: bool = False):
+    """``raw`` as a finite float, or an int with ``integer``; bools are not numbers."""
+    if integer and type(raw) is int:
+        return raw
     try:
-        if isinstance(raw, bool):
-            raise TypeError
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a number, got {raw!r}") from None
-    if integer:
-        if not value.is_integer():
-            raise ConfigError(f"{where}.{key} must be an integer, got {raw!r}")
-        return int(value)
+        value = float(None if isinstance(raw, bool) else raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {raw!r}")
-    return value
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    if integer and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {raw!r}")
+    return int(value) if integer else value
 
 
-def _solver_subsection(ssec: dict, name: str, cls) -> dict:
-    """The ``solver.<name>`` mapping, rejecting keys that ``cls`` does not have."""
-    sec = ssec.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"solver.{name} must be a mapping, got {sec!r}")
-    known = [f.name for f in fields(cls)]
-    for key in sec:
-        if key not in known:
-            raise ConfigError(f"unknown key solver.{name}.{key} (known: {', '.join(known)})")
-    return sec
+def _string(raw, where: str) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{where} must be a string, got {raw!r}")
+    return raw
+
+
+def _each(read, raw, where: str, length: int = None) -> list:
+    """``read`` applied to each entry of the list ``raw`` (of ``length`` entries, if set)."""
+    if not isinstance(raw, (list, tuple)) or length is not None and len(raw) != length:
+        size = "" if length is None else f" of {length} entries"
+        raise ConfigError(f"{where} must be a list{size}, got {raw!r}")
+    return [read(x, f"{where}[{i}]") for i, x in enumerate(raw)]
+
+
+def _weight(raw, where: str):
+    """A spinor weight, a number or an [re, im] pair, kept as written."""
+    if isinstance(raw, (list, tuple)):
+        _each(_number, raw, where, 2)
+    else:
+        _number(raw, where)
+    return raw
+
+
+_SHAPES = {
+    "int": partial(_number, integer=True),
+    "float": _number,
+    "str": _string,
+    "Numbers": partial(_each, _number),
+    "Vector": partial(_each, _number, length=3),
+    "Vectors": partial(_each, partial(_each, _number, length=3)),
+    "Weights": partial(_each, _weight, length=4),
+}
+
+
+def _join(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _mapping(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config root'} must be a mapping, got {raw!r}")
+    return raw
+
+
+def _read(cls, raw, where: str):
+    """A ``cls`` from the mapping ``raw`` at the dotted path ``where``.
+
+    Each key must be a field of ``cls`` (those with ``metadata["under"]`` sit in
+    that sub-mapping), each value is read by the field's declared type (from
+    ``_SHAPES``, or a nested section) and checked against ``_RANGES``, and an
+    absent key takes the field's default, or ``null`` where that is ``None``.
+    """
+    specs = [f for f in fields(cls) if f.init]
+    groups = sorted({f.metadata["under"] for f in specs if "under" in f.metadata})
+    nodes = {None: (_mapping(raw, where), where)}
+    nodes.update({g: (_mapping(raw.get(g, {}), f"{where}.{g}"), f"{where}.{g}") for g in groups})
+    for group, (node, at) in nodes.items():
+        known = [f.name for f in specs if f.metadata.get("under") == group]
+        known += groups if group is None else []
+        for key in node:
+            if key not in known:
+                raise ConfigError(f"unknown key {_join(at, key)} (known: {', '.join(known)})")
+    values = {}
+    for f in specs:
+        node, at = nodes[f.metadata.get("under")]
+        path = _join(at, f.name)
+        if f.name not in node:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing key {path}")
+            continue
+        value = node[f.name]
+        if value is not None or f.default is not None:
+            value = (_SHAPES[f.type](value, path) if f.type in _SHAPES
+                     else _read(globals()[f.type], value, path))  # a nested section
+            need, ok = _RANGES.get(path, (None, None))
+            if ok is not None and not ok(value):
+                raise ConfigError(f"invalid {path}: require {f.name} {need}, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def parse_config(raw: dict) -> SimConfig:
-    """Validate a raw key tree against the model hypotheses; raises ConfigError."""
-    try:
-        gsec = raw["grid"]
-        psec = raw["physics"]
-        isec = raw["init"]
-        tsec = raw["time"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config section: {exc}") from exc
-    ssec = raw.get("solver", {})
-    osec = raw.get("output", {})
-
-    try:
-        make_grid(int(gsec["n"]), float(gsec["box_length"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = GridConfig(int(gsec["n"]), float(gsec["box_length"]))
-
-    charges = [float(z) for z in psec["charges"]]
-    masses = [float(m) for m in psec["masses"]]
-    if not charges:
-        raise ConfigError("nucleus hypothesis violated: require at least one nucleus, got none")
-    eps0 = float(psec.get("epsilon0", 0.25))
-    eps_reg = psec.get("epsilon_reg")
-    eps_reg = float(eps_reg) if eps_reg is not None else None
-    if eps0 <= 0:
-        raise ConfigError(f"separation scale epsilon0 must be positive, got {eps0}")
-    if eps_reg is not None and eps_reg <= 0:
-        raise ConfigError(f"regularization epsilon must be positive, got {eps_reg}")
-    for k, Z in enumerate(charges):
+    """Read a raw key tree and check the model hypotheses; raises ConfigError."""
+    cfg = _read(SimConfig, raw, "")
+    phys, init, solver = cfg.physics, cfg.init, cfg.solver
+    n_nuclei = len(phys.charges)
+    if not n_nuclei:
+        raise ConfigError("physics.charges: nucleus hypothesis violated: "
+                          "require at least one nucleus, got none")
+    for k, Z in enumerate(phys.charges):
         if not 0.0 < abs(Z) < CHARGE_LIMIT:
             raise ConfigError(
-                f"charge hypothesis violated for nucleus {k}: require 0 < |Z_k| < sqrt(3)/2, "
-                f"got Z_{k} = {Z}")
-    for k, m in enumerate(masses):
+                f"physics.charges: charge hypothesis violated for nucleus {k}: "
+                f"require 0 < |Z_k| < sqrt(3)/2, got Z_{k} = {Z}")
+    for k, m in enumerate(phys.masses):
         if not m > 0:
-            raise ConfigError(f"mass hypothesis violated for nucleus {k}: require m_k > 0, got {m}")
-    if len(charges) != len(masses):
-        raise ConfigError("charges and masses must have equal length")
+            raise ConfigError(f"physics.masses: mass hypothesis violated for nucleus {k}: "
+                              f"require m_k > 0, got {m}")
+    for key, values in (("physics.masses", phys.masses), ("init.positions", init.positions),
+                        ("init.velocities", init.velocities)):
+        if len(values) != n_nuclei:
+            raise ConfigError(f"{key}: must match the number of charges, got {len(values)} "
+                              f"for {n_nuclei}")
+    if solver.mode == "comoving" and n_nuclei > 1:
+        raise ConfigError("solver.mode: the comoving frame is implemented for a single "
+                          f"nucleus only, got {n_nuclei} nuclei")
 
-    positions = [list(map(float, p)) for p in isec["positions"]]
-    velocities = [list(map(float, v)) for v in isec["velocities"]]
-    if len(positions) != len(charges) or len(velocities) != len(charges):
-        raise ConfigError("positions/velocities must match the number of charges")
-    fp_sec = _solver_subsection(ssec, "fixedpoint", FixedPointConfig)
-    pi_sec = _solver_subsection(ssec, "picard", PicardConfig)
-    solver = SolverConfig(
-        mode=str(ssec.get("mode", "lab")),
-        method=str(ssec.get("method", "both")),
-        fixedpoint=FixedPointConfig(
-            tol=_number(fp_sec, "tol", FixedPointConfig.tol, "solver.fixedpoint"),
-            max_outer=_number(fp_sec, "max_outer", FixedPointConfig.max_outer,
-                              "solver.fixedpoint", integer=True),
-            damping=_number(fp_sec, "damping", FixedPointConfig.damping, "solver.fixedpoint")),
-        picard=PicardConfig(
-            tol=_number(pi_sec, "tol", PicardConfig.tol, "solver.picard"),
-            max_iter=_number(pi_sec, "max_iter", PicardConfig.max_iter, "solver.picard",
-                             integer=True)),
-        contraction_const=_number(ssec, "contraction_const", 1.0, "solver"),
-        velocity_cap=_number(ssec, "velocity_cap", DEFAULT_VELOCITY_CAP, "solver"),
-        sigma=_number(ssec, "sigma", 1.25, "solver"),
-    )
-    for key, value, ok, need in (
-        ("solver.fixedpoint.tol", solver.fixedpoint.tol, solver.fixedpoint.tol > 0, "> 0"),
-        ("solver.fixedpoint.max_outer", solver.fixedpoint.max_outer,
-         solver.fixedpoint.max_outer >= 1, ">= 1"),
-        ("solver.fixedpoint.damping", solver.fixedpoint.damping,
-         0 < solver.fixedpoint.damping <= 1, "in (0, 1]"),
-        ("solver.picard.tol", solver.picard.tol, solver.picard.tol > 0, "> 0"),
-        ("solver.picard.max_iter", solver.picard.max_iter, solver.picard.max_iter >= 1, ">= 1"),
-        ("solver.contraction_const", solver.contraction_const, solver.contraction_const > 0,
-         "> 0"),
-        ("solver.sigma", solver.sigma, 0 <= solver.sigma <= 2, "in [0, 2]"),
-    ):
-        if not ok:
-            raise ConfigError(f"{key} must be {need}, got {value}")
-    if solver.mode not in ("lab", "comoving"):
-        raise ConfigError(f"solver mode must be lab or comoving, got {solver.mode!r}")
-    if solver.method not in ("fixed_point", "direct", "both"):
-        raise ConfigError(f"solver method must be fixed_point, direct or both, got {solver.method!r}")
-
-    for k in range(len(charges)):
-        for l in range(k + 1, len(charges)):
-            sep = float(np.linalg.norm(np.array(positions[k]) - np.array(positions[l])))
-            if sep < 8.0 * eps0 - 1e-12:
+    for k in range(n_nuclei):
+        for l in range(k + 1, n_nuclei):
+            sep = float(np.linalg.norm(np.array(init.positions[k]) - np.array(init.positions[l])))
+            if sep < 8.0 * phys.epsilon0 - 1e-12:
                 raise ConfigError(
-                    "separation hypothesis violated: require "
-                    f"min |q_k(0) - q_l(0)| >= 8*epsilon0 = {8 * eps0:.6g}, "
+                    "init.positions: separation hypothesis violated: require "
+                    f"min |q_k(0) - q_l(0)| >= 8*epsilon0 = {8 * phys.epsilon0:.6g}, "
                     f"got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
-    for k, v in enumerate(velocities):
+    for k, v in enumerate(init.velocities):
         speed = float(np.linalg.norm(v))
         if speed > solver.velocity_cap + 1e-15:
             raise ConfigError(
-                "initial velocity hypothesis violated: require |b_k| <= velocity cap "
-                f"= {solver.velocity_cap:.6g}, got |b_{k}| = {speed:.6g}")
+                "init.velocities: initial velocity hypothesis violated: require |b_k| <= "
+                f"velocity cap = {solver.velocity_cap:.6g}, got |b_{k}| = {speed:.6g}")
+    if init.gaussian is None and init.checkpoint is None:
+        raise ConfigError("init.field must provide a gaussian spec or a checkpoint path "
+                          "(init.field.gaussian or init.field.checkpoint)")
 
-    fsec = isec.get("field", {})
-    gaussian = None
-    checkpoint = fsec.get("checkpoint")
-    if "gaussian" in fsec:
-        gg = fsec["gaussian"]
-        gaussian = GaussianInit(center=list(map(float, gg["center"])),
-                                width=float(gg["width"]),
-                                spinor_weights=list(gg["spinor_weights"]))
-        if gaussian.width <= 0:
-            raise ConfigError("gaussian field width must be positive")
-        if len(gaussian.spinor_weights) != 4:
-            raise ConfigError("gaussian spinor_weights must have 4 entries")
-    if gaussian is None and checkpoint is None:
-        raise ConfigError("init.field must provide a gaussian spec or a checkpoint path")
-    init = InitConfig(positions=positions, velocities=velocities,
-                      gaussian=gaussian, checkpoint=checkpoint)
-
-    time = TimeConfig(T=float(tsec["T"]), dt=float(tsec["dt"]), n_slices=int(tsec["n_slices"]))
-    if time.T <= 0 or time.dt <= 0 or time.n_slices < 1:
-        raise ConfigError("time section requires T > 0, dt > 0, n_slices >= 1")
-
-    output = OutputConfig(every=_number(osec, "every", 1, "output", integer=True),
-                          path=str(osec.get("path", "run")))
-    if output.every < 1:
-        raise ConfigError(f"output.every must be >= 1, got {output.every}")
-    cfg = SimConfig(grid=grid, physics=PhysicsConfig(charges, masses, eps_reg, eps0),
-                    init=init, time=time, solver=solver, output=output,
-                    seed=int(raw.get("seed", 0)))
-
-    max_q = max(float(np.linalg.norm(p)) for p in positions)
-    if max_q > 0 and grid.box_length < 4.0 * max_q:
+    max_q = max(float(np.linalg.norm(p)) for p in init.positions)
+    if max_q > 0 and cfg.grid.box_length < 4.0 * max_q:
         cfg.warnings.append(
-            f"box_length {grid.box_length} below 4*max|q| = {4 * max_q:.6g}; "
+            f"box_length {cfg.grid.box_length} below 4*max|q| = {4 * max_q:.6g}; "
             "minimum-image artifacts may exceed reported tolerances")
     return cfg
 
 
 def load_config(path) -> SimConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} cannot be read: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
     return parse_config(raw)
 
 
@@ -292,7 +303,8 @@ def build_initial_state(cfg: SimConfig):
     """Materialize (grid, field, nuclei) from a parsed config."""
     grid = make_grid(cfg.grid.n, cfg.grid.box_length)
     if cfg.init.gaussian is not None:
-        weights = [_complexify(w) for w in cfg.init.gaussian.spinor_weights]
+        weights = [complex(*map(float, w)) if isinstance(w, (list, tuple)) else complex(float(w))
+                   for w in cfg.init.gaussian.spinor_weights]
         u0 = gaussian_spinor(grid, cfg.init.gaussian.center, cfg.init.gaussian.width, weights)
     else:
         try:

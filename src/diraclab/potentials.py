@@ -23,7 +23,9 @@ from .lattice import (
     GridSpec,
     SpinorField,
     as_position,
+    l2_distance,
     l2_norm,
+    spectral_upsample,
 )
 
 CHARGE_LIMIT = np.sqrt(3.0) / 2.0
@@ -235,10 +237,10 @@ class CutoffProfile:
     through a cubic spline (table error ~1e-13).
     """
 
-    def __init__(self, table_size: int = 4097):
+    def __init__(self):
         self._bump_mass = _gl_panel(_bump, -1.0 / 6.0, 1.0 / 6.0)
 
-        r_tab = np.linspace(1.0, 2.0, table_size)
+        r_tab = np.linspace(1.0, 2.0, 4097)
         vals = np.array([self._zeta_exact(r) for r in r_tab])
         self._spline = CubicSpline(r_tab, vals, bc_type=((1, 0.0), (1, 0.0)))
 
@@ -346,12 +348,9 @@ class FreezingMap:
     anchors: np.ndarray
     eps0: float
     trajectory: Trajectory
-    profile: CutoffProfile = None
 
     def __post_init__(self):
         self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, 3)
-        if self.profile is None:
-            self.profile = default_profile()
         if not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
         n = len(self.anchors)
@@ -376,7 +375,7 @@ class FreezingMap:
             if box_length is not None:
                 d = (d + box_length / 2) % box_length - box_length / 2
             r = np.sqrt(np.sum(d * d, axis=-1))
-            z = self.profile.value(r / self.eps0)
+            z = cutoff_zeta(r / self.eps0)
             out += z[..., None] * disp[k]
         return out
 
@@ -391,11 +390,11 @@ class FreezingMap:
                 d = (d + box_length / 2) % box_length - box_length / 2
             r = np.sqrt(np.sum(d * d, axis=-1))
             safe = np.where(r > 0, r, 1.0)
-            zp = self.profile.derivative(r / self.eps0) / (self.eps0 * safe)
+            zp = cutoff_zeta_prime(r / self.eps0) / (self.eps0 * safe)
             jac += zp[..., None, None] * disp[k][..., :, None] * d[..., None, :]
         return jac
 
-    def jacobian_deviation(self, t: float, radial_samples: int = 2001) -> float:
+    def jacobian_deviation(self, t: float) -> float:
         """Sampled sup over x of max_j |column_j(Jac phi - I)|.
 
         The column norm at x equals |zeta'(r/eps0)| |x_j - a_j| / (eps0 r)
@@ -405,8 +404,7 @@ class FreezingMap:
         disp = np.linalg.norm(self.displacements(t), axis=1)
         if np.all(disp == 0.0):
             return 0.0
-        r = np.linspace(1.0, 2.0, radial_samples)
-        zmax = np.max(np.abs(self.profile.derivative(r)))
+        zmax = np.max(np.abs(cutoff_zeta_prime(np.linspace(1.0, 2.0, 2001))))
         return float(zmax * np.max(disp) / self.eps0)
 
     def closed_form_jacobian_bound(self, t: float) -> float:
@@ -418,14 +416,13 @@ class FreezingMap:
         return self.jacobian_deviation(t) < 1.0
 
 
-def pullback(fmap: FreezingMap, t: float, u: SpinorField, order: int = 3,
-             check_l2: bool = True, l2_slack: float = 0.05) -> SpinorField:
-    """Composition ``(Phi(t) u)(x) = u(phi(t, x))`` by periodic spline interpolation.
+def pullback(fmap: FreezingMap, t: float, u: SpinorField, check_l2: bool = True) -> SpinorField:
+    """Composition ``(Phi(t) u)(x) = u(phi(t, x))`` by periodic cubic-spline interpolation.
 
-    ``order=1`` is trilinear; the default cubic spline keeps interpolation
-    error well below the norm-equivalence tolerances at n >= 64.  When
-    ``check_l2`` is set, the L2 ratio is verified against the bijectivity
-    bound ``C = (1 + deviation)^(3/2)`` with multiplicative ``l2_slack``.
+    The cubic spline keeps interpolation error well below the norm-equivalence
+    tolerances at n >= 64.  When ``check_l2`` is set, the L2 ratio is verified
+    against the bijectivity bound ``C = (1 + deviation)^(3/2)`` with a
+    multiplicative slack of 5%.
     """
     bound = fmap.jacobian_deviation(t)
     if bound >= 1.0:
@@ -440,8 +437,8 @@ def pullback(fmap: FreezingMap, t: float, u: SpinorField, order: int = 3,
     coords = (phi / grid.spacing).transpose(3, 0, 1, 2)  # fractional indices
     out = np.empty_like(up.data)
     for comp in range(up.data.shape[-1]):
-        re = map_coordinates(up.data[..., comp].real, coords, order=order, mode="grid-wrap")
-        im = map_coordinates(up.data[..., comp].imag, coords, order=order, mode="grid-wrap")
+        re = map_coordinates(up.data[..., comp].real, coords, order=3, mode="grid-wrap")
+        im = map_coordinates(up.data[..., comp].imag, coords, order=3, mode="grid-wrap")
         out[..., comp] = re + 1j * im
     result = SpinorField(grid, out, up.space)
     if check_l2:
@@ -449,23 +446,18 @@ def pullback(fmap: FreezingMap, t: float, u: SpinorField, order: int = 3,
         if nu > 0:
             C = (1.0 + bound) ** 1.5
             ratio = nv / nu
-            if ratio > C * (1 + l2_slack) or ratio < (1 - l2_slack) / C:
+            if ratio > C * 1.05 or ratio < 0.95 / C:
                 raise ValueError(
-                    f"pullback L2 ratio {ratio:.4g} outside [{1 / C:.4g}, {C:.4g}] (slack {l2_slack})")
+                    f"pullback L2 ratio {ratio:.4g} outside [{1 / C:.4g}, {C:.4g}] (slack 0.05)")
     return result
 
 
-def pullback_error_estimate(fmap: FreezingMap, t: float, u: SpinorField, order: int = 3) -> float:
+def pullback_error_estimate(fmap: FreezingMap, t: float, u: SpinorField) -> float:
     """Relative L2 interpolation error of :func:`pullback` against a 2x-refined oracle."""
-    from .lattice import spectral_upsample
-
-    coarse = pullback(fmap, t, u, order=order, check_l2=False)
-    fine_u = spectral_upsample(as_position(u), 2)
-    fine = pullback(fmap, t, fine_u, order=order, check_l2=False)
+    coarse = pullback(fmap, t, u, check_l2=False)
+    fine = pullback(fmap, t, spectral_upsample(as_position(u), 2), check_l2=False)
     sub = SpinorField(u.grid, fine.data[::2, ::2, ::2, :].copy(), "position")
     denom = l2_norm(coarse)
-    from .lattice import l2_distance
-
     return l2_distance(coarse, sub) / denom if denom > 0 else 0.0
 
 
@@ -533,14 +525,14 @@ class AdmissibilityReport:
         return not self.failures
 
 
-def admissibility_check(traj: Trajectory, eps0: float, velocity_cap: float,
-                        horizon: float = None) -> AdmissibilityReport:
+def admissibility_check(traj: Trajectory, eps0: float,
+                        velocity_cap: float) -> AdmissibilityReport:
     """Diagnostic pass/fail report against the trajectory hypotheses.
 
     Checks the weighted velocity bound ``(1 + T*[N>=2]) sup_k |qdot_k| <= cap``
     and, for several nuclei, the no-collision margin ``|q_k - q_l| > 4*eps0``.
     """
-    T = float(horizon) if horizon is not None else traj.duration
+    T = traj.duration
     sup_speed = traj.max_speed()
     several = traj.n_nuclei >= 2
     weighted = (1.0 + T * (1.0 if several else 0.0)) * sup_speed

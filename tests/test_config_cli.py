@@ -1,10 +1,12 @@
 import copy
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from diraclab import cli
 from diraclab import config as cf
@@ -37,6 +39,69 @@ def _cfg(**updates):
             node = node[k]
         node[keys[-1]] = value
     return raw
+
+
+def _key_paths(node, prefix=()):
+    """Every key path of a config tree: sections, leaves and list entries alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, (*prefix, key))
+
+
+def _node(tree, path):
+    for k in path:
+        tree = tree[k]
+    return tree
+
+
+def _dotted(path):
+    return ".".join(k for k in path if isinstance(k, str))
+
+
+KEY_PATHS = list(_key_paths(BASE))
+SECTIONS = [()] + [p for p in KEY_PATHS if isinstance(_node(BASE, p), dict)]
+JUNK = ["x", None, float("nan"), float("inf"), float("-inf"), True, {"k": 1}, [1.0, 2.0]]
+DELETE = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(KEY_PATHS), junk=st.sampled_from([*JUNK, DELETE]))
+def test_parse_junk_value_is_config_error_naming_key(path, junk):
+    raw = copy.deepcopy(BASE)
+    node = _node(raw, path[:-1])
+    if junk is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = junk
+    # parsing may succeed; the only exception allowed is a ConfigError naming the key
+    try:
+        cf.parse_config(raw)
+    except cf.ConfigError as exc:
+        assert _dotted(path) in str(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(section=st.sampled_from(SECTIONS),
+       key=st.from_regex(r"[a-z_]*[A-Z][A-Za-z_]*", fullmatch=True).filter(lambda k: k != "T"))
+def test_parse_unknown_key_is_config_error_naming_key(section, key):
+    # every known key but time.T is lower case, so these keys are all unknown
+    raw = copy.deepcopy(BASE)
+    _node(raw, section)[key] = 1.0
+    with pytest.raises(cf.ConfigError, match="unknown key") as exc:
+        cf.parse_config(raw)
+    assert _dotted((*section, key)) in str(exc.value)
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("small_run", "be2bda8d091baaffa8867816d0e8701146be7b5086b02d16042430c223faf2cc"),
+    ("two_nuclei", "4d7bc2326bad233936f56a17c705f8c6030203d374261245f96134cc304cf732"),
+])
+def test_shipped_config_hash_pinned(name, digest):
+    # the hash is a run's identity in its manifest; the reader must not move it
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / f"{name}.yaml"
+    assert cf.load_config(path).config_hash() == digest
 
 
 def test_parse_valid():
@@ -247,15 +312,35 @@ def test_simulate_rejects_bad_charge(tmp_path, capsys):
     ("solver.contraction_const", 0),
     ("solver.sigma", 2.5),
     ("output.every", 0),
+    ("time.T", float("nan")),
+    ("time.dt", float("inf")),
+    ("physics.epsilon_reg", float("nan")),
+    ("init.field.gaussian.width", float("nan")),
+    ("physics.epsilon_Reg", 0.5),
+    ("output.path", None),
+    ("seed", "x"),
+    ("time.n_slices", 2.5),
+    # a dict value holds several edits: comoving mode needs a single nucleus
+    pytest.param("solver.mode", {
+        "solver.mode": "comoving", "physics.charges": [0.5, 0.4],
+        "physics.masses": [10.0, 10.0], "init.positions": [[-1.5, 0, 0], [1.5, 0, 0]],
+        "init.velocities": [[0, 0, 0], [0, 0, 0]]}, id="solver.mode-comoving-two-nuclei"),
+    # a .yaml key names the config file itself, and the value is its text
+    pytest.param("cfg.yaml", "grid: {n: 8, box_length: 8.0\n", id="invalid-yaml"),
 ])
 def test_simulate_rejects_unusable_solver_values(tmp_path, capsys, key, value):
-    raw = _cfg()
-    node = raw
-    *parents, leaf = key.split(".")
-    for k in parents:
-        node = node.setdefault(k, {})
-    node[leaf] = value
-    p = _write_cfg(tmp_path, raw)
+    if key.endswith(".yaml"):
+        p = tmp_path / key
+        p.write_text(value)
+    else:
+        raw = _cfg()
+        for path, v in (value if isinstance(value, dict) else {key: value}).items():
+            node = raw
+            *parents, leaf = path.split(".")
+            for k in parents:
+                node = node.setdefault(k, {})
+            node[leaf] = v
+        p = _write_cfg(tmp_path, raw)
     # an escaping exception fails the call itself
     rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
     assert rc == cli.EXIT_CONFIG
@@ -331,6 +416,24 @@ def test_simulate_rejects_unreadable_checkpoint(tmp_path, capsys, keep):
     assert err.startswith("config rejected:") and str(ck) in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["validate", "--suite", "dirac", "--n", "12"], "--n"),
+    (["validate", "--suite", "dirac", "--n", "4"], "--n"),
+    (["convergence", "--config", "cfg.yaml", "--ladder", "0", "4"], "--ladder"),
+    (["groundstate", "--nu", "0.5", "--sigma", "3.0"], "--sigma"),
+    (["groundstate", "--nu", "0.0", "--sigma", "1.0"], "--nu"),
+], ids=["validate-n-12", "validate-n-4", "convergence-ladder-0", "groundstate-sigma-3",
+        "groundstate-nu-0"])
+def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
+    p = _write_cfg(tmp_path, _cfg())
+    argv = [str(p) if a == "cfg.yaml" else a for a in argv]
+    rc = cli.main(["--output-root", str(tmp_path / "out"), *argv])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_unknown_suite(tmp_path, capsys):
