@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma
+
+# SciPy is imported inside the functions that use it; simulate and validate never load it
 
 NU_LIMIT = np.sqrt(3.0) / 2.0
 
@@ -52,6 +52,8 @@ class GroundStateModel:
 
     @property
     def norm_const(self) -> float:
+        from scipy.special import gamma
+
         # int_0^inf exp(-2 a r) r^(2b) dr = Gamma(2b+1) / (2a)^(2b+1)
         return float(1.0 / np.sqrt(gamma(2 * self.b + 1) / (2 * self.a) ** (2 * self.b + 1)))
 
@@ -67,6 +69,8 @@ def groundstate_radial(model: GroundStateModel, r):
 
 def groundstate_fourier(model: GroundStateModel, k):
     """Closed-form transform (see module docstring); rejects k <= 0."""
+    from scipy.special import gamma
+
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("wavenumber must be positive")
@@ -121,6 +125,8 @@ def verify_regularity(model: GroundStateModel, sigma: float, k_max_list=None,
     the sigma scale, i.e. 2*margin on the exponent scale); near-threshold
     cases come out INDETERMINATE.
     """
+    from scipy.integrate import quad
+
     if not 0.0 <= sigma <= 2.0:
         raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
     if k_max_list is None:

@@ -202,7 +202,7 @@ def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarra
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
                      plan: PropagatorPlan = None, picard_tol: float = 1e-8,
                      picard_max_iter: int = 30, n_steps: int = None,
-                     eps0: float = None):
+                     eps0: float = None, start: list = None):
     """One application of the trajectory map: solve the field along ``traj_in``,
     then integrate ``m_k qddot = F_k(t)`` from the input's initial data.
 
@@ -210,8 +210,10 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     from the solved field, internuclear force from the input positions), so
     P is an explicit double integration; its fixed points solve the coupled
     system.  The inner Picard solve does not check the contraction window
-    (:func:`coupled_fixed_point` checks it once, for ``u0``).  Returns
-    (trajectory, field solution, admissibility report, forces), where
+    (:func:`coupled_fixed_point` checks it once, for ``u0``).  ``start``, the
+    lab-frame snapshots of an earlier evaluation, warm-starts the Picard
+    solve and is overwritten in place by this evaluation's snapshots.
+    Returns (trajectory, field solution, admissibility report, forces), where
     ``forces`` holds one ForceBreakdown per snapshot along ``traj_in``.
     """
     plan = plan or PropagatorPlan()
@@ -226,13 +228,15 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
         # back per snapshot recovers the lab-frame field
         comoving = plan.frame == COMOVING_SINGLE
         u_start = translate(u0, traj_in.position(traj_in.t0)[0]) if comoving else u0
+        if comoving and start is not None:
+            for j, t in enumerate(traj_in.t0 + np.linspace(0.0, T, M + 1)):
+                start[j] = translate(start[j], traj_in.position(t)[0])
         fsol, _ = duhamel_picard(u_start, traj_in, T, tol=picard_tol,
                                  max_iter=picard_max_iter, plan=plan, n_steps=M,
-                                 enforce_window=False)
+                                 enforce_window=False, start=start)
         if comoving:
-            snaps = [translate(s, -traj_in.position(t)[0])
-                     for s, t in zip(fsol.snapshots, fsol.times)]
-            fsol = FieldSolution(fsol.times, snaps)
+            for j, t in enumerate(fsol.times):
+                fsol.snapshots[j] = translate(fsol.snapshots[j], -traj_in.position(t)[0])
     forces = _forces_along(fsol, traj_in, eps)
     out = _integrate_force_series(traj_in, fsol.times, np.array([fb.total for fb in forces]))
     return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
@@ -259,8 +263,8 @@ def _energies_and_momenta(snapshots: list, nuclei: list, eps: float):
 class FixedPointReport(RunDiagnostics):
     """Outer iteration record; diagnostics with the nuclei at ``traj.nuclei_at(t)``."""
 
-    outer_iterations: int
-    step_history: list
+    outer_iterations: int     # P evaluations
+    step_history: list        # the undamped residual of each P evaluation
     converged: bool
     newton_residual: float
     admissibility_failures: list
@@ -275,23 +279,51 @@ def _newton_residual(traj: Trajectory, forces: list) -> float:
     return float(np.max(np.linalg.norm(acc_fd - acc_force, axis=2)))
 
 
+ANDERSON_DEPTH = 3
+
+
+def _anderson_step(xs: list, gs: list, beta: float) -> np.ndarray:
+    """Anderson-mixed next iterate (Walker & Ni's form, mixing ``beta``) from the
+    iterates ``xs`` and their residuals ``gs = P(x) - x``, oldest first.
+
+    With one pair, or when the least-squares problem over the residual
+    differences is rank-deficient or has a non-finite solution, this is the
+    damped step ``x + beta g``.  Non-finite data raise ``LinAlgError``.
+    """
+    x, g = xs[-1], gs[-1]
+    if len(xs) > 1:
+        dX, dG = np.diff(xs, axis=0).T, np.diff(gs, axis=0).T
+        if not (np.isfinite(dX).all() and np.isfinite(dG).all()):
+            raise np.linalg.LinAlgError("non-finite Anderson least-squares data")
+        gamma, _, rank, _ = np.linalg.lstsq(dG, g, rcond=None)
+        if rank == dG.shape[1] and np.isfinite(gamma).all():
+            return x + beta * g - (dX + beta * dG) @ gamma
+    return x + beta * g
+
+
 def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
                         max_outer: int = 40, theta: float = 0.5,
                         plan: PropagatorPlan = None, n_steps: int = None,
                         eps0: float = 0.25, picard_tol: float = 1e-9,
                         picard_max_iter: int = 30, sigma: float = 1.25,
                         contraction_const: float = 1.0):
-    """Damped outer iteration ``q <- (1-theta) q + theta P(q)`` to self-consistency.
+    """Anderson-accelerated outer iteration on the trajectory map P to self-consistency.
 
     Preconditions: initial separations >= 8*eps0 when several nuclei are
     present, and T inside the contraction window (configurable constant,
-    checked in H^sigma for nonzero u0).  Convergence is declared when the
-    damped update moves the velocity series by less than ``tol`` in sup norm.
-    The returned field is that of the last P evaluation, along the converged
-    trajectory; the report carries that evaluation's admissibility failures
-    and force pass, the pair's Newton residual, and per-snapshot energy and
-    momentum.  Raises :class:`FixedPointDivergence` after ``max_outer`` damped
-    steps without convergence, and ValueError without nuclei.
+    checked in H^sigma for nonzero u0).  Each outer iteration is one P
+    evaluation, warm-started from the previous evaluation's field.  Its
+    residual, the undamped ``max(|P_v(q) - v|, |P_q(q) - q| / delta)`` in sup
+    norm (delta the snapshot spacing), is recorded in ``step_history``, and
+    the iteration stops at the first q whose residual is below ``tol``.  The
+    next q is Anderson(3) on the stacked (positions, velocities) vector with
+    mixing ``theta`` (a damped step ``q + theta (P(q) - q)`` on the first
+    iteration and when the least-squares problem is rank-deficient).
+    Returns the accepted q with the field, forces and admissibility failures
+    of its own P evaluation, the pair's Newton residual, and per-snapshot
+    energy and momentum.  Raises :class:`FixedPointDivergence` with the
+    residual history after ``max_outer`` evaluations without convergence, or
+    at once on a non-finite residual, and ValueError without nuclei.
     """
     nuclei0 = list(nuclei0)
     charges, masses, a, b = _initial_arrays(nuclei0)
@@ -306,26 +338,40 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     if charge(u0) > 0:
         check_contraction_window(T, u0, sigma, contraction_const)
     M = snapshot_count(plan, n_steps)
+    delta = T / M
     traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, M)
-    history = []
-    converged = False
+    history, xs, gs = [], [], []
+    snapshots = None
     while True:
-        if not converged and len(history) >= max_outer:
-            raise FixedPointDivergence(
-                f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
-                f"(damped steps: {history})", history)
         traj_P, fsol, report_adm, forces = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
-            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0)
-        if converged:
+            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0, start=snapshots)
+        snapshots = fsol.snapshots
+        dq = traj_P.positions - traj.positions
+        dv = traj_P.velocities - traj.velocities
+        residual = float(np.maximum(np.max(np.abs(dv)), np.max(np.abs(dq)) / delta))  # NaN-safe
+        history.append(residual)
+        if not np.isfinite(residual):
+            raise FixedPointDivergence(
+                f"outer fixed point: non-finite residual at evaluation {len(history)} "
+                f"(residuals: {history})", history)
+        if residual < tol:
             break
-        del fsol  # free it before the next evaluation (peak memory); only the last is returned
-        new_pos = (1 - theta) * traj.positions + theta * traj_P.positions
-        new_vel = (1 - theta) * traj.velocities + theta * traj_P.velocities
-        step = float(np.max(np.abs(new_vel - traj.velocities)))
-        history.append(step)
-        traj = Trajectory(charges, masses, traj.times, new_pos, new_vel)
-        converged = step < tol
+        if len(history) >= max_outer:
+            raise FixedPointDivergence(
+                f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
+                f"(residuals: {history})", history)
+        xs.append(np.concatenate([traj.positions.ravel(), traj.velocities.ravel()]))
+        gs.append(np.concatenate([dq.ravel(), dv.ravel()]))
+        del xs[:-ANDERSON_DEPTH - 1], gs[:-ANDERSON_DEPTH - 1]
+        try:
+            x = _anderson_step(xs, gs, theta)
+        except np.linalg.LinAlgError as exc:
+            raise FixedPointDivergence(
+                f"outer fixed point: Anderson step failed at evaluation {len(history)}: "
+                f"{exc} (residuals: {history})", history) from exc
+        pos, vel = x.reshape(2, *traj.positions.shape)
+        traj = Trajectory(charges, masses, traj.times, pos, vel)
     energies, momenta = _energies_and_momenta(
         fsol.snapshots, [traj.nuclei_at(t) for t in fsol.times],
         regularization_eps(plan.eps_reg, u0.grid))

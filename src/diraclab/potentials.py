@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.ndimage import map_coordinates
 
 from .lattice import (
     GridSpec,
@@ -27,6 +25,8 @@ from .lattice import (
     l2_norm,
     spectral_upsample,
 )
+
+# SciPy is imported inside the functions that use it; simulate and validate never load it
 
 CHARGE_LIMIT = np.sqrt(3.0) / 2.0
 
@@ -238,6 +238,8 @@ class CutoffProfile:
     """
 
     def __init__(self):
+        from scipy.interpolate import CubicSpline
+
         self._bump_mass = _gl_panel(_bump, -1.0 / 6.0, 1.0 / 6.0)
 
         r_tab = np.linspace(1.0, 2.0, 4097)
@@ -424,6 +426,8 @@ def pullback(fmap: FreezingMap, t: float, u: SpinorField, check_l2: bool = True)
     against the bijectivity bound ``C = (1 + deviation)^(3/2)`` with a
     multiplicative slack of 5%.
     """
+    from scipy.ndimage import map_coordinates
+
     bound = fmap.jacobian_deviation(t)
     if bound >= 1.0:
         raise ValueError(f"freezing map outside bijectivity regime: deviation {bound:.3g} >= 1")

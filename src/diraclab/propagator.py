@@ -348,11 +348,14 @@ def check_contraction_window(T: float, u0: SpinorField, sigma: float,
 def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8,
                    max_iter: int = 30, plan: PropagatorPlan = None, n_steps: int = None,
                    sigma: float = 1.25, contraction_const: float = 1.0,
-                   enforce_window: bool = True):
+                   enforce_window: bool = True, start: list = None):
     """Fixed point of the Duhamel map by Picard iteration on a snapshot grid.
 
     The Duhamel integral is evaluated by composite trapezoid on the snapshot
     grid, propagated stepwise so each iteration costs one linear sweep.
+    Iterate 0 is the linear evolution, or the M+1 snapshots of ``start`` (a
+    warm start); each sweep overwrites that list in place, and the returned
+    FieldSolution holds it, so a warm start keeps no second set of fields.
     Returns (FieldSolution, PicardReport); raises :class:`ConvergenceFailure`
     with the iterate-distance history when ``max_iter`` is exhausted.
     """
@@ -373,10 +376,14 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     def linear_step(u: SpinorField, j: int) -> SpinorField:
         return _apply_slices(u, steps[j], plan.substeps)
 
-    # iterate 0: the linear evolution
-    iterates = [up.copy()]
-    for j in range(M):
-        iterates.append(linear_step(iterates[-1], j))
+    if start is None:
+        iterates = [up.copy()]
+        for j in range(M):
+            iterates.append(linear_step(iterates[-1], j))
+    elif len(start) != M + 1:
+        raise ValueError(f"warm start needs {M + 1} snapshots, got {len(start)}")
+    else:
+        iterates = start
 
     distances = []
     converged = False
@@ -391,7 +398,7 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
             new.append(nxt)
         dist = max(l2_distance(a, b) for a, b in zip(new[1:], iterates[1:]))
         distances.append(dist)
-        iterates = new
+        iterates[:] = new
         if dist < tol:
             converged = True
             break

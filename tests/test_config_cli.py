@@ -1,6 +1,9 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,8 +398,60 @@ def test_simulate_solver_failure_writes_record(tmp_path, capsys, monkeypatch):
     assert record["status"] == "failure"
     assert record["error"] == "FixedPointDivergence"
     assert len(record["history"]) == 1
-    # max_outer: 1 allows one damped step, so P is evaluated exactly once
+    # max_outer: 1 allows one P evaluation
     assert len(calls) == 1
+
+
+def _nan_on_second_call(monkeypatch, series):
+    map_P = nt.trajectory_map_P
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(1)
+        out, fsol, adm, forces = map_P(*args, **kwargs)
+        if len(calls) == 2:
+            getattr(out, series)[:] = np.nan
+        return out, fsol, adm, forces
+
+    monkeypatch.setattr(nt, "trajectory_map_P", broken)
+    return calls
+
+
+@pytest.mark.parametrize("series", ["velocities", "positions"])
+def test_fixed_point_non_finite_residual_fails_at_once(tmp_path, capsys, monkeypatch, series):
+    # a NaN from P ends the outer iteration at that evaluation, as a solver
+    # failure with its residual history, not after max_outer evaluations
+    cfg = cf.parse_config(_cfg(**{"solver.method": "fixed_point"}))
+    _, u0, nuclei = cf.build_initial_state(cfg)
+    calls = _nan_on_second_call(monkeypatch, series)
+    with pytest.raises(nt.FixedPointDivergence, match="non-finite") as info:
+        nt.coupled_fixed_point(u0, nuclei, cfg.time.T, tol=1e-12, max_outer=40,
+                               contraction_const=0.2)
+    assert len(calls) == 2
+    assert len(info.value.history) == 2 and np.isnan(info.value.history[-1])
+
+    calls.clear()
+    raw = _cfg(**{"solver.method": "fixed_point"})
+    raw["solver"]["fixedpoint"] = {"tol": 1e-12, "max_outer": 40}
+    p = _write_cfg(tmp_path, raw)
+    rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_SOLVER
+    assert "Traceback" not in capsys.readouterr().err
+    record = json.loads((tmp_path / "run" / "failure.json").read_text())
+    assert record["error"] == "FixedPointDivergence"
+    assert len(record["history"]) == 2
+    assert len(calls) == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # simulate and validate never call SciPy, so importing the CLI must not pay for it
+    code = ("import sys, diraclab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("keep", [None, -100, 20], ids=["missing", "truncated", "short-header"])

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from diraclab import config as cf
 from diraclab import lattice as lat
 from diraclab import newton as nt
 from diraclab.potentials import NucleusState, Trajectory
-from diraclab.propagator import PropagatorPlan
+from diraclab.propagator import PropagatorPlan, step_count
 from oracles import nbody_coulomb_oracle
 
 
@@ -158,34 +161,120 @@ def test_fixed_point_symmetric_rest(grid16):
 
 
 def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
-    # P is evaluated once per damped step plus once along the converged
-    # trajectory, and the returned field and forces are those of that last
-    # evaluation, bit for bit
+    # each outer iteration is one P evaluation and the solver stops at the
+    # q that passed the test: the returned field, forces and admissibility
+    # failures are those of the last recorded evaluation, bit for bit, and
+    # the warm-started field agrees with a cold solve along q to the Picard
+    # tolerance
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
     T = 0.2
+    picard_tol = 1e-9
     plan = PropagatorPlan(n_slices=8, eps_reg=0.75)
     map_P = nt.trajectory_map_P
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return map_P(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        result = map_P(*args, **kwargs)
+        calls.append(result)
+        return result
 
-    monkeypatch.setattr(nt, "trajectory_map_P", counted)
+    monkeypatch.setattr(nt, "trajectory_map_P", recorded)
     fsol, traj, rep = nt.coupled_fixed_point(u0, nuclei, T, tol=1e-6, plan=plan, n_steps=8,
-                                             contraction_const=0.2)
+                                             picard_tol=picard_tol, contraction_const=0.2)
     assert rep.outer_iterations >= 2
-    assert len(calls) == rep.outer_iterations + 1
-    _, fresh, adm, forces = map_P(traj, u0, T, plan=plan, picard_tol=1e-9, n_steps=8,
-                                  eps0=0.25)
-    assert np.array_equal(fsol.times, fresh.times)
-    for a, b in zip(fsol.snapshots, fresh.snapshots, strict=True):
+    assert len(calls) == rep.outer_iterations
+    _, last, adm, forces = calls[-1]
+    assert np.array_equal(fsol.times, last.times)
+    for a, b in zip(fsol.snapshots, last.snapshots, strict=True):
         assert np.array_equal(a.data, b.data)
     for a, b in zip(rep.forces, forces, strict=True):
         assert np.array_equal(a.field, b.field)
         assert np.array_equal(a.internuclear, b.internuclear)
     assert rep.admissibility_failures == adm.failures
+    _, cold, _, _ = map_P(traj, u0, T, plan=plan, picard_tol=picard_tol, n_steps=8, eps0=0.25)
+    assert np.array_equal(fsol.times, cold.times)
+    for a, b in zip(fsol.snapshots, cold.snapshots, strict=True):
+        assert lat.l2_distance(a, b) < 10 * picard_tol
+
+
+def _count_picard_sweeps(monkeypatch):
+    picard = nt.duhamel_picard
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sol, rep = picard(*args, **kwargs)
+        sweeps.append(rep.iterations)
+        return sol, rep
+
+    monkeypatch.setattr(nt, "duhamel_picard", counted)
+    return sweeps
+
+
+def test_fixed_point_small_run_converges_in_few_evaluations(monkeypatch):
+    # Anderson mixing on a P that contracts strongly: the demo config
+    # converges in a handful of evaluations, to a Newton residual far below tol
+    cfg = cf.load_config(Path(__file__).parents[1] / "scripts" / "configs" / "small_run.yaml")
+    _, u0, nuclei = cf.build_initial_state(cfg)
+    sweeps = _count_picard_sweeps(monkeypatch)
+    fp = cfg.solver.fixedpoint
+    _, _, rep = nt.coupled_fixed_point(
+        u0, nuclei, cfg.time.T, tol=fp.tol, max_outer=fp.max_outer, theta=fp.damping,
+        plan=PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg),
+        n_steps=step_count(cfg.time.T, cfg.time.dt), eps0=cfg.physics.epsilon0,
+        picard_tol=cfg.solver.picard.tol, contraction_const=cfg.solver.contraction_const)
+    assert rep.outer_iterations == len(sweeps) <= 6
+    assert rep.step_history[-1] < fp.tol
+    assert rep.newton_residual < 1e-8
+
+
+def test_fixed_point_comoving_warm_start_cuts_sweeps(grid16, monkeypatch):
+    # a cold Picard solve takes about 10 sweeps here; warm-started from the
+    # previous evaluation's field (translated into the new comoving frame)
+    # the later solves take far fewer
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1, 0, 0))
+    nuc = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
+    sweeps = _count_picard_sweeps(monkeypatch)
+    plan = PropagatorPlan(frame="comoving_single", n_slices=16, eps_reg=0.75)
+    _, _, rep = nt.coupled_fixed_point(u0, nuc, 0.25, tol=1e-8, plan=plan, n_steps=16,
+                                       eps0=0.3, contraction_const=0.2)
+    assert len(sweeps) == rep.outer_iterations >= 3
+    assert sum(sweeps) < 10 * len(sweeps)
+
+
+def test_fixed_point_divergence_after_max_outer_evaluations(grid16, monkeypatch):
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
+    nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
+    sweeps = _count_picard_sweeps(monkeypatch)
+    with pytest.raises(nt.FixedPointDivergence) as info:
+        nt.coupled_fixed_point(u0, nuclei, 0.2, tol=1e-30, max_outer=3,
+                               plan=PropagatorPlan(n_slices=8, eps_reg=0.75), n_steps=8,
+                               contraction_const=0.2)
+    assert len(sweeps) == 3
+    assert len(info.value.history) == 3
+    assert all(np.isfinite(info.value.history))
+
+
+def test_anderson_step_solves_affine_map_and_falls_back_to_damped_step():
+    # on an affine contraction of R^3, Anderson(3) is exact once it holds
+    # three residual differences; a damped step with beta = 0.5 would still
+    # be off by ~2^-5 of the initial error
+    rng = np.random.default_rng(3)
+    A = 0.5 * rng.standard_normal((3, 3)) / 3
+    c = rng.standard_normal(3)
+    fixed = np.linalg.solve(np.eye(3) - A, c)
+    x, xs, gs = np.zeros(3), [], []
+    for _ in range(5):
+        xs.append(x)
+        gs.append(A @ x + c - x)
+        x = nt._anderson_step(xs[-nt.ANDERSON_DEPTH - 1:], gs[-nt.ANDERSON_DEPTH - 1:], 0.5)
+    assert np.max(np.abs(x - fixed)) < 1e-12
+    x, g = np.array([1.0, 2.0]), np.array([0.5, -0.5])
+    assert np.array_equal(nt._anderson_step([x], [g], 0.5), x + 0.5 * g)
+    # equal residuals: the difference column is zero, so the problem is rank-deficient
+    assert np.array_equal(nt._anderson_step([x - 1.0, x], [g, g], 0.5), x + 0.5 * g)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        nt._anderson_step([x, x + np.inf], [g, g], 0.5)
 
 
 def test_fixed_point_separation_guard(grid16):

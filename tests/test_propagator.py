@@ -278,6 +278,25 @@ def test_picard_builds_potentials_once_per_solve(grid16, monkeypatch, frame):
         assert 1 <= len(calls) <= M
 
 
+def test_picard_warm_start_from_own_output(grid16):
+    # started from its own converged snapshots the solve is done after one
+    # sweep, and it overwrites the list it was given instead of allocating one
+    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
+    traj = _moving_traj(T=0.4)
+    plan = pr.PropagatorPlan(n_slices=16, eps_reg=0.8)
+    tol = 1e-10
+    kw = dict(tol=tol, max_iter=25, plan=plan, n_steps=8, enforce_window=False)
+    cold, rep_cold = pr.duhamel_picard(u0, traj, 0.4, **kw)
+    start = [s.copy() for s in cold.snapshots]
+    warm, rep = pr.duhamel_picard(u0, traj, 0.4, start=start, **kw)
+    assert rep_cold.iterations >= 3 and rep.iterations == 1
+    assert warm.snapshots is start
+    for a, b in zip(warm.snapshots, cold.snapshots, strict=True):
+        assert lat.l2_distance(a, b) < tol
+    with pytest.raises(ValueError, match="warm start needs 9 snapshots"):
+        pr.duhamel_picard(u0, traj, 0.4, start=start[:-1], **kw)
+
+
 def test_picard_window_guard(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (3.0, 0, 0, 0))  # large datum
     traj = _static_traj()
