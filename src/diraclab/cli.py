@@ -65,10 +65,10 @@ def _output_root(args) -> Path:
     return Path(root)
 
 
-def _write_timeseries(path: Path, fsol, traj, rep, every: int, sigma: float) -> None:
-    """One CSV row per ``every``-th snapshot: energy, momentum and force from the
-    solver's report, q and v from ``traj`` at the snapshot time; only the
-    H^sigma norm is computed here."""
+def _write_timeseries(path: Path, fsol, traj, rep, every: int) -> None:
+    """One CSV row per ``every``-th snapshot: H^sigma norm, energy, momentum and
+    force from the solver's report, charge from ``fsol`` and q and v from
+    ``traj`` at the snapshot time; nothing is computed here but formatting."""
     cols = ["t", "charge", "hsigma",
             "E_field_kinetic", "E_interaction", "E_hartree", "E_nuclear_kinetic",
             "E_internuclear", "E_total", "p_x", "p_y", "p_z"]
@@ -79,7 +79,7 @@ def _write_timeseries(path: Path, fsol, traj, rep, every: int, sigma: float) -> 
     for j in range(0, len(fsol.times), every):
         t = fsol.times[j]
         eb, p, fb = rep.energies[j], rep.momenta[j], rep.forces[j]
-        row = [_fmt(t), _fmt(fsol.charges[j]), _fmt(sobolev_norm(fsol.snapshots[j], sigma)),
+        row = [_fmt(t), _fmt(fsol.charges[j]), _fmt(rep.hsigma[j]),
                _fmt(eb.field_kinetic), _fmt(eb.interaction), _fmt(eb.hartree),
                _fmt(eb.nuclear_kinetic), _fmt(eb.internuclear), _fmt(eb.total),
                _fmt(p[0]), _fmt(p[1]), _fmt(p[2])]
@@ -137,7 +137,8 @@ def cmd_simulate(args) -> int:
             }
         if cfg.solver.method in ("direct", "both"):
             t0 = time.time()
-            fsol, traj, rep = coupled_direct(u0, nuclei, cfg.time.T, cfg.time.dt, eps_reg=eps)
+            fsol, traj, rep = coupled_direct(u0, nuclei, cfg.time.T, cfg.time.dt, eps_reg=eps,
+                                            sigma=cfg.solver.sigma)
             results["direct"] = (fsol, traj, rep)
             manifest["solvers"]["direct"] = {
                 "energy_drift": rep.energy_drift, "momentum_drift": rep.momentum_drift,
@@ -158,7 +159,7 @@ def cmd_simulate(args) -> int:
         }
     for name, (fsol, traj, rep) in results.items():
         ts_path = outdir / f"timeseries_{name}.csv"
-        _write_timeseries(ts_path, fsol, traj, rep, cfg.output.every, cfg.solver.sigma)
+        _write_timeseries(ts_path, fsol, traj, rep, cfg.output.every)
         manifest["outputs"].append(ts_path.name)
     fsol, traj, _ = results.get("fixed_point", results.get("direct"))
     ck_path = outdir / "final.dns"
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", required=True,
                     help=f"one of {sorted(SUITES)} or 'all'")
     pv.add_argument("--n", default=32, type=_checked(
-        int, "a power of two >= 8", lambda n: n >= 8 and n & (n - 1) == 0))
+        int, "a power of two >= 16", lambda n: n >= 16 and n & (n - 1) == 0))
     pv.add_argument("--seed", type=int, default=2024)
     pv.add_argument("--out", default="validate")
     pv.set_defaults(func=cmd_validate)

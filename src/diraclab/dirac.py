@@ -23,7 +23,6 @@ from .lattice import (
     SpinorField,
     as_momentum,
     as_position,
-    inner,
 )
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -74,11 +73,6 @@ def apply_free_dirac(u: SpinorField) -> SpinorField:
     um = as_momentum(u)
     out = SpinorField(um.grid, apply_symbol(um.grid, um.data), MOMENTUM)
     return as_position(out) if u.space != MOMENTUM else out
-
-
-def kinetic_expectation(u: SpinorField) -> float:
-    """``<u, (D+beta) u>``; real up to roundoff by symmetry of the symbol."""
-    return inner(u, apply_free_dirac(u)).real
 
 
 def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndarray:

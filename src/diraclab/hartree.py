@@ -58,14 +58,6 @@ def apply_nonlinearity(u: SpinorField) -> SpinorField:
     return SpinorField(up.grid, phi[..., None] * up.data, up.space)
 
 
-def hartree_energy(u: SpinorField) -> float:
-    """Self-interaction energy ``(1/2) h^3 sum rho (rho * 1/|x|)``; nonnegative."""
-    up = as_position(u)
-    rho = density(up)
-    phi = np.real(convolve_inverse_distance(up.grid, rho))
-    return float(0.5 * up.grid.spacing**3 * np.sum(rho * phi))
-
-
 @dataclass
 class BilinearRatios:
     """LHS/RHS ratios for the convolution estimates on a field triple.

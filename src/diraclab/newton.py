@@ -11,6 +11,10 @@ which is the choice that conserves total energy and momentum of the coupled
 system (the field force and the potential share one regularization eps, so
 the discrete energy is exactly differentiable in q and the Hellmann-Feynman
 identity holds to quadrature roundoff).
+
+Each solver reports per snapshot (``RunDiagnostics``) the forces and one
+:func:`snapshot_diagnostics` pass: five energies, total momentum and the
+H^sigma norm from one forward transform and one density.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import kinetic_expectation
-from .hartree import hartree_energy
+from .dirac import apply_symbol
+from .hartree import convolve_inverse_distance
 from .lattice import SpinorField, as_momentum, as_position, charge, density, translate
 from .potentials import (
     NucleusState,
@@ -81,23 +85,7 @@ class EnergyBreakdown:
 
 def field_force(u: SpinorField, nucleus: NucleusState, eps: float) -> np.ndarray:
     """Hellmann-Feynman force of the field on one nucleus (see module docstring)."""
-    up = as_position(u)
-    if not up.data.any():
-        return np.zeros(3)
-    grid = up.grid
-    rho = density(up)
-    dx, dy, dz = grid.displacement_mesh(nucleus.q)
-    r2 = dx * dx + dy * dy + dz * dz
-    w = rho / (r2 + eps**2) ** 1.5
-    h3 = grid.spacing**3
-    return nucleus.Z * h3 * np.array([np.sum(w * dx), np.sum(w * dy), np.sum(w * dz)])
-
-
-def interaction_energy(u: SpinorField, nuclei, eps: float) -> float:
-    """``h^3 sum rho V_eps`` with the same regularized potential as the propagator."""
-    up = as_position(u)
-    V = coulomb_field(nuclei, eps, up.grid)
-    return float(up.grid.spacing**3 * np.sum(density(up) * V))
+    return force_breakdown(u, [nucleus], eps).field[0]
 
 
 def internuclear_force(nuclei) -> np.ndarray:
@@ -117,8 +105,18 @@ def internuclear_force(nuclei) -> np.ndarray:
     return F
 
 
-def force_breakdown(u: SpinorField, nuclei, eps: float) -> ForceBreakdown:
-    fld = np.array([field_force(u, nuc, eps) for nuc in nuclei])
+def force_breakdown(u: SpinorField, nuclei, eps: float, rho: np.ndarray = None) -> ForceBreakdown:
+    """Field and internuclear forces from one density of ``u`` (``rho``, when the
+    caller has it) for all nuclei."""
+    up = as_position(u)
+    rho = density(up) if rho is None else rho
+    h3 = up.grid.spacing**3
+    fld = np.zeros((len(nuclei), 3))
+    if rho.any():  # a zero field exerts exactly zero force
+        for k, nuc in enumerate(nuclei):
+            dx, dy, dz = up.grid.displacement_mesh(nuc.q)
+            w = rho / (dx * dx + dy * dy + dz * dz + eps**2) ** 1.5
+            fld[k] = nuc.Z * h3 * np.array([np.sum(w * dx), np.sum(w * dy), np.sum(w * dz)])
     return ForceBreakdown(field=fld, internuclear=internuclear_force(nuclei))
 
 
@@ -134,31 +132,38 @@ def internuclear_energy(nuclei) -> float:
     return total
 
 
-def energy_breakdown(u: SpinorField, nuclei, eps: float) -> EnergyBreakdown:
+def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
+                         rho: np.ndarray = None, V: np.ndarray = None):
+    """(EnergyBreakdown, total momentum, H^sigma norm) of one snapshot, from one
+    forward transform and one density.
+
+    The field terms read the spectrum ``uhat`` (Parseval, ``L^-3 sum_xi``): the
+    kinetic energy ``<uhat, H_xi uhat>``, the momentum ``sum xi |uhat|^2`` and
+    the H^sigma norm from the same ``|uhat|^2``.  The interaction energy is
+    ``h^3 sum rho V`` with the propagator's regularized potential ``V`` and the
+    Hartree energy ``(1/2) h^3 sum rho (rho * 1/|x|)``; ``rho`` and ``V`` are
+    built here unless the caller has them.  The nuclear terms come from ``nuclei``.
+    """
     nuclei = list(nuclei)
-    return EnergyBreakdown(
-        field_kinetic=kinetic_expectation(u),
-        interaction=interaction_energy(u, nuclei, eps),
-        hartree=hartree_energy(u),
+    up, um = as_position(u), as_momentum(u)
+    grid = up.grid
+    h3, vol = grid.spacing**3, grid.volume
+    rho = density(up) if rho is None else rho
+    V = coulomb_field(nuclei, eps, grid) if V is None else V
+    w = np.sum(np.abs(um.data) ** 2, axis=-1)
+    energy = EnergyBreakdown(
+        field_kinetic=float(np.vdot(um.data, apply_symbol(grid, um.data)).real / vol),
+        interaction=float(h3 * np.sum(rho * V)),
+        hartree=float(0.5 * h3 * np.sum(rho * np.real(convolve_inverse_distance(grid, rho)))),
         nuclear_kinetic=float(sum(0.5 * nuc.m * nuc.qdot @ nuc.qdot for nuc in nuclei)),
         internuclear=internuclear_energy(nuclei),
     )
-
-
-def field_momentum(u: SpinorField) -> np.ndarray:
-    """``<u, -i grad u>`` per axis, computed spectrally (real by construction)."""
-    um = as_momentum(u)
-    w = np.sum(np.abs(um.data) ** 2, axis=-1)
-    kx, ky, kz = um.grid.freq_mesh
-    vol = um.grid.volume
-    return np.array([np.sum(kx * w), np.sum(ky * w), np.sum(kz * w)]) / vol
-
-
-def total_momentum(u: SpinorField, nuclei) -> np.ndarray:
-    p = field_momentum(u)
+    kx, ky, kz = grid.freq_mesh
+    p = np.array([np.sum(kx * w), np.sum(ky * w), np.sum(kz * w)]) / vol
     for nuc in nuclei:
         p = p + nuc.m * nuc.qdot
-    return p
+    hsigma = float(np.sqrt(np.sum((1.0 + grid.freq_sq) ** sigma * w) / vol))
+    return energy, p, hsigma
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +175,6 @@ def _initial_arrays(nuclei0: list):
     if not nuclei0:
         raise ValueError("the coupled solvers require at least one nucleus, got none")
     return tuple(np.array([getattr(nuc, f) for nuc in nuclei0]) for f in ("Z", "m", "q", "qdot"))
-
-
-def _forces_along(fsol: FieldSolution, traj: Trajectory, eps: float) -> list:
-    """One ForceBreakdown per snapshot, with the nuclei at ``traj.nuclei_at(t)``."""
-    return [force_breakdown(u, traj.nuclei_at(t), eps)
-            for u, t in zip(fsol.snapshots, fsol.times)]
 
 
 def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarray) -> Trajectory:
@@ -237,7 +236,8 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
         if comoving:
             for j, t in enumerate(fsol.times):
                 fsol.snapshots[j] = translate(fsol.snapshots[j], -traj_in.position(t)[0])
-    forces = _forces_along(fsol, traj_in, eps)
+    forces = [force_breakdown(u, traj_in.nuclei_at(t), eps)
+              for u, t in zip(fsol.snapshots, fsol.times)]
     out = _integrate_force_series(traj_in, fsol.times, np.array([fb.total for fb in forces]))
     return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
                                           velocity_cap=plan.velocity_cap), forces
@@ -245,18 +245,21 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
 
 @dataclass
 class RunDiagnostics:
-    """Computed by the solver, per snapshot of the returned field: EnergyBreakdown,
-    total momentum (a row of the (n_times, 3) array) and ForceBreakdown."""
+    """Computed by the solver, one entry per snapshot of the returned field:
+    EnergyBreakdown, total momentum (a row of the (n_times, 3) array), H^sigma
+    norm and ForceBreakdown.  Energy, momentum and H^sigma come from one
+    :func:`snapshot_diagnostics` pass per snapshot."""
 
     energies: list
     momenta: np.ndarray
+    hsigma: np.ndarray
     forces: list
 
 
-def _energies_and_momenta(snapshots: list, nuclei: list, eps: float):
-    """EnergyBreakdowns and (n_times, 3) total momenta, one per snapshot and nuclei list."""
-    return ([energy_breakdown(u, nucs, eps) for u, nucs in zip(snapshots, nuclei)],
-            np.array([total_momentum(u, nucs) for u, nucs in zip(snapshots, nuclei)]))
+def _stacked(passes: list):
+    """(energies, (n_times, 3) momenta, H^sigma norms) from per-snapshot passes."""
+    energies, momenta, hsigma = zip(*passes)
+    return list(energies), np.array(momenta), np.array(hsigma)
 
 
 @dataclass
@@ -372,11 +375,11 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
                 f"{exc} (residuals: {history})", history) from exc
         pos, vel = x.reshape(2, *traj.positions.shape)
         traj = Trajectory(charges, masses, traj.times, pos, vel)
-    energies, momenta = _energies_and_momenta(
-        fsol.snapshots, [traj.nuclei_at(t) for t in fsol.times],
-        regularization_eps(plan.eps_reg, u0.grid))
+    eps = regularization_eps(plan.eps_reg, u0.grid)
     report = FixedPointReport(
-        energies, momenta, forces, outer_iterations=len(history), step_history=history,
+        *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
+                   for u, t in zip(fsol.snapshots, fsol.times)]),
+        forces, outer_iterations=len(history), step_history=history,
         converged=True, newton_residual=_newton_residual(traj, forces),
         admissibility_failures=report_adm.failures)
     return fsol, traj, report
@@ -395,15 +398,19 @@ class DirectRunReport(RunDiagnostics):
     charge_drift: float
 
 
-def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float = None):
+def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float = None,
+                   sigma: float = 1.25):
     """Interleaved velocity-Verlet + split-step integrator for the coupled system.
 
     The field advances by one :func:`propagator.strang_step` per nuclear
     step, with the Hartree term refreshed in each half-kick and the nuclear
     potential evaluated at the step-start and step-end positions in the two
-    half-kicks.  Raises :class:`CollisionError` when two nuclei come closer
-    than two grid spacings, and ValueError without nuclei.  Returns
-    (FieldSolution, Trajectory, DirectRunReport).
+    half-kicks.  After each step's velocity update one
+    :func:`snapshot_diagnostics` pass (H^sigma norm with ``sigma``) reads the
+    step's end potential and the density its forces were computed from.
+    Raises :class:`CollisionError` when two nuclei come closer than two grid
+    spacings, and ValueError without nuclei.  Returns (FieldSolution,
+    Trajectory, DirectRunReport).
     """
     charges, masses, q0, v0 = _initial_arrays(list(nuclei0))
     u = as_position(u0)
@@ -429,10 +436,13 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
                         f"nuclei {k} and {l} closer than the resolvable scale {floor:.4g} "
                         f"at t={times[j]:.6g}")
 
-    snaps = [u.copy()]
-    forces = [force_breakdown(u, nuclei_at(0), eps)]
-    # the step-end potential of one step is the step-start potential of the next
+    # the step-end potential of one step is the step-start potential of the next;
+    # each snapshot's density serves its forces and its diagnostics
     V = coulomb_field(nuclei_at(0), eps, grid)
+    rho = density(u)
+    snaps = [u.copy()]
+    forces = [force_breakdown(u, nuclei_at(0), eps, rho=rho)]
+    passes = [snapshot_diagnostics(u, nuclei_at(0), eps, sigma, rho=rho, V=V)]
     for j in range(M):
         vhalf = v[:, j] + 0.5 * delta * forces[-1].total / masses[:, None]
         q[:, j + 1] = q[:, j] + delta * vhalf
@@ -441,20 +451,22 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
         V_end = coulomb_field(nucs_end, eps, grid)
         u = strang_step(u, delta, V, V_out=V_end, hartree=True)
         V = V_end
-        forces.append(force_breakdown(u, nucs_end, eps))
+        rho = density(u)
+        forces.append(force_breakdown(u, nucs_end, eps, rho=rho))
         v[:, j + 1] = vhalf + 0.5 * delta * forces[-1].total / masses[:, None]
+        passes.append(snapshot_diagnostics(u, nuclei_at(j + 1), eps, sigma, rho=rho, V=V))
         snaps.append(u)
 
     fsol = FieldSolution(times, snaps)
     traj = Trajectory(charges, masses, times, q, v)
-    energies, momenta = _energies_and_momenta(snaps, [nuclei_at(j) for j in range(M + 1)], eps)
+    energies, momenta, hsigma = _stacked(passes)
     e_tot = np.array([e.total for e in energies])
     e_scale = max(max(e.component_scale() for e in energies), 1e-30)
     p_scale = max(float(np.max(np.linalg.norm(momenta, axis=1))),
                   max(float(np.sum(masses * np.linalg.norm(v[:, j], axis=-1)))
                       for j in range(M + 1)), 1e-30)
     report = DirectRunReport(
-        energies, momenta, forces,
+        energies, momenta, hsigma, forces,
         energy_drift=float(np.max(np.abs(e_tot - e_tot[0])) / e_scale),
         momentum_drift=float(np.max(np.linalg.norm(momenta - momenta[0], axis=1)) / p_scale),
         charge_drift=fsol.charge_drift())

@@ -12,6 +12,9 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm
 from scipy.special import erfc
 
+from diraclab import dirac, hartree, lattice as lat
+from diraclab.potentials import coulomb_field
+
 
 def radial_l2_quadrature(f, r_max, n=16384):
     """sqrt( int_0^rmax |f(r)|^2 4 pi r^2 dr ) by composite Simpson."""
@@ -134,3 +137,32 @@ def sine_transform_quadrature(f, k, r_max, tol=1e-12):
     val, _ = quad(f, 0.0, r_max, weight="sin", wvar=k, limit=400,
                   epsabs=tol, epsrel=tol)
     return val
+
+
+def snapshot_oracle(u, nuclei, eps, sigma):
+    """One snapshot's CSV diagnostics, keyed by column, each by its own route:
+    ``<u, (D + beta) u>`` and ``<u, -i d_j u>`` as position-space inner products
+    (through an inverse transform), ``h^3 sum rho V`` with ``coulomb_field``,
+    ``(1/2) h^3 sum rho V_H`` with ``hartree_potential``, the internuclear sum
+    written out, and ``lattice.sobolev_norm``."""
+    nuclei = list(nuclei)
+    grid = u.grid
+    h3 = grid.spacing**3
+    rho = lat.density(u)
+    um = lat.to_momentum(u)
+    out = {
+        "E_field_kinetic": lat.inner(u, dirac.apply_free_dirac(u)).real,
+        "E_interaction": h3 * np.sum(rho * coulomb_field(nuclei, eps, grid)),
+        "E_hartree": 0.5 * h3 * np.sum(rho * hartree.hartree_potential(u)),
+        "E_nuclear_kinetic": sum(0.5 * nuc.m * np.dot(nuc.qdot, nuc.qdot) for nuc in nuclei),
+        "E_internuclear": sum(a.Z * b.Z / np.linalg.norm(a.q - b.q)
+                              for i, a in enumerate(nuclei) for b in nuclei[i + 1:]),
+        "hsigma": lat.sobolev_norm(u, sigma),
+    }
+    out["E_total"] = sum(out[k] for k in ("E_field_kinetic", "E_interaction", "E_hartree",
+                                          "E_nuclear_kinetic", "E_internuclear"))
+    for i, k in enumerate(grid.freq_mesh):
+        grad = lat.to_position(lat.SpinorField(grid, k[..., None] * um.data, lat.MOMENTUM))
+        out["p_" + "xyz"[i]] = (lat.inner(u, grad).real
+                                + sum(nuc.m * nuc.qdot[i] for nuc in nuclei))
+    return out

@@ -15,6 +15,8 @@ from diraclab import cli
 from diraclab import config as cf
 from diraclab import lattice as lat
 from diraclab import newton as nt
+from diraclab.potentials import coulomb_field
+from oracles import snapshot_oracle
 
 
 BASE = {
@@ -239,29 +241,50 @@ def _read_csv(path):
     return [{k: float(v) for k, v in row.items()} for row in rows]
 
 
-def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
-    # energy and momentum are the solvers' own per-snapshot diagnostics; the
-    # CSV writer formats them and recomputes nothing
-    calls = {"energy_breakdown": 0, "total_momentum": 0}
-    for name in calls:
-        fn = getattr(nt, name)
-
+def _count_calls(monkeypatch, functions):
+    """Count calls to each named function through every diraclab module that binds it."""
+    calls = dict.fromkeys(functions, 0)
+    for name, fn in functions.items():
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        for mod in (nt, cli):
-            if getattr(mod, name, None) is fn:
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("diraclab") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
+    # energy, momentum and H^sigma are the solvers' own per-snapshot pass; the
+    # CSV writer formats them and recomputes nothing
+    calls = _count_calls(monkeypatch, {"snapshot_diagnostics": nt.snapshot_diagnostics})
     p = _write_cfg(tmp_path, _cfg(**{"solver.method": "both", "output.every": 1}))
     rc = cli.main(["--output-root", str(tmp_path / "every1"), "simulate", "--config", str(p)])
     assert rc == 0
     snapshots = sum(len(_read_csv(tmp_path / "every1" / "run" / f"timeseries_{s}.csv"))
                     for s in ("fixed_point", "direct"))
     assert snapshots == 10
-    assert calls == {"energy_breakdown": snapshots, "total_momentum": snapshots}
+    assert calls == {"snapshot_diagnostics": snapshots}
+    monkeypatch.undo()
 
-    # at every: 2 each row must still match a fresh evaluation of its snapshot
+    # a direct run of M steps: one forward transform per snapshot (plus the
+    # contraction-window check), no inverse, the step's own potential, and one
+    # density per snapshot shared by its forces and diagnostics (plus two per
+    # Strang step)
+    calls = _count_calls(monkeypatch, {
+        "to_momentum": lat.to_momentum, "to_position": lat.to_position,
+        "coulomb_field": coulomb_field, "density": lat.density})
+    p = _write_cfg(tmp_path, _cfg(**{"solver.method": "direct", "output.every": 1}))
+    rc = cli.main(["--output-root", str(tmp_path / "direct"), "simulate", "--config", str(p)])
+    assert rc == 0
+    M = len(_read_csv(tmp_path / "direct" / "run" / "timeseries_direct.csv")) - 1
+    assert M == 4
+    assert calls == {"to_momentum": M + 2, "to_position": 0, "coulomb_field": M + 1,
+                     "density": 3 * M + 1}
+    monkeypatch.undo()
+
+    # at every: 2 each row must still match an independent evaluation of its snapshot
     returned = {}
     for solver in ("coupled_fixed_point", "coupled_direct"):
         def recorded(*args, _fn=getattr(nt, solver), _name=solver, **kwargs):
@@ -273,6 +296,9 @@ def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
     rc = cli.main(["--output-root", str(tmp_path / "every2"), "simulate", "--config", str(p)])
     assert rc == 0
     eps = BASE["physics"]["epsilon_reg"]
+    sigma = cf.load_config(p).solver.sigma
+    energy_cols = ["E_field_kinetic", "E_interaction", "E_hartree", "E_nuclear_kinetic",
+                   "E_internuclear", "E_total"]
     for solver, name in (("coupled_fixed_point", "fixed_point"), ("coupled_direct", "direct")):
         fsol, traj, _ = returned[solver]
         rows = _read_csv(tmp_path / "every2" / "run" / f"timeseries_{name}.csv")
@@ -281,14 +307,12 @@ def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
             j = 2 * i
             assert row["t"] == fsol.times[j]
             nuclei = traj.nuclei_at(fsol.times[j])
-            eb = nt.energy_breakdown(fsol.snapshots[j], nuclei, eps)
+            want = snapshot_oracle(fsol.snapshots[j], nuclei, eps, sigma)
             fb = nt.force_breakdown(fsol.snapshots[j], nuclei, eps)
-            energy = [eb.field_kinetic, eb.interaction, eb.hartree, eb.nuclear_kinetic,
-                      eb.internuclear, eb.total]
-            got = [row[c] for c in ("E_field_kinetic", "E_interaction", "E_hartree",
-                                    "E_nuclear_kinetic", "E_internuclear", "E_total")]
-            np.testing.assert_allclose(got, energy, rtol=1e-12,
-                                       atol=1e-12 * max(map(abs, energy)))
+            for cols in (energy_cols, ["p_x", "p_y", "p_z"], ["hsigma"]):
+                expect = [want[c] for c in cols]
+                np.testing.assert_allclose([row[c] for c in cols], expect, rtol=1e-12,
+                                           atol=1e-12 * max(map(abs, expect)))
             for label, vec in (("F_field", fb.field), ("F_internuclear", fb.internuclear),
                                ("F_total", fb.total)):
                 got = [[row[f"{label}{k}_{ax}"] for ax in "xyz"] for k in range(len(nuclei))]
@@ -476,10 +500,11 @@ def test_simulate_rejects_unreadable_checkpoint(tmp_path, capsys, keep):
 @pytest.mark.parametrize("argv,flag", [
     (["validate", "--suite", "dirac", "--n", "12"], "--n"),
     (["validate", "--suite", "dirac", "--n", "4"], "--n"),
+    (["validate", "--suite", "dirac", "--n", "8"], "--n"),
     (["convergence", "--config", "cfg.yaml", "--ladder", "0", "4"], "--ladder"),
     (["groundstate", "--nu", "0.5", "--sigma", "3.0"], "--sigma"),
     (["groundstate", "--nu", "0.0", "--sigma", "1.0"], "--nu"),
-], ids=["validate-n-12", "validate-n-4", "convergence-ladder-0", "groundstate-sigma-3",
+], ids=["validate-n-12", "validate-n-4", "validate-n-8", "convergence-ladder-0", "groundstate-sigma-3",
         "groundstate-nu-0"])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
     p = _write_cfg(tmp_path, _cfg())

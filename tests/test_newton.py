@@ -6,9 +6,9 @@ import pytest
 from diraclab import config as cf
 from diraclab import lattice as lat
 from diraclab import newton as nt
-from diraclab.potentials import NucleusState, Trajectory
+from diraclab.potentials import NucleusState, Trajectory, coulomb_field
 from diraclab.propagator import PropagatorPlan, step_count
-from oracles import nbody_coulomb_oracle
+from oracles import nbody_coulomb_oracle, snapshot_oracle
 
 
 def test_field_force_zero_field(grid16):
@@ -42,8 +42,8 @@ def test_field_force_is_minus_gradient_of_interaction_energy():
         for j in range(3):
             dq = np.zeros(3)
             dq[j] = delta
-            Ep = nt.interaction_energy(u, [NucleusState(0.5, 1.0, q0 + dq, (0, 0, 0))], eps)
-            Em = nt.interaction_energy(u, [NucleusState(0.5, 1.0, q0 - dq, (0, 0, 0))], eps)
+            Ep, Em = (nt.snapshot_diagnostics(u, [NucleusState(0.5, 1.0, q, (0, 0, 0))], eps,
+                                              1.0)[0].interaction for q in (q0 + dq, q0 - dq))
             out[j] = -(Ep - Em) / (2 * delta)
         return out
 
@@ -86,11 +86,39 @@ def test_force_breakdown_total_identity(grid16, rng):
 def test_energy_breakdown_consistent_regularization(grid16):
     u = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.5, 0, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (0.9, 0, 0), (0.1, 0, 0))]
-    eb = nt.energy_breakdown(u, nuclei, 0.8)
-    assert eb.interaction == pytest.approx(nt.interaction_energy(u, nuclei, 0.8))
+    eb, _, _ = nt.snapshot_diagnostics(u, nuclei, 0.8, 1.0)
+    # the propagator's potential at the same eps
+    V = coulomb_field(nuclei, 0.8, grid16)
+    assert eb.interaction == pytest.approx(grid16.spacing**3 * np.sum(lat.density(u) * V))
     assert eb.nuclear_kinetic == pytest.approx(0.5 * 10.0 * 0.01)
     assert eb.total == pytest.approx(eb.field_kinetic + eb.interaction + eb.hartree
                                      + eb.nuclear_kinetic + eb.internuclear)
+
+
+TWO_NUCLEI = [NucleusState(0.5, 10.0, (0.9, 0, 0), (0.1, 0, 0)),
+              NucleusState(0.4, 8.0, (-1.5, 0.6, 0.2), (0.0, -0.05, 0.02))]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n_nuclei", [1, 2])
+def test_snapshot_diagnostics_match_independent_oracles(n, n_nuclei):
+    grid = lat.make_grid(n, 12.0)
+    u = lat.random_smooth_field(grid, np.random.default_rng(100 * n + n_nuclei),
+                                kmax=4, decay=0.8)
+    nuclei, eps, sigma = TWO_NUCLEI[:n_nuclei], 0.8, 1.25
+    eb, p, hsigma = nt.snapshot_diagnostics(u, nuclei, eps, sigma)
+    want = snapshot_oracle(u, nuclei, eps, sigma)
+    got = {"E_field_kinetic": eb.field_kinetic, "E_interaction": eb.interaction,
+           "E_hartree": eb.hartree, "E_nuclear_kinetic": eb.nuclear_kinetic,
+           "E_internuclear": eb.internuclear, "E_total": eb.total, "hsigma": hsigma,
+           "p_x": p[0], "p_y": p[1], "p_z": p[2]}
+    for key, value in got.items():
+        assert value == pytest.approx(want[key], rel=1e-12), key
+    # the caller's potential and density are the ones the pass would build
+    V = coulomb_field(nuclei, eps, grid)
+    eb_given, p_given, hsigma_given = nt.snapshot_diagnostics(
+        u, nuclei, eps, sigma, rho=lat.density(u), V=V)
+    assert eb_given == eb and np.array_equal(p_given, p) and hsigma_given == hsigma
 
 
 # ---------------------------------------------------------------------------
