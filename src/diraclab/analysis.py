@@ -17,7 +17,6 @@ import numpy as np
 from .lattice import (
     GridSpec,
     SpinorField,
-    as_position,
     density,
     homogeneous_sobolev_norm,
     random_smooth_field,
@@ -40,12 +39,11 @@ def hardy_ratio(u: SpinorField, sigma: float) -> float:
     """
     if not 0.0 <= sigma < 1.5:
         raise ValueError(f"sigma must lie in [0, 3/2), got {sigma}")
-    up = as_position(u)
-    rhs = homogeneous_sobolev_norm(up, sigma) ** 2
+    rhs = homogeneous_sobolev_norm(u, sigma) ** 2
     if rhs == 0.0:
         return 0.0
-    w = _clipped_radius(up.grid) ** (-2.0 * sigma)
-    lhs = up.grid.spacing**3 * np.sum(density(up) * w)
+    w = _clipped_radius(u.grid) ** (-2.0 * sigma)
+    lhs = u.grid.spacing**3 * np.sum(density(u) * w)
     return float(lhs / rhs)
 
 
@@ -57,13 +55,12 @@ class RellichResult:
 
 def vanishes_near_origin(u: SpinorField, radius_factor: float = 3.0,
                          rel_tol: float = 1e-6) -> bool:
-    up = as_position(u)
-    r = up.grid.radius_from((0.0, 0.0, 0.0))
-    rho = np.sqrt(density(up))
+    r = u.grid.radius_from((0.0, 0.0, 0.0))
+    rho = np.sqrt(density(u))
     peak = float(np.max(rho))
     if peak == 0.0:
         return True
-    near = rho[r <= radius_factor * up.grid.spacing]
+    near = rho[r <= radius_factor * u.grid.spacing]
     return bool(near.size == 0 or np.max(near) <= rel_tol * peak)
 
 
@@ -73,13 +70,12 @@ def rellich_ratio(u: SpinorField) -> RellichResult:
     The flag records whether u vanishes near the origin (the class the
     inequality is stated for); callers decide how to treat flagged samples.
     """
-    up = as_position(u)
-    rhs = homogeneous_sobolev_norm(up, 2.0) ** 2
-    flag = vanishes_near_origin(up)
+    rhs = homogeneous_sobolev_norm(u, 2.0) ** 2
+    flag = vanishes_near_origin(u)
     if rhs == 0.0:
         return RellichResult(0.0, flag)
-    w = _clipped_radius(up.grid) ** (-4.0)
-    lhs = up.grid.spacing**3 * np.sum(density(up) * w)
+    w = _clipped_radius(u.grid) ** (-4.0)
+    lhs = u.grid.spacing**3 * np.sum(density(u) * w)
     return RellichResult(float(lhs / rhs), flag)
 
 
@@ -87,12 +83,11 @@ def coulomb_multiplier_ratio(u: SpinorField, sigma: float) -> float:
     """``||u / max(|x|, h/2)||_{H^(sigma-1)} / ||u||_{H^sigma}`` for sigma in [1, 3/2)."""
     if not 1.0 <= sigma < 1.5:
         raise ValueError(f"sigma must lie in [1, 3/2), got {sigma}")
-    up = as_position(u)
-    rhs = sobolev_norm(up, sigma)
+    rhs = sobolev_norm(u, sigma)
     if rhs == 0.0:
         return 0.0
-    w = 1.0 / _clipped_radius(up.grid)
-    weighted = SpinorField(up.grid, w[..., None] * up.data, up.space)
+    w = 1.0 / _clipped_radius(u.grid)
+    weighted = SpinorField(u.grid, w[..., None] * u.data)
     return float(sobolev_norm(weighted, sigma - 1.0) / rhs)
 
 
@@ -117,11 +112,10 @@ def regularization_rate(u: SpinorField, sigma: float, eps_list) -> RateFit:
     """
     if not 1.0 < sigma < 1.5:
         raise ValueError(f"sigma must lie in (1, 3/2), got {sigma}")
-    up = as_position(u)
-    grid = up.grid
+    grid = u.grid
     h = grid.spacing
     r = _clipped_radius(grid)
-    rho = density(up)
+    rho = density(u)
     eps_fit, norms, baseline = [], [], None
     for eps in eps_list:
         if eps == 0.0:
@@ -329,7 +323,7 @@ def _annular_bump(grid: GridSpec, lam: float) -> SpinorField:
     env[r > 2.0 * lam] = 0.0
     data = np.zeros((grid.n, grid.n, grid.n, 4), dtype=np.complex128)
     data[..., 0] = env
-    return SpinorField(grid, data, "position")
+    return SpinorField(grid, data)
 
 
 def regularization_report(grid: GridSpec, sigma: float = 1.4, eps_factors=(8, 4, 2),

@@ -60,9 +60,20 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _output_root(args) -> Path:
+class OutputDirError(Exception):
+    """A command's output directory cannot be created (exit 2)."""
+
+
+def _output_dir(args, name: str) -> Path:
+    """``<output root>/<name>``, created; an OSError becomes :class:`OutputDirError`."""
     root = args.output_root or os.environ.get("DIRACLAB_OUTPUT_ROOT") or "."
-    return Path(root)
+    outdir = Path(root) / name
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirError(f"cannot create output directory {outdir}: "
+                             f"{exc.strerror or exc}") from exc
+    return outdir
 
 
 def _write_timeseries(path: Path, fsol, traj, rep, every: int) -> None:
@@ -105,8 +116,7 @@ def cmd_simulate(args) -> int:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # created once the run is accepted, before the solve, so that failure.json has a home
-    outdir = _output_root(args) / cfg.output.path
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args, cfg.output.path)
 
     eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     plan = PropagatorPlan(
@@ -303,8 +313,7 @@ def cmd_validate(args) -> int:
         print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or 'all'",
               file=sys.stderr)
         return EXIT_CONFIG
-    outdir = _output_root(args) / args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args, args.out)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     failures = []
     t0 = time.time()
@@ -324,8 +333,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_groundstate(args) -> int:
-    outdir = _output_root(args) / args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args, args.out)
     rows = ["nu,a,b,sigma,sigma_max,classification,measured_exponent,expected_exponent,"
             "tail_exponent,tail_expected,consistent"]
     records = []
@@ -361,11 +369,7 @@ def cmd_convergence(args) -> int:
     except ConfigError as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if len(args.ladder) < 2:
-        print("usage error: --ladder needs at least two n_slices values", file=sys.stderr)
-        return EXIT_CONFIG
-    outdir = _output_root(args) / args.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args, args.out)
     eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     traj = Trajectory.constant_velocity(
         cfg.physics.charges, cfg.physics.masses, cfg.init.positions, cfg.init.velocities,
@@ -398,6 +402,17 @@ def _checked(cast, need: str, ok):
     return parse
 
 
+class _Ladder(argparse.Action):
+    """Stores ``--ladder`` after checking the values as a whole: two or more, none repeated."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) < 2 or len(set(values)) != len(values):
+            raise argparse.ArgumentError(
+                self, f"require at least two distinct n_slices values, "
+                      f"got {' '.join(map(str, values))}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="diraclab",
                                 description="Dirac-Hartree field + point nuclei lab")
@@ -414,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"one of {sorted(SUITES)} or 'all'")
     pv.add_argument("--n", default=32, type=_checked(
         int, "a power of two >= 16", lambda n: n >= 16 and n & (n - 1) == 0))
-    pv.add_argument("--seed", type=int, default=2024)
+    pv.add_argument("--seed", default=2024, type=_checked(int, ">= 0", lambda s: s >= 0))
     pv.add_argument("--out", default="validate")
     pv.set_defaults(func=cmd_validate)
 
@@ -428,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("convergence", help="slice-refinement study from a config")
     pc.add_argument("--config", required=True)
-    pc.add_argument("--ladder", nargs="+", required=True,
+    pc.add_argument("--ladder", nargs="+", required=True, action=_Ladder,
                     type=_checked(int, "n_slices >= 1", lambda n: n >= 1))
     pc.add_argument("--out", default="convergence")
     pc.set_defaults(func=cmd_convergence)
@@ -441,7 +456,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputDirError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

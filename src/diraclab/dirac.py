@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    MOMENTUM,
-    SpinorField,
-    as_momentum,
-    as_position,
-)
+from .lattice import SpinorField, to_momentum, to_position
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _S2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -70,9 +65,7 @@ def apply_symbol(grid, uhat: np.ndarray) -> np.ndarray:
 
 def apply_free_dirac(u: SpinorField) -> SpinorField:
     """Return ``(D + beta) u`` via the momentum-space symbol."""
-    um = as_momentum(u)
-    out = SpinorField(um.grid, apply_symbol(um.grid, um.data), MOMENTUM)
-    return as_position(out) if u.space != MOMENTUM else out
+    return to_position(u.grid, apply_symbol(u.grid, to_momentum(u)))
 
 
 def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndarray:
@@ -98,6 +91,4 @@ def free_propagator_step(u: SpinorField, dt: float, drift=None) -> SpinorField:
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    um = as_momentum(u)
-    out = SpinorField(um.grid, step_momentum_data(um.grid, um.data, dt, drift), MOMENTUM)
-    return as_position(out) if u.space != MOMENTUM else out
+    return to_position(u.grid, step_momentum_data(u.grid, to_momentum(u), dt, drift))

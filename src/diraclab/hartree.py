@@ -16,7 +16,6 @@ import numpy as np
 from .lattice import (
     GridSpec,
     SpinorField,
-    as_position,
     density,
     l2_norm,
     sobolev_norm,
@@ -45,17 +44,12 @@ def convolve_inverse_distance(grid: GridSpec, source: np.ndarray) -> np.ndarray:
 
 def hartree_potential(u: SpinorField) -> np.ndarray:
     """The mean-field potential ``(<u,u> * 1/|x|)`` of the field's own density."""
-    up = as_position(u)
-    rho = density(up)
-    phi = convolve_inverse_distance(up.grid, rho)
-    return np.real(phi)
+    return np.real(convolve_inverse_distance(u.grid, density(u)))
 
 
 def apply_nonlinearity(u: SpinorField) -> SpinorField:
-    """Return ``(|u|^2 * 1/|x|) u`` in position space."""
-    up = as_position(u)
-    phi = hartree_potential(up)
-    return SpinorField(up.grid, phi[..., None] * up.data, up.space)
+    """Return ``(|u|^2 * 1/|x|) u``."""
+    return SpinorField(u.grid, hartree_potential(u)[..., None] * u.data)
 
 
 @dataclass
@@ -83,18 +77,17 @@ def bilinear_estimate_report(u: SpinorField, v: SpinorField, w: SpinorField,
     """
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
-    up, vp, wp = as_position(u), as_position(v), as_position(w)
-    grid = up.grid
-    pair = np.sum(np.conj(up.data) * vp.data, axis=-1)
+    grid = u.grid
+    pair = np.sum(np.conj(u.data) * v.data, axis=-1)
     conv = convolve_inverse_distance(grid, pair)
-    lhs_field = SpinorField(grid, conv[..., None] * wp.data, up.space)
+    lhs_field = SpinorField(grid, conv[..., None] * w.data)
 
     def ratio(lhs: float, rhs: float) -> float:
         return lhs / rhs if rhs > 0.0 else 0.0
 
-    l2 = ratio(l2_norm(lhs_field), l2_norm(up) * sobolev_norm(vp, 1.0) * l2_norm(wp))
+    l2 = ratio(l2_norm(lhs_field), l2_norm(u) * sobolev_norm(v, 1.0) * l2_norm(w))
     h1 = ratio(sobolev_norm(lhs_field, 1.0),
-               sobolev_norm(up, 1.0) * sobolev_norm(vp, 1.0) * sobolev_norm(wp, 1.0))
+               sobolev_norm(u, 1.0) * sobolev_norm(v, 1.0) * sobolev_norm(w, 1.0))
     hs1 = ratio(sobolev_norm(lhs_field, s + 1.0),
-                sobolev_norm(up, s + 1.0) * sobolev_norm(vp, s + 1.0) * sobolev_norm(wp, s + 1.0))
+                sobolev_norm(u, s + 1.0) * sobolev_norm(v, s + 1.0) * sobolev_norm(w, s + 1.0))
     return BilinearRatios(l2=l2, h1=h1, hs1=hs1, s=s)

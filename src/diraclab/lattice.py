@@ -5,6 +5,8 @@ Conventions (natural units, hbar = c = electron mass = 1):
 * position grid ``x_j = j*h`` with ``h = L/n``, indices in C order (x-major);
 * frequency set ``xi = (2*pi/L) * m`` with integer ``m in {-n/2, ..., n/2-1}``
   per axis, laid out in FFT order;
+* a :class:`SpinorField` holds position-grid data; its spectrum is a plain
+  ``(n, n, n, 4)`` complex array in FFT order;
 * forward transform ``uhat(xi) = h^3 * sum_x u(x) exp(-i xi.x)`` and inverse
   ``u(x) = L^-3 * sum_xi uhat(xi) exp(+i xi.x)``, so that ``d_j -> i xi_j``
   and Parseval is exact on the discrete torus:
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,9 +27,6 @@ N_COMPONENTS = 4
 CHECKPOINT_MAGIC = b"DNS1"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_HEADER_BYTES = 32  # magic, version, n, L, t, nucleus count
-
-POSITION = "position"
-MOMENTUM = "momentum"
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -107,23 +106,29 @@ def make_grid(n: int, box_length: float) -> GridSpec:
 
 @dataclass
 class SpinorField:
-    """4-component complex field on a :class:`GridSpec`, in position or momentum space."""
+    """4-component complex field on the position grid of a :class:`GridSpec`.
+
+    A spectrum is a plain array: see :func:`to_momentum` and :func:`to_position`.
+    The optional third argument is accepted for callers that still pass the
+    old space tag; any value other than ``"position"`` is rejected.
+    """
 
     grid: GridSpec
     data: np.ndarray
-    space: str = POSITION
+    _space: InitVar[str] = "position"
 
-    def __post_init__(self):
+    def __post_init__(self, _space):
         expected = (self.grid.n, self.grid.n, self.grid.n, N_COMPONENTS)
         if self.data.shape != expected:
             raise ValueError(f"spinor data shape {self.data.shape} != {expected}")
         if self.data.dtype != np.complex128:
             self.data = self.data.astype(np.complex128)
-        if self.space not in (POSITION, MOMENTUM):
-            raise ValueError(f"unknown space tag {self.space!r}")
+        if _space != "position":
+            raise ValueError(f"a SpinorField holds position-grid data, got space {_space!r}; "
+                             "build a field from a spectrum with to_position")
 
     def copy(self) -> "SpinorField":
-        return SpinorField(self.grid, self.data.copy(), self.space)
+        return SpinorField(self.grid, self.data.copy())
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.data.view(np.float64))))
@@ -133,14 +138,14 @@ class SpinorField:
 # constructors
 
 
-def zero_spinor(grid: GridSpec, space: str = POSITION) -> SpinorField:
-    return SpinorField(grid, np.zeros((grid.n, grid.n, grid.n, N_COMPONENTS), dtype=np.complex128), space)
+def zero_spinor(grid: GridSpec) -> SpinorField:
+    return SpinorField(grid, np.zeros((grid.n, grid.n, grid.n, N_COMPONENTS), dtype=np.complex128))
 
 
 def constant_spinor(grid: GridSpec, weights) -> SpinorField:
     w = np.asarray(weights, dtype=np.complex128)
     data = np.broadcast_to(w, (grid.n, grid.n, grid.n, N_COMPONENTS)).copy()
-    return SpinorField(grid, data, POSITION)
+    return SpinorField(grid, data)
 
 
 def plane_wave(grid: GridSpec, mode, weights) -> SpinorField:
@@ -154,7 +159,7 @@ def plane_wave(grid: GridSpec, mode, weights) -> SpinorField:
         * np.exp(1j * xi[2] * c)[None, None, :]
     )
     w = np.asarray(weights, dtype=np.complex128)
-    return SpinorField(grid, phase[..., None] * w, POSITION)
+    return SpinorField(grid, phase[..., None] * w)
 
 
 def gaussian_spinor(grid: GridSpec, center, width: float, weights) -> SpinorField:
@@ -162,7 +167,7 @@ def gaussian_spinor(grid: GridSpec, center, width: float, weights) -> SpinorFiel
     r2 = grid.radius_sq_from(center)
     env = np.exp(-r2 / (2.0 * width**2))
     w = np.asarray(weights, dtype=np.complex128)
-    return SpinorField(grid, env[..., None] * w, POSITION)
+    return SpinorField(grid, env[..., None] * w)
 
 
 def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
@@ -189,56 +194,36 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
                 damp = np.exp(-0.5 * xi2 * decay**2)
                 uhat[mx % n, my % n, mz % n] = coeff * damp
     uhat *= amplitude * grid.volume / (2 * kmax + 1) ** 1.5
-    return to_position(SpinorField(grid, uhat, MOMENTUM))
+    return to_position(grid, uhat)
 
 
 # ---------------------------------------------------------------------------
 # transforms and norms
 
 
-def to_momentum(u: SpinorField) -> SpinorField:
-    if u.space != POSITION:
-        raise ValueError("to_momentum expects a position-space field")
-    data = np.fft.fftn(u.data, axes=(0, 1, 2)) * u.grid.spacing**3
-    return SpinorField(u.grid, data, MOMENTUM)
+def to_momentum(u: SpinorField) -> np.ndarray:
+    """The spectrum ``uhat = h^3 fftn(u)`` of a field, as a plain array."""
+    return np.fft.fftn(u.data, axes=(0, 1, 2)) * u.grid.spacing**3
 
 
-def to_position(u: SpinorField) -> SpinorField:
-    if u.space != MOMENTUM:
-        raise ValueError("to_position expects a momentum-space field")
-    data = np.fft.ifftn(u.data, axes=(0, 1, 2)) / u.grid.spacing**3
-    return SpinorField(u.grid, data, POSITION)
-
-
-def as_position(u: SpinorField) -> SpinorField:
-    return u if u.space == POSITION else to_position(u)
-
-
-def as_momentum(u: SpinorField) -> SpinorField:
-    return u if u.space == MOMENTUM else to_momentum(u)
+def to_position(grid: GridSpec, uhat: np.ndarray) -> SpinorField:
+    """The field ``ifftn(uhat) / h^3`` on ``grid`` of a spectrum ``uhat``."""
+    return SpinorField(grid, np.fft.ifftn(uhat, axes=(0, 1, 2)) / grid.spacing**3)
 
 
 def density(u: SpinorField) -> np.ndarray:
     """Pointwise C^4 density <u,u> on the position grid."""
-    up = as_position(u)
-    return np.sum(np.abs(up.data) ** 2, axis=-1)
+    return np.sum(np.abs(u.data) ** 2, axis=-1)
 
 
 def charge(u: SpinorField) -> float:
-    """Total charge ``h^3 sum <u,u>`` (computable in either space)."""
-    if u.space == POSITION:
-        return float(u.grid.spacing**3 * np.sum(np.abs(u.data) ** 2))
-    return float(np.sum(np.abs(u.data) ** 2) / u.grid.volume)
+    """Total charge ``h^3 sum <u,u>``."""
+    return float(u.grid.spacing**3 * np.sum(np.abs(u.data) ** 2))
 
 
 def inner(u: SpinorField, v: SpinorField) -> complex:
     """L^2 inner product, conjugate-linear in the first argument."""
-    if u.space != v.space:
-        v = to_momentum(v) if u.space == MOMENTUM else to_position(v)
-    w = np.vdot(u.data, v.data)
-    if u.space == POSITION:
-        return complex(w * u.grid.spacing**3)
-    return complex(w / u.grid.volume)
+    return complex(np.vdot(u.data, v.data) * u.grid.spacing**3)
 
 
 def l2_norm(u: SpinorField) -> float:
@@ -246,12 +231,8 @@ def l2_norm(u: SpinorField) -> float:
 
 
 def l2_distance(u: SpinorField, v: SpinorField) -> float:
-    if u.space != v.space:
-        v = to_momentum(v) if u.space == MOMENTUM else to_position(v)
     diff = u.data - v.data
-    if u.space == POSITION:
-        return float(np.sqrt(u.grid.spacing**3 * np.sum(np.abs(diff) ** 2)))
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2) / u.grid.volume))
+    return float(np.sqrt(u.grid.spacing**3 * np.sum(np.abs(diff) ** 2)))
 
 
 def sobolev_norm(u: SpinorField, sigma: float) -> float:
@@ -261,45 +242,44 @@ def sobolev_norm(u: SpinorField, sigma: float) -> float:
     """
     if not 0.0 <= sigma <= 2.0:
         raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
-    um = as_momentum(u)
-    weight = (1.0 + um.grid.freq_sq) ** sigma
-    total = np.sum(weight[..., None] * np.abs(um.data) ** 2)
-    return float(np.sqrt(total / um.grid.volume))
+    uhat = to_momentum(u)
+    weight = (1.0 + u.grid.freq_sq) ** sigma
+    total = np.sum(weight[..., None] * np.abs(uhat) ** 2)
+    return float(np.sqrt(total / u.grid.volume))
 
 
 def homogeneous_sobolev_norm(u: SpinorField, sigma: float) -> float:
     """Homogeneous norm with multiplier ``|xi|^sigma``; the xi=0 mode is dropped."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    um = as_momentum(u)
-    k2 = um.grid.freq_sq
+    uhat = to_momentum(u)
+    k2 = u.grid.freq_sq
     weight = np.where(k2 > 0.0, k2, 1.0) ** sigma
     weight = np.where(k2 > 0.0, weight, 0.0)
-    total = np.sum(weight[..., None] * np.abs(um.data) ** 2)
-    return float(np.sqrt(total / um.grid.volume))
+    total = np.sum(weight[..., None] * np.abs(uhat) ** 2)
+    return float(np.sqrt(total / u.grid.volume))
 
 
 def translate(u: SpinorField, shift) -> SpinorField:
     """Exact spectral translation: returns v with ``v(x) = u(x + shift)``."""
-    um = as_momentum(u)
-    kx, ky, kz = um.grid.freq_mesh
+    uhat = to_momentum(u)
+    kx, ky, kz = u.grid.freq_mesh
     s = np.asarray(shift, dtype=float)
     phase = np.exp(1j * (kx * s[0] + ky * s[1] + kz * s[2]))
-    out = SpinorField(um.grid, phase[..., None] * um.data, MOMENTUM)
-    return to_position(out) if u.space == POSITION else out
+    return to_position(u.grid, phase[..., None] * uhat)
 
 
 def spectral_upsample(u: SpinorField, factor: int = 2) -> SpinorField:
     """Zero-padded Fourier interpolation onto a ``factor*n`` grid (exact)."""
-    um = as_momentum(u)
-    n = um.grid.n
+    uhat = to_momentum(u)
+    n = u.grid.n
     n2 = n * factor
-    fine = GridSpec(n2, um.grid.box_length)
+    fine = GridSpec(n2, u.grid.box_length)
     out = np.zeros((n2, n2, n2, N_COMPONENTS), dtype=np.complex128)
     idx = np.fft.fftfreq(n, 1.0 / n).astype(int)  # integer modes in FFT order
     ix = idx % n2
-    out[np.ix_(ix, ix, ix)] = um.data
-    return to_position(SpinorField(fine, out, MOMENTUM))
+    out[np.ix_(ix, ix, ix)] = uhat
+    return to_position(fine, out)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +293,7 @@ def spectral_upsample(u: SpinorField, factor: int = 2) -> SpinorField:
 
 def write_checkpoint(path, u: SpinorField, t: float, charges=(), masses=(),
                      positions=(), velocities=()) -> None:
-    up = as_position(u)
-    if not up.is_finite():
+    if not u.is_finite():
         raise ValueError("refusing to checkpoint non-finite field data")
     charges = np.atleast_1d(np.asarray(charges, dtype=float))
     masses = np.atleast_1d(np.asarray(masses, dtype=float))
@@ -325,11 +304,11 @@ def write_checkpoint(path, u: SpinorField, t: float, charges=(), masses=(),
         raise ValueError("inconsistent nucleus record lengths")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, up.grid.n))
-        fh.write(struct.pack("<ddI", up.grid.box_length, float(t), n_nuc))
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, u.grid.n))
+        fh.write(struct.pack("<ddI", u.grid.box_length, float(t), n_nuc))
         for k in range(n_nuc):
             fh.write(struct.pack("<8d", charges[k], masses[k], *positions[k], *velocities[k]))
-        fh.write(np.ascontiguousarray(up.data, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(u.data, dtype="<c16").tobytes())
 
 
 def read_checkpoint(path):
@@ -358,7 +337,7 @@ def read_checkpoint(path):
         raw = np.frombuffer(fh.read(16 * n**3 * N_COMPONENTS), dtype="<c16")
     grid = GridSpec(int(n), float(box_length))
     data = raw.reshape(n, n, n, N_COMPONENTS).astype(np.complex128)
-    field = SpinorField(grid, data, POSITION)
+    field = SpinorField(grid, data)
     if not field.is_finite():
         raise ValueError("checkpoint contains non-finite field data")
     charges = recs[:, 0].copy()

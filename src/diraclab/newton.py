@@ -25,7 +25,7 @@ import numpy as np
 
 from .dirac import apply_symbol
 from .hartree import convolve_inverse_distance
-from .lattice import SpinorField, as_momentum, as_position, charge, density, translate
+from .lattice import SpinorField, charge, density, to_momentum, translate
 from .potentials import (
     NucleusState,
     Trajectory,
@@ -108,13 +108,12 @@ def internuclear_force(nuclei) -> np.ndarray:
 def force_breakdown(u: SpinorField, nuclei, eps: float, rho: np.ndarray = None) -> ForceBreakdown:
     """Field and internuclear forces from one density of ``u`` (``rho``, when the
     caller has it) for all nuclei."""
-    up = as_position(u)
-    rho = density(up) if rho is None else rho
-    h3 = up.grid.spacing**3
+    rho = density(u) if rho is None else rho
+    h3 = u.grid.spacing**3
     fld = np.zeros((len(nuclei), 3))
     if rho.any():  # a zero field exerts exactly zero force
         for k, nuc in enumerate(nuclei):
-            dx, dy, dz = up.grid.displacement_mesh(nuc.q)
+            dx, dy, dz = u.grid.displacement_mesh(nuc.q)
             w = rho / (dx * dx + dy * dy + dz * dz + eps**2) ** 1.5
             fld[k] = nuc.Z * h3 * np.array([np.sum(w * dx), np.sum(w * dy), np.sum(w * dz)])
     return ForceBreakdown(field=fld, internuclear=internuclear_force(nuclei))
@@ -145,14 +144,14 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     built here unless the caller has them.  The nuclear terms come from ``nuclei``.
     """
     nuclei = list(nuclei)
-    up, um = as_position(u), as_momentum(u)
-    grid = up.grid
+    uhat = to_momentum(u)
+    grid = u.grid
     h3, vol = grid.spacing**3, grid.volume
-    rho = density(up) if rho is None else rho
+    rho = density(u) if rho is None else rho
     V = coulomb_field(nuclei, eps, grid) if V is None else V
-    w = np.sum(np.abs(um.data) ** 2, axis=-1)
+    w = np.sum(np.abs(uhat) ** 2, axis=-1)
     energy = EnergyBreakdown(
-        field_kinetic=float(np.vdot(um.data, apply_symbol(grid, um.data)).real / vol),
+        field_kinetic=float(np.vdot(uhat, apply_symbol(grid, uhat)).real / vol),
         interaction=float(h3 * np.sum(rho * V)),
         hartree=float(0.5 * h3 * np.sum(rho * np.real(convolve_inverse_distance(grid, rho)))),
         nuclear_kinetic=float(sum(0.5 * nuc.m * nuc.qdot @ nuc.qdot for nuc in nuclei)),
@@ -220,7 +219,7 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     eps = regularization_eps(plan.eps_reg, u0.grid)
     if charge(u0) == 0.0:
         fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, M + 1),
-                             [as_position(u0)] * (M + 1))
+                             [u0] * (M + 1))
     else:
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
         # term is exactly translation-covariant, so translating in at t0 and
@@ -413,8 +412,7 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     Trajectory, DirectRunReport).
     """
     charges, masses, q0, v0 = _initial_arrays(list(nuclei0))
-    u = as_position(u0)
-    grid = u.grid
+    u, grid = u0, u0.grid
     eps = regularization_eps(eps_reg, grid)
     floor = 2.0 * grid.spacing
     M = step_count(T, dt)

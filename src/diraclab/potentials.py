@@ -20,7 +20,6 @@ import numpy as np
 from .lattice import (
     GridSpec,
     SpinorField,
-    as_position,
     l2_distance,
     l2_norm,
     spectral_upsample,
@@ -431,22 +430,21 @@ def pullback(fmap: FreezingMap, t: float, u: SpinorField, check_l2: bool = True)
     bound = fmap.jacobian_deviation(t)
     if bound >= 1.0:
         raise ValueError(f"freezing map outside bijectivity regime: deviation {bound:.3g} >= 1")
-    up = as_position(u)
-    grid = up.grid
-    if not up.is_finite():
+    grid = u.grid
+    if not u.is_finite():
         raise ValueError("pullback input contains non-finite data")
     c = grid.coords1d
     X = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1)
     phi = fmap.apply(t, X, box_length=grid.box_length)
     coords = (phi / grid.spacing).transpose(3, 0, 1, 2)  # fractional indices
-    out = np.empty_like(up.data)
-    for comp in range(up.data.shape[-1]):
-        re = map_coordinates(up.data[..., comp].real, coords, order=3, mode="grid-wrap")
-        im = map_coordinates(up.data[..., comp].imag, coords, order=3, mode="grid-wrap")
+    out = np.empty_like(u.data)
+    for comp in range(u.data.shape[-1]):
+        re = map_coordinates(u.data[..., comp].real, coords, order=3, mode="grid-wrap")
+        im = map_coordinates(u.data[..., comp].imag, coords, order=3, mode="grid-wrap")
         out[..., comp] = re + 1j * im
-    result = SpinorField(grid, out, up.space)
+    result = SpinorField(grid, out)
     if check_l2:
-        nu, nv = l2_norm(up), l2_norm(result)
+        nu, nv = l2_norm(u), l2_norm(result)
         if nu > 0:
             C = (1.0 + bound) ** 1.5
             ratio = nv / nu
@@ -459,8 +457,8 @@ def pullback(fmap: FreezingMap, t: float, u: SpinorField, check_l2: bool = True)
 def pullback_error_estimate(fmap: FreezingMap, t: float, u: SpinorField) -> float:
     """Relative L2 interpolation error of :func:`pullback` against a 2x-refined oracle."""
     coarse = pullback(fmap, t, u, check_l2=False)
-    fine = pullback(fmap, t, spectral_upsample(as_position(u), 2), check_l2=False)
-    sub = SpinorField(u.grid, fine.data[::2, ::2, ::2, :].copy(), "position")
+    fine = pullback(fmap, t, spectral_upsample(u, 2), check_l2=False)
+    sub = SpinorField(u.grid, fine.data[::2, ::2, ::2, :].copy())
     denom = l2_norm(coarse)
     return l2_distance(coarse, sub) / denom if denom > 0 else 0.0
 

@@ -28,7 +28,6 @@ from . import dirac
 from .lattice import (
     GridSpec,
     SpinorField,
-    as_position,
     charge,
     l2_distance,
     l2_norm,
@@ -145,20 +144,19 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     (``V_out`` defaults to ``V``; with ``hartree`` either may be the scalar
     0.0, for no nuclei).  With ``hartree`` each half-kick adds the Hartree
     potential of the field it acts on.  ``drift`` is the comoving drift
-    velocity of the kinetic factor.  Returns a position-space field.
+    velocity of the kinetic factor.
     """
-    up = as_position(u)
-    grid = up.grid
-    kick = _half_kick(delta, V + hartree_potential(up) if hartree else V)
-    data = np.fft.fftn(up.data * kick, axes=(0, 1, 2))
+    grid = u.grid
+    kick = _half_kick(delta, V + hartree_potential(u) if hartree else V)
+    data = np.fft.fftn(u.data * kick, axes=(0, 1, 2))
     data = dirac.step_momentum_data(grid, data, delta, drift)
     data = np.fft.ifftn(data, axes=(0, 1, 2))
     if hartree:
-        w = SpinorField(grid, data, "position")
+        w = SpinorField(grid, data)
         kick = _half_kick(delta, (V if V_out is None else V_out) + hartree_potential(w))
     elif V_out is not None:
         kick = _half_kick(delta, V_out)
-    return SpinorField(grid, data * kick, "position")
+    return SpinorField(grid, data * kick)
 
 
 def _segments(traj: Trajectory, s: float, t: float, n_slices: int):
@@ -212,7 +210,7 @@ def _frozen_slices(traj: Trajectory, s: float, t: float, plan: PropagatorPlan, g
 
 def _apply_slices(u: SpinorField, slices, substeps: int) -> SpinorField:
     """Apply ``exp(-i dt (K + V))`` for each ``(dt, V, drift)`` slice in turn,
-    each by ``substeps`` Strang steps; returns position space."""
+    each by ``substeps`` Strang steps."""
     for (dt, V, drift) in slices:
         for _ in range(substeps):
             u = strang_step(u, dt / substeps, V, drift=drift)
@@ -234,10 +232,9 @@ def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory
         report = admissibility_check(traj, eps0=0.0, velocity_cap=plan.velocity_cap)
         if report.failures:
             raise AdmissibilityError(report)
-    up = as_position(u0)
     if t == s:
-        return up.copy()
-    return _apply_slices(up, _frozen_slices(traj, s, t, plan, up.grid), plan.substeps)
+        return u0.copy()
+    return _apply_slices(u0, _frozen_slices(traj, s, t, plan, u0.grid), plan.substeps)
 
 
 @dataclass
@@ -270,7 +267,7 @@ def evolve_linear(u0: SpinorField, s: float, t: float, traj: Trajectory, tol: fl
         diff = None if prev is None else l2_distance(u, prev)
         history.append((n_slices, plan.substeps, eps, diff))
         if diff is not None and diff < tol:
-            sol = FieldSolution([s, t], [as_position(u0).copy(), u])
+            sol = FieldSolution([s, t], [u0.copy(), u])
             return sol, RefinementReport(history, True, n_slices, tol)
         prev = u
     raise ConvergenceFailure(
@@ -319,7 +316,7 @@ def trajectory_sensitivity(u0: SpinorField, t: float, traj1: Trajectory, traj2: 
         raise ValueError("trajectories must share their initial positions")
     u1 = product_formula_evolve(u0, traj1.t0, t, traj1, plan, check_admissibility=False)
     u2 = product_formula_evolve(u0, traj2.t0, t, traj2, plan, check_admissibility=False)
-    diff = SpinorField(u0.grid, u1.data - u2.data, "position")
+    diff = SpinorField(u0.grid, u1.data - u2.data)
     return sobolev_norm(diff, sigma - 1.0)
 
 
@@ -362,7 +359,7 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     plan = plan or PropagatorPlan()
     if enforce_window:
         check_contraction_window(T, u0, sigma, contraction_const)
-    up = as_position(u0)
+    grid = u0.grid
     M = snapshot_count(plan, n_steps)
     times = traj.t0 + np.linspace(0.0, T, M + 1)
     delta = T / M
@@ -370,14 +367,14 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     step_plan = replace(plan, n_slices=M * slices_per_step)
 
     # the trajectory is fixed for the whole solve: build each step's slices once
-    steps = [list(_frozen_slices(traj, times[j], times[j + 1], step_plan, up.grid))
+    steps = [list(_frozen_slices(traj, times[j], times[j + 1], step_plan, grid))
              for j in range(M)]
 
     def linear_step(u: SpinorField, j: int) -> SpinorField:
         return _apply_slices(u, steps[j], plan.substeps)
 
     if start is None:
-        iterates = [up.copy()]
+        iterates = [u0.copy()]
         for j in range(M):
             iterates.append(linear_step(iterates[-1], j))
     elif len(start) != M + 1:
@@ -389,13 +386,11 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     converged = False
     for it in range(max_iter):
         nonl = [apply_nonlinearity(u) for u in iterates]
-        new = [up.copy()]
+        new = [u0.copy()]
         for j in range(M):
-            mid = SpinorField(up.grid, new[j].data - 0.5j * delta * nonl[j].data, "position")
+            mid = SpinorField(grid, new[j].data - 0.5j * delta * nonl[j].data)
             propagated = linear_step(mid, j)
-            nxt = SpinorField(up.grid, propagated.data - 0.5j * delta * nonl[j + 1].data,
-                              "position")
-            new.append(nxt)
+            new.append(SpinorField(grid, propagated.data - 0.5j * delta * nonl[j + 1].data))
         dist = max(l2_distance(a, b) for a, b in zip(new[1:], iterates[1:]))
         distances.append(dist)
         iterates[:] = new
@@ -421,8 +416,7 @@ def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,
     that path exactly); the Hartree potential uses the current field in the
     first half-kick and the post-kinetic field in the second.
     """
-    u = as_position(u0)
-    grid = u.grid
+    u, grid = u0, u0.grid
     eps = regularization_eps(eps_reg, grid)
     M = step_count(T, dt)
     delta = T / M

@@ -149,7 +149,7 @@ def snapshot_oracle(u, nuclei, eps, sigma):
     grid = u.grid
     h3 = grid.spacing**3
     rho = lat.density(u)
-    um = lat.to_momentum(u)
+    uhat = lat.to_momentum(u)
     out = {
         "E_field_kinetic": lat.inner(u, dirac.apply_free_dirac(u)).real,
         "E_interaction": h3 * np.sum(rho * coulomb_field(nuclei, eps, grid)),
@@ -162,7 +162,7 @@ def snapshot_oracle(u, nuclei, eps, sigma):
     out["E_total"] = sum(out[k] for k in ("E_field_kinetic", "E_interaction", "E_hartree",
                                           "E_nuclear_kinetic", "E_internuclear"))
     for i, k in enumerate(grid.freq_mesh):
-        grad = lat.to_position(lat.SpinorField(grid, k[..., None] * um.data, lat.MOMENTUM))
+        grad = lat.to_position(grid, k[..., None] * uhat)
         out["p_" + "xyz"[i]] = (lat.inner(u, grad).real
                                 + sum(nuc.m * nuc.qdot[i] for nuc in nuclei))
     return out

@@ -501,11 +501,13 @@ def test_simulate_rejects_unreadable_checkpoint(tmp_path, capsys, keep):
     (["validate", "--suite", "dirac", "--n", "12"], "--n"),
     (["validate", "--suite", "dirac", "--n", "4"], "--n"),
     (["validate", "--suite", "dirac", "--n", "8"], "--n"),
+    (["validate", "--suite", "hardy", "--seed", "-1"], "--seed"),
     (["convergence", "--config", "cfg.yaml", "--ladder", "0", "4"], "--ladder"),
+    (["convergence", "--config", "cfg.yaml", "--ladder", "8", "8", "16"], "--ladder"),
     (["groundstate", "--nu", "0.5", "--sigma", "3.0"], "--sigma"),
     (["groundstate", "--nu", "0.0", "--sigma", "1.0"], "--nu"),
-], ids=["validate-n-12", "validate-n-4", "validate-n-8", "convergence-ladder-0", "groundstate-sigma-3",
-        "groundstate-nu-0"])
+], ids=["validate-n-12", "validate-n-4", "validate-n-8", "validate-seed--1", "convergence-ladder-0",
+        "convergence-ladder-repeat", "groundstate-sigma-3", "groundstate-nu-0"])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
     p = _write_cfg(tmp_path, _cfg())
     argv = [str(p) if a == "cfg.yaml" else a for a in argv]
@@ -514,6 +516,23 @@ def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "cfg.yaml"],
+    ["validate", "--suite", "radial"],
+    ["groundstate", "--nu", "0.5", "--sigma", "1.0"],
+    ["convergence", "--config", "cfg.yaml", "--ladder", "4", "8"],
+], ids=["simulate", "validate", "groundstate", "convergence"])
+def test_cli_rejects_output_root_that_is_a_file(tmp_path, capsys, argv):
+    p = _write_cfg(tmp_path, _cfg())
+    argv = [str(p) if a == "cfg.yaml" else a for a in argv]
+    root = tmp_path / "not_a_dir"
+    root.write_text("")
+    rc = cli.main(["--output-root", str(root), *argv])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(root) in err and "Traceback" not in err
 
 
 def test_validate_unknown_suite(tmp_path, capsys):

@@ -68,7 +68,7 @@ def test_apply_free_dirac_vs_fd4_oracle():
     uh = rng.normal(size=(n, n, n, 4)) + 1j * rng.normal(size=(n, n, n, 4))
     k2 = g.freq_sq
     uh *= np.exp(-((k2 * 3.5**2 / 2.0) ** 2))[..., None]
-    u = lat.to_position(lat.SpinorField(g, uh, lat.MOMENTUM))
+    u = lat.to_position(g, uh)
     spec = dr.apply_free_dirac(u)
     m = dr.dirac_matrices()
     fd = np.einsum("ab,xyzb->xyza", m.beta, u.data)

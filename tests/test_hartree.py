@@ -75,7 +75,7 @@ def test_nonlinearity_zero_field(grid16):
 def test_phase_invariance(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.7)
     theta = 0.814
-    u_rot = lat.SpinorField(grid16, np.exp(1j * theta) * u.data, u.space)
+    u_rot = lat.SpinorField(grid16, np.exp(1j * theta) * u.data)
     phi1 = ht.hartree_potential(u)
     phi2 = ht.hartree_potential(u_rot)
     assert np.max(np.abs(phi1 - phi2)) <= 1e-10 * max(1.0, np.max(np.abs(phi1)))
@@ -87,7 +87,7 @@ def test_phase_invariance(grid16, rng):
 def test_cubic_homogeneity(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.7)
     lam = 1.7
-    scaled = lat.SpinorField(grid16, lam * u.data, u.space)
+    scaled = lat.SpinorField(grid16, lam * u.data)
     n1 = ht.apply_nonlinearity(u).data
     n2 = ht.apply_nonlinearity(scaled).data
     assert np.max(np.abs(n2 - lam**3 * n1)) <= 1e-12 * np.max(np.abs(n2))
@@ -161,7 +161,7 @@ def test_bilinear_sup_stable_under_refinement_two_hundred_triples():
         for iu, iv, iw in picks:
             pair = np.sum(np.conj(pool[iu].data) * pool[iv].data, axis=-1)
             conv = ht.convolve_inverse_distance(g, pair)
-            lhs_field = lat.SpinorField(g, conv[..., None] * pool[iw].data, "position")
+            lhs_field = lat.SpinorField(g, conv[..., None] * pool[iw].data)
             rhs = l2[iu] * h1[iv] * l2[iw]
             worst = max(worst, lat.l2_norm(lhs_field) / rhs)
         sups[n] = worst

@@ -36,10 +36,10 @@ def test_constant_field_dc_mode(grid16):
     c = np.array([1.0, 0.5j, -0.25, 0.0])
     u = lat.constant_spinor(grid16, c)
     uh = lat.to_momentum(u)
-    assert np.allclose(uh.data[0, 0, 0], c * grid16.volume)
-    mask = np.ones(uh.data.shape[:3], dtype=bool)
+    assert np.allclose(uh[0, 0, 0], c * grid16.volume)
+    mask = np.ones(uh.shape[:3], dtype=bool)
     mask[0, 0, 0] = False
-    assert np.max(np.abs(uh.data[mask])) < 1e-10 * grid16.volume
+    assert np.max(np.abs(uh[mask])) < 1e-10 * grid16.volume
 
 
 def test_plane_wave_single_mode(grid16):
@@ -48,25 +48,24 @@ def test_plane_wave_single_mode(grid16):
     uh = lat.to_momentum(u)
     n = grid16.n
     idx = (2 % n, (-1) % n, 3 % n)
-    assert np.allclose(uh.data[idx], w * grid16.volume)
-    total = np.sum(np.abs(uh.data) ** 2)
-    assert np.sum(np.abs(uh.data[idx]) ** 2) == pytest.approx(total, rel=1e-12)
+    assert np.allclose(uh[idx], w * grid16.volume)
+    total = np.sum(np.abs(uh) ** 2)
+    assert np.sum(np.abs(uh[idx]) ** 2) == pytest.approx(total, rel=1e-12)
 
 
 def test_round_trip_and_parseval(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=5, decay=0.5)
-    um = lat.to_momentum(u)
-    back = lat.to_position(um)
+    uhat = lat.to_momentum(u)
+    back = lat.to_position(grid16, uhat)
     assert lat.l2_distance(back, u) / lat.l2_norm(u) < 1e-12
-    assert lat.charge(um) == pytest.approx(lat.charge(u), rel=1e-12)
+    assert np.sum(np.abs(uhat) ** 2) / grid16.volume == pytest.approx(lat.charge(u), rel=1e-12)
 
 
-def test_transform_space_guards(grid16):
-    u = lat.zero_spinor(grid16)
-    with pytest.raises(ValueError):
-        lat.to_position(u)
-    with pytest.raises(ValueError):
-        lat.to_momentum(lat.to_momentum(u))
+def test_spinor_field_holds_position_data_only(grid16):
+    data = lat.zero_spinor(grid16).data
+    assert np.array_equal(lat.SpinorField(grid16, data, "position").data, data)
+    with pytest.raises(ValueError, match="to_position"):
+        lat.SpinorField(grid16, data, "momentum")
 
 
 def test_sobolev_zero_order_is_charge(grid16, rng):
@@ -112,7 +111,7 @@ def test_norm_linearity(alpha_re, alpha_im, seed):
     g = lat.make_grid(8, 6.0)
     u = lat.random_smooth_field(g, np.random.default_rng(seed), kmax=2, decay=0.4)
     a = complex(alpha_re, alpha_im)
-    au = lat.SpinorField(g, a * u.data, u.space)
+    au = lat.SpinorField(g, a * u.data)
     for s in (0.0, 1.0, 1.4):
         expect = abs(a) * lat.sobolev_norm(u, s)
         assert lat.sobolev_norm(au, s) == pytest.approx(expect, rel=1e-12, abs=1e-13)

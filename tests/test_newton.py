@@ -32,7 +32,7 @@ def test_field_force_is_minus_gradient_of_interaction_energy():
     rng = np.random.default_rng(7)
     raw = lat.random_smooth_field(g, rng, kmax=4, decay=1.0)
     env = np.exp(-g.radius_sq_from((0, 0, 0)) / (2 * (g.box_length / 7) ** 2))
-    u = lat.SpinorField(g, env[..., None] * raw.data, "position")
+    u = lat.SpinorField(g, env[..., None] * raw.data)
     eps = 0.8
     q0 = np.array([0.7, -0.3, 0.2])
     F = nt.field_force(u, NucleusState(0.5, 1.0, q0, (0, 0, 0)), eps)
@@ -388,7 +388,7 @@ def test_translation_equivariance_lattice_shift(grid16):
     shift_cells = 3
     s = np.array([shift_cells * h, 0.0, 0.0])
     u0 = lat.gaussian_spinor(grid16, (0.0, 0, 0), 1.3, (0.4, 0.1, 0, 0))
-    u0s = lat.SpinorField(grid16, np.roll(u0.data, shift_cells, axis=0), "position")
+    u0s = lat.SpinorField(grid16, np.roll(u0.data, shift_cells, axis=0))
     nuc = [NucleusState(0.5, 10.0, (-0.75, 0, 0), (0.05, 0, 0))]
     nuc_s = [NucleusState(0.5, 10.0, (-0.75 + s[0], 0, 0), (0.05, 0, 0))]
     fa, ta, _ = nt.coupled_direct(u0, nuc, 0.3, 0.3 / 24, eps_reg=0.75)

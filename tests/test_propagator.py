@@ -49,7 +49,7 @@ def test_frozen_step_constant_potential_is_global_phase(grid16, rng):
     dt = 0.4
     out = pr.strang_step(pr.strang_step(u, dt / 2, V), dt / 2, V)
     free = dr.free_propagator_step(u, dt)
-    expected = lat.SpinorField(grid16, np.exp(-1j * dt * c) * free.data, "position")
+    expected = lat.SpinorField(grid16, np.exp(-1j * dt * c) * free.data)
     assert lat.l2_distance(out, expected) / lat.l2_norm(u) < 1e-12
 
 
@@ -330,7 +330,7 @@ def test_split_step_self_convergence_first_order_or_better(grid16):
 def test_split_step_gauge_covariance(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.6, 0.1, 0, 0))
     theta = 1.234
-    u0_rot = lat.SpinorField(grid16, np.exp(1j * theta) * u0.data, "position")
+    u0_rot = lat.SpinorField(grid16, np.exp(1j * theta) * u0.data)
     traj = _static_traj(T=0.4)
     a = pr.split_step_nonlinear(u0, traj, 0.4, 0.05, eps_reg=0.8)
     b = pr.split_step_nonlinear(u0_rot, traj, 0.4, 0.05, eps_reg=0.8)
