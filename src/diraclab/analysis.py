@@ -20,7 +20,7 @@ from .lattice import (
     density,
     homogeneous_sobolev_norm,
     random_smooth_field,
-    sobolev_norm,
+    sobolev_norms,
 )
 
 
@@ -32,19 +32,26 @@ def _clipped_radius(grid: GridSpec) -> np.ndarray:
     return np.maximum(grid.radius_from((0.0, 0.0, 0.0)), grid.spacing / 2.0)
 
 
+def _hardy_ratios(u: SpinorField, sigmas, r: np.ndarray) -> list:
+    """Hardy ratios of u at each sigma from one spectrum and one density; r: clipped radius."""
+    for sigma in sigmas:
+        if not 0.0 <= sigma < 1.5:
+            raise ValueError(f"sigma must lie in [0, 3/2), got {sigma}")
+    rho = density(u)
+    ratios = []
+    for sigma, norm in zip(sigmas, sobolev_norms(u, sigmas, homogeneous=True)):
+        rhs = norm**2
+        lhs = u.grid.spacing**3 * np.sum(rho * r ** (-2.0 * sigma))
+        ratios.append(float(lhs / rhs) if rhs != 0.0 else 0.0)
+    return ratios
+
+
 def hardy_ratio(u: SpinorField, sigma: float) -> float:
     """``(h^3 sum |u|^2 / max(|x|, h/2)^(2 sigma)) / ||u||_{Hdot^sigma}^2``.
 
     sigma must lie in [0, 3/2); returns 0 for the zero field.
     """
-    if not 0.0 <= sigma < 1.5:
-        raise ValueError(f"sigma must lie in [0, 3/2), got {sigma}")
-    rhs = homogeneous_sobolev_norm(u, sigma) ** 2
-    if rhs == 0.0:
-        return 0.0
-    w = _clipped_radius(u.grid) ** (-2.0 * sigma)
-    lhs = u.grid.spacing**3 * np.sum(density(u) * w)
-    return float(lhs / rhs)
+    return _hardy_ratios(u, (sigma,), _clipped_radius(u.grid))[0]
 
 
 @dataclass
@@ -79,16 +86,20 @@ def rellich_ratio(u: SpinorField) -> RellichResult:
     return RellichResult(float(lhs / rhs), flag)
 
 
+def _coulomb_multiplier_ratios(u: SpinorField, sigmas, r: np.ndarray) -> list:
+    """Multiplier ratios of u at each sigma, from one spectrum each of u and u/r."""
+    for sigma in sigmas:
+        if not 1.0 <= sigma < 1.5:
+            raise ValueError(f"sigma must lie in [1, 3/2), got {sigma}")
+    weighted = SpinorField(u.grid, (1.0 / r)[..., None] * u.data)
+    lhs = sobolev_norms(weighted, [sigma - 1.0 for sigma in sigmas])
+    return [float(num / rhs) if rhs != 0.0 else 0.0
+            for num, rhs in zip(lhs, sobolev_norms(u, sigmas))]
+
+
 def coulomb_multiplier_ratio(u: SpinorField, sigma: float) -> float:
     """``||u / max(|x|, h/2)||_{H^(sigma-1)} / ||u||_{H^sigma}`` for sigma in [1, 3/2)."""
-    if not 1.0 <= sigma < 1.5:
-        raise ValueError(f"sigma must lie in [1, 3/2), got {sigma}")
-    rhs = sobolev_norm(u, sigma)
-    if rhs == 0.0:
-        return 0.0
-    w = 1.0 / _clipped_radius(u.grid)
-    weighted = SpinorField(u.grid, w[..., None] * u.data)
-    return float(sobolev_norm(weighted, sigma - 1.0) / rhs)
+    return _coulomb_multiplier_ratios(u, (sigma,), _clipped_radius(u.grid))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +288,10 @@ def hardy_report(grid: GridSpec, sigmas=(1.0, 1.2, 1.4), n_samples: int = 40,
     rep = InequalityReport("hardy", "random-smooth", grid.n, grid.box_length,
                            grid.spacing / 2, seed,
                            metadata={"sigmas": list(sigmas), "n_samples": n_samples})
+    r = _clipped_radius(grid)
     for i, u in _family(grid, seed, n_samples):
-        for s in sigmas:
-            rep.samples.append({"index": i, "sigma": s, "ratio": hardy_ratio(u, s)})
+        for s, ratio in zip(sigmas, _hardy_ratios(u, sigmas, r)):
+            rep.samples.append({"index": i, "sigma": s, "ratio": ratio})
     return rep
 
 
@@ -288,10 +300,10 @@ def coulomb_multiplier_report(grid: GridSpec, sigmas=(1.0, 1.2, 1.4), n_samples:
     rep = InequalityReport("coulomb-multiplier", "random-smooth", grid.n, grid.box_length,
                            grid.spacing / 2, seed,
                            metadata={"sigmas": list(sigmas), "n_samples": n_samples})
+    r = _clipped_radius(grid)
     for i, u in _family(grid, seed, n_samples):
-        for s in sigmas:
-            rep.samples.append({"index": i, "sigma": s,
-                                "ratio": coulomb_multiplier_ratio(u, s)})
+        for s, ratio in zip(sigmas, _coulomb_multiplier_ratios(u, sigmas, r)):
+            rep.samples.append({"index": i, "sigma": s, "ratio": ratio})
     return rep
 
 

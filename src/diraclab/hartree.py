@@ -18,7 +18,7 @@ from .lattice import (
     SpinorField,
     density,
     l2_norm,
-    sobolev_norm,
+    sobolev_norms,
 )
 
 
@@ -43,8 +43,9 @@ def convolve_inverse_distance(grid: GridSpec, source: np.ndarray) -> np.ndarray:
 
 
 def hartree_potential(u: SpinorField) -> np.ndarray:
-    """The mean-field potential ``(<u,u> * 1/|x|)`` of the field's own density."""
-    return np.real(convolve_inverse_distance(u.grid, density(u)))
+    """The mean-field potential ``(<u,u> * 1/|x|)`` of the field's own density, as an
+    array that owns its data (a view of the real part would keep the complex buffer)."""
+    return convolve_inverse_distance(u.grid, density(u)).real.copy()
 
 
 def apply_nonlinearity(u: SpinorField) -> SpinorField:
@@ -85,9 +86,10 @@ def bilinear_estimate_report(u: SpinorField, v: SpinorField, w: SpinorField,
     def ratio(lhs: float, rhs: float) -> float:
         return lhs / rhs if rhs > 0.0 else 0.0
 
-    l2 = ratio(l2_norm(lhs_field), l2_norm(u) * sobolev_norm(v, 1.0) * l2_norm(w))
-    h1 = ratio(sobolev_norm(lhs_field, 1.0),
-               sobolev_norm(u, 1.0) * sobolev_norm(v, 1.0) * sobolev_norm(w, 1.0))
-    hs1 = ratio(sobolev_norm(lhs_field, s + 1.0),
-                sobolev_norm(u, s + 1.0) * sobolev_norm(v, s + 1.0) * sobolev_norm(w, s + 1.0))
+    sig = (1.0, s + 1.0)
+    (lhs1, lhs_s1), (u1, u_s1), (v1, v_s1), (w1, w_s1) = (
+        sobolev_norms(f, sig) for f in (lhs_field, u, v, w))
+    l2 = ratio(l2_norm(lhs_field), l2_norm(u) * v1 * l2_norm(w))
+    h1 = ratio(lhs1, u1 * v1 * w1)
+    hs1 = ratio(lhs_s1, u_s1 * v_s1 * w_s1)
     return BilinearRatios(l2=l2, h1=h1, hs1=hs1, s=s)

@@ -184,15 +184,12 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
     n = grid.n
     if kmax >= n // 2:
         raise ValueError("kmax must be below the Nyquist index n/2")
+    mx, my, mz = np.mgrid[-kmax:kmax + 1, -kmax:kmax + 1, -kmax:kmax + 1].reshape(3, -1)
+    z = rng.normal(size=(mx.size, 2, N_COMPONENTS))  # per mode, mx-major: 4 real, 4 imaginary
+    xi2 = (2.0 * np.pi / grid.box_length) ** 2 * (mx * mx + my * my + mz * mz)
+    damp = np.exp(-0.5 * xi2 * decay**2)
     uhat = np.zeros((n, n, n, N_COMPONENTS), dtype=np.complex128)
-    scale = 2.0 * np.pi / grid.box_length
-    for mx in range(-kmax, kmax + 1):
-        for my in range(-kmax, kmax + 1):
-            for mz in range(-kmax, kmax + 1):
-                coeff = rng.normal(size=N_COMPONENTS) + 1j * rng.normal(size=N_COMPONENTS)
-                xi2 = scale**2 * (mx * mx + my * my + mz * mz)
-                damp = np.exp(-0.5 * xi2 * decay**2)
-                uhat[mx % n, my % n, mz % n] = coeff * damp
+    uhat[mx % n, my % n, mz % n] = (z[:, 0] + 1j * z[:, 1]) * damp[:, None]
     uhat *= amplitude * grid.volume / (2 * kmax + 1) ** 1.5
     return to_position(grid, uhat)
 
@@ -203,12 +200,16 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
 
 def to_momentum(u: SpinorField) -> np.ndarray:
     """The spectrum ``uhat = h^3 fftn(u)`` of a field, as a plain array."""
-    return np.fft.fftn(u.data, axes=(0, 1, 2)) * u.grid.spacing**3
+    uhat = np.fft.fftn(u.data, axes=(0, 1, 2))
+    uhat *= u.grid.spacing**3
+    return uhat
 
 
 def to_position(grid: GridSpec, uhat: np.ndarray) -> SpinorField:
     """The field ``ifftn(uhat) / h^3`` on ``grid`` of a spectrum ``uhat``."""
-    return SpinorField(grid, np.fft.ifftn(uhat, axes=(0, 1, 2)) / grid.spacing**3)
+    x = np.fft.ifftn(uhat, axes=(0, 1, 2))
+    x /= grid.spacing**3
+    return SpinorField(grid, x)
 
 
 def density(u: SpinorField) -> np.ndarray:
@@ -235,29 +236,36 @@ def l2_distance(u: SpinorField, v: SpinorField) -> float:
     return float(np.sqrt(u.grid.spacing**3 * np.sum(np.abs(diff) ** 2)))
 
 
+def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
+    """The norm of ``u`` at each sigma in ``sigmas``, all from one transform.
+
+    Multiplier ``(1+|xi|^2)^(sigma/2)`` for sigma in [0, 2], or with
+    ``homogeneous`` ``|xi|^sigma`` with the xi=0 mode dropped, for sigma >= 0.
+    """
+    for sigma in sigmas:
+        if homogeneous and sigma < 0:
+            raise ValueError("sigma must be nonnegative")
+        if not homogeneous and not 0.0 <= sigma <= 2.0:
+            raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
+    uhat = to_momentum(u)
+    k2 = u.grid.freq_sq
+    weights = [np.where(k2 > 0.0, np.where(k2 > 0.0, k2, 1.0) ** sigma, 0.0)
+               if homogeneous else (1.0 + k2) ** sigma for sigma in sigmas]
+    power = np.abs(uhat) ** 2
+    return [float(np.sqrt(np.sum(w[..., None] * power) / u.grid.volume)) for w in weights]
+
+
 def sobolev_norm(u: SpinorField, sigma: float) -> float:
     """Inhomogeneous Sobolev norm with multiplier ``(1+|xi|^2)^(sigma/2)``.
 
     ``sigma`` must lie in [0, 2]; ``sobolev_norm(u, 0)`` equals ``sqrt(charge(u))``.
     """
-    if not 0.0 <= sigma <= 2.0:
-        raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
-    uhat = to_momentum(u)
-    weight = (1.0 + u.grid.freq_sq) ** sigma
-    total = np.sum(weight[..., None] * np.abs(uhat) ** 2)
-    return float(np.sqrt(total / u.grid.volume))
+    return sobolev_norms(u, (sigma,))[0]
 
 
 def homogeneous_sobolev_norm(u: SpinorField, sigma: float) -> float:
     """Homogeneous norm with multiplier ``|xi|^sigma``; the xi=0 mode is dropped."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    uhat = to_momentum(u)
-    k2 = u.grid.freq_sq
-    weight = np.where(k2 > 0.0, k2, 1.0) ** sigma
-    weight = np.where(k2 > 0.0, weight, 0.0)
-    total = np.sum(weight[..., None] * np.abs(uhat) ** 2)
-    return float(np.sqrt(total / u.grid.volume))
+    return sobolev_norms(u, (sigma,), homogeneous=True)[0]
 
 
 def translate(u: SpinorField, shift) -> SpinorField:

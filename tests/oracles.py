@@ -166,3 +166,22 @@ def snapshot_oracle(u, nuclei, eps, sigma):
         out["p_" + "xyz"[i]] = (lat.inner(u, grad).real
                                 + sum(nuc.m * nuc.qdot[i] for nuc in nuclei))
     return out
+
+
+def random_smooth_field_loop(grid, rng, kmax=5, decay=1.0, amplitude=1.0):
+    """``lattice.random_smooth_field`` written as one draw per mode: eight normals
+    (four real parts, then four imaginary parts) for each (mx, my, mz) in
+    mx-major order, damped and stored one mode at a time."""
+    n = grid.n
+    uhat = np.zeros((n, n, n, lat.N_COMPONENTS), dtype=np.complex128)
+    scale = 2.0 * np.pi / grid.box_length
+    for mx in range(-kmax, kmax + 1):
+        for my in range(-kmax, kmax + 1):
+            for mz in range(-kmax, kmax + 1):
+                coeff = (rng.normal(size=lat.N_COMPONENTS)
+                         + 1j * rng.normal(size=lat.N_COMPONENTS))
+                xi2 = scale**2 * (mx * mx + my * my + mz * mz)
+                damp = np.exp(-0.5 * xi2 * decay**2)
+                uhat[mx % n, my % n, mz % n] = coeff * damp
+    uhat *= amplitude * grid.volume / (2 * kmax + 1) ** 1.5
+    return lat.to_position(grid, uhat)

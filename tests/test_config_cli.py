@@ -11,8 +11,10 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from diraclab import analysis as an
 from diraclab import cli
 from diraclab import config as cf
+from diraclab import hartree as ht
 from diraclab import lattice as lat
 from diraclab import newton as nt
 from diraclab.potentials import coulomb_field
@@ -553,6 +555,35 @@ def test_validate_radial_suite(tmp_path):
 def test_validate_dirac_suite(tmp_path):
     rc = cli.main(["--output-root", str(tmp_path), "validate", "--suite", "dirac", "--n", "16"])
     assert rc == 0
+
+
+def test_validate_lab_transforms_each_field_once(grid16, monkeypatch):
+    # every field is normed at all its sigmas from one spectrum: a bilinear
+    # triple takes one each of u, v, w and the left-hand field, a Hardy sample
+    # one of u, a multiplier sample one each of u and u/max(|x|, h/2)
+    calls = _count_calls(monkeypatch, {"to_momentum": lat.to_momentum})
+    rng = np.random.default_rng(5)
+    u, v, w = (lat.random_smooth_field(grid16, rng, kmax=3, decay=0.8) for _ in range(3))
+    ht.bilinear_estimate_report(u, v, w)
+    assert calls == {"to_momentum": 4}
+    calls["to_momentum"] = 0
+    an.hardy_report(grid16, sigmas=(1.0, 1.2, 1.4), n_samples=3, seed=9)
+    assert calls == {"to_momentum": 3}
+    calls["to_momentum"] = 0
+    an.coulomb_multiplier_report(grid16, sigmas=(1.0, 1.2, 1.4), n_samples=3, seed=9)
+    assert calls == {"to_momentum": 6}
+
+
+def test_validate_is_reproducible(tmp_path):
+    for run in ("a", "b"):
+        rc = cli.main(["--output-root", str(tmp_path / run), "validate", "--suite", "all",
+                       "--n", "16", "--seed", "3"])
+        assert rc == 0
+    files = sorted(p.name for p in (tmp_path / "a" / "validate").glob("*.jsonl"))
+    assert len(files) == 6
+    for name in files:
+        assert ((tmp_path / "a" / "validate" / name).read_bytes()
+                == (tmp_path / "b" / "validate" / name).read_bytes()), name
 
 
 def test_groundstate_cli_table(tmp_path):

@@ -23,6 +23,13 @@ def test_potential_of_zero_field(grid16):
     assert np.max(np.abs(ht.hartree_potential(u))) == 0.0
 
 
+def test_potential_is_contiguous_and_owns_its_data(grid16, rng):
+    # a strided view of the complex convolution would keep that buffer alive
+    V = ht.hartree_potential(lat.random_smooth_field(grid16, rng, kmax=3, decay=0.7))
+    assert V.dtype == np.float64
+    assert V.flags["C_CONTIGUOUS"] and V.flags["OWNDATA"] and V.base is None
+
+
 def test_gaussian_potential_matches_erf_formula():
     # rho = exp(-|x|^2): potential pi^(3/2) erf(r)/r, compared on the central
     # region after aligning the free additive constant (the torus kernel is

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diraclab import lattice as lat
-from oracles import gaussian_h1_sq
+from oracles import gaussian_h1_sq, random_smooth_field_loop
 
 
 def test_make_grid_basic():
@@ -115,6 +115,35 @@ def test_norm_linearity(alpha_re, alpha_im, seed):
     for s in (0.0, 1.0, 1.4):
         expect = abs(a) * lat.sobolev_norm(u, s)
         assert lat.sobolev_norm(au, s) == pytest.approx(expect, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("kmax", [2, 3, 4, 5])
+def test_random_smooth_field_matches_loop_oracle(n, kmax):
+    # the vectorized draw takes the same normals in the same order, so the
+    # field and the generator state after it are those of the per-mode loop
+    g = lat.make_grid(n, 12.0)
+    rng_new, rng_old = np.random.default_rng(n + kmax), np.random.default_rng(n + kmax)
+    u = lat.random_smooth_field(g, rng_new, kmax=kmax, decay=0.7, amplitude=1.3)
+    ref = random_smooth_field_loop(g, rng_old, kmax=kmax, decay=0.7, amplitude=1.3)
+    assert np.array_equal(u.data.view(np.float64), ref.data.view(np.float64))
+    assert rng_new.normal() == rng_old.normal()
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_sobolev_norms_equal_one_sigma_norms_exactly(grid16, rng, homogeneous):
+    u = lat.random_smooth_field(grid16, rng, kmax=5, decay=0.5)
+    sigmas = (0.0, 0.5, 1.0, 1.25, 1.4, 2.0)
+    one = lat.homogeneous_sobolev_norm if homogeneous else lat.sobolev_norm
+    assert lat.sobolev_norms(u, sigmas, homogeneous) == [one(u, s) for s in sigmas]
+
+
+def test_sobolev_norms_check_every_sigma(grid16):
+    u = lat.constant_spinor(grid16, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="sigma"):
+        lat.sobolev_norms(u, (1.0, 2.5))
+    with pytest.raises(ValueError, match="sigma"):
+        lat.sobolev_norms(u, (1.0, -0.5), homogeneous=True)
 
 
 def test_homogeneous_norm_drops_zero_mode(grid16):
