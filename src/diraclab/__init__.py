@@ -46,7 +46,6 @@ from .newton import (
     ForceBreakdown,
     coupled_direct,
     coupled_fixed_point,
-    field_force,
     internuclear_force,
     trajectory_map_P,
 )

@@ -18,7 +18,6 @@ from .lattice import (
     GridSpec,
     SpinorField,
     density,
-    homogeneous_sobolev_norm,
     random_smooth_field,
     sobolev_norms,
 )
@@ -32,12 +31,15 @@ def _clipped_radius(grid: GridSpec) -> np.ndarray:
     return np.maximum(grid.radius_from((0.0, 0.0, 0.0)), grid.spacing / 2.0)
 
 
-def _hardy_ratios(u: SpinorField, sigmas, r: np.ndarray) -> list:
-    """Hardy ratios of u at each sigma from one spectrum and one density; r: clipped radius."""
+def _check_hardy_sigmas(sigmas) -> None:
     for sigma in sigmas:
         if not 0.0 <= sigma < 1.5:
             raise ValueError(f"sigma must lie in [0, 3/2), got {sigma}")
-    rho = density(u)
+
+
+def _hardy_ratios(u: SpinorField, rho: np.ndarray, sigmas, r: np.ndarray) -> list:
+    """``h^3 sum rho r^(-2 sigma) / ||u||_{Hdot^sigma}^2`` at each sigma from one
+    spectrum of u; rho: its density, r: the clipped radius.  0 where the norm is."""
     ratios = []
     for sigma, norm in zip(sigmas, sobolev_norms(u, sigmas, homogeneous=True)):
         rhs = norm**2
@@ -51,7 +53,8 @@ def hardy_ratio(u: SpinorField, sigma: float) -> float:
 
     sigma must lie in [0, 3/2); returns 0 for the zero field.
     """
-    return _hardy_ratios(u, (sigma,), _clipped_radius(u.grid))[0]
+    _check_hardy_sigmas((sigma,))
+    return _hardy_ratios(u, density(u), (sigma,), _clipped_radius(u.grid))[0]
 
 
 @dataclass
@@ -60,30 +63,21 @@ class RellichResult:
     vanishes_near_origin: bool
 
 
-def vanishes_near_origin(u: SpinorField, radius_factor: float = 3.0,
-                         rel_tol: float = 1e-6) -> bool:
-    r = u.grid.radius_from((0.0, 0.0, 0.0))
-    rho = np.sqrt(density(u))
-    peak = float(np.max(rho))
-    if peak == 0.0:
-        return True
-    near = rho[r <= radius_factor * u.grid.spacing]
-    return bool(near.size == 0 or np.max(near) <= rel_tol * peak)
-
-
 def rellich_ratio(u: SpinorField) -> RellichResult:
-    """``(h^3 sum |u|^2/max(|x|,h/2)^4) / ||Delta u||_L2^2`` with a hypothesis flag.
+    """``(h^3 sum |u|^2/max(|x|,h/2)^4) / ||Delta u||_L2^2`` (the Hardy ratio at
+    sigma = 2) with a hypothesis flag.
 
-    The flag records whether u vanishes near the origin (the class the
-    inequality is stated for); callers decide how to treat flagged samples.
+    The flag records whether |u| vanishes, to 1e-6 of its peak, within three grid
+    spacings of the origin (the class the inequality is stated for); callers
+    decide how to treat flagged samples.
     """
-    rhs = homogeneous_sobolev_norm(u, 2.0) ** 2
-    flag = vanishes_near_origin(u)
-    if rhs == 0.0:
-        return RellichResult(0.0, flag)
-    w = _clipped_radius(u.grid) ** (-4.0)
-    lhs = u.grid.spacing**3 * np.sum(density(u) * w)
-    return RellichResult(float(lhs / rhs), flag)
+    r = _clipped_radius(u.grid)
+    rho = density(u)
+    amplitude = np.sqrt(rho)
+    peak = float(np.max(amplitude))
+    near = amplitude[r <= 3.0 * u.grid.spacing]
+    flag = bool(peak == 0.0 or near.size == 0 or np.max(near) <= 1e-6 * peak)
+    return RellichResult(_hardy_ratios(u, rho, (2.0,), r)[0], flag)
 
 
 def _coulomb_multiplier_ratios(u: SpinorField, sigmas, r: np.ndarray) -> list:
@@ -288,9 +282,10 @@ def hardy_report(grid: GridSpec, sigmas=(1.0, 1.2, 1.4), n_samples: int = 40,
     rep = InequalityReport("hardy", "random-smooth", grid.n, grid.box_length,
                            grid.spacing / 2, seed,
                            metadata={"sigmas": list(sigmas), "n_samples": n_samples})
+    _check_hardy_sigmas(sigmas)
     r = _clipped_radius(grid)
     for i, u in _family(grid, seed, n_samples):
-        for s, ratio in zip(sigmas, _hardy_ratios(u, sigmas, r)):
+        for s, ratio in zip(sigmas, _hardy_ratios(u, density(u), sigmas, r)):
             rep.samples.append({"index": i, "sigma": s, "ratio": ratio})
     return rep
 

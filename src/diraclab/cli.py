@@ -8,6 +8,7 @@ DIRACLAB_OUTPUT_ROOT environment variable (default: current directory).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, groundstate as gs
-from .config import ConfigError, build_initial_state, load_config
+from .config import ConfigError, build_initial_state, load_config, parse_config, read_config
 from .dirac import apply_free_dirac, dirac_matrices
 from .hartree import bilinear_estimate_report
 from .lattice import (
@@ -103,63 +104,80 @@ def _write_timeseries(path: Path, fsol, traj, rep, every: int) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_simulate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        for w in cfg.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        grid, u0, nuclei = build_initial_state(cfg)
-        if charge(u0) > 0:
-            check_contraction_window(cfg.time.T, u0, cfg.solver.sigma,
-                                     cfg.solver.contraction_const)
-    except (ConfigError, ContractionWindowError) as exc:
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    # created once the run is accepted, before the solve, so that failure.json has a home
-    outdir = _output_dir(args, cfg.output.path)
+def _initial_state(cfg):
+    """(grid, u0, nuclei) of a parsed config whose field passes the contraction window."""
+    grid, u0, nuclei = build_initial_state(cfg)
+    if charge(u0) > 0:
+        check_contraction_window(cfg.time.T, u0, cfg.solver.sigma,
+                                 cfg.solver.contraction_const)
+    return grid, u0, nuclei
 
+
+def _run_solvers(cfg, grid, u0, nuclei):
+    """The config's solver or solvers from (u0, nuclei): ``{name: (fsol, traj, report)}``
+    and ``{name: manifest entry}``.  Solver errors (``SOLVER_ERRORS``) propagate."""
     eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     plan = PropagatorPlan(
         frame="comoving_single" if cfg.solver.mode == "comoving" else "lab",
         n_slices=cfg.time.n_slices, eps_reg=eps, velocity_cap=cfg.solver.velocity_cap)
     n_steps = step_count(cfg.time.T, cfg.time.dt)
+    results, entries = {}, {}
+    if cfg.solver.method in ("fixed_point", "both"):
+        t0 = time.time()
+        fsol, traj, rep = coupled_fixed_point(
+            u0, nuclei, cfg.time.T, tol=cfg.solver.fixedpoint.tol,
+            max_outer=cfg.solver.fixedpoint.max_outer, theta=cfg.solver.fixedpoint.damping,
+            plan=plan, n_steps=n_steps, eps0=cfg.physics.epsilon0,
+            picard_tol=cfg.solver.picard.tol, picard_max_iter=cfg.solver.picard.max_iter,
+            sigma=cfg.solver.sigma, contraction_const=cfg.solver.contraction_const)
+        results["fixed_point"] = (fsol, traj, rep)
+        entries["fixed_point"] = {
+            "outer_iterations": rep.outer_iterations, "step_history": rep.step_history,
+            "newton_residual": rep.newton_residual,
+            "admissibility_failures": rep.admissibility_failures,
+            "charge_drift": fsol.charge_drift(), "wall_time": time.time() - t0,
+        }
+    if cfg.solver.method in ("direct", "both"):
+        t0 = time.time()
+        fsol, traj, rep = coupled_direct(u0, nuclei, cfg.time.T, cfg.time.dt, eps_reg=eps,
+                                        sigma=cfg.solver.sigma)
+        results["direct"] = (fsol, traj, rep)
+        entries["direct"] = {
+            "energy_drift": rep.energy_drift, "momentum_drift": rep.momentum_drift,
+            "charge_drift": rep.charge_drift, "wall_time": time.time() - t0,
+        }
+    return results, entries
+
+
+def _solver_failure(outdir: Path, exc) -> int:
+    """Write ``failure.json`` for a solver error and report it."""
+    record = {"status": "failure", "error": type(exc).__name__, "message": str(exc),
+              "history": getattr(exc, "history", None)}
+    (outdir / "failure.json").write_text(json.dumps(record, indent=2, default=str))
+    print(f"solver failure: {exc}", file=sys.stderr)
+    return EXIT_SOLVER
+
+
+def cmd_simulate(args) -> int:
+    try:
+        cfg = load_config(args.config)
+        for w in cfg.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        grid, u0, nuclei = _initial_state(cfg)
+    except (ConfigError, ContractionWindowError) as exc:
+        print(f"config rejected: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # created once the run is accepted, before the solve, so that failure.json has a home
+    outdir = _output_dir(args, cfg.output.path)
     manifest = {
         "version": __version__, "config_hash": cfg.config_hash(), "seed": cfg.seed,
         "config": json.loads(json.dumps(asdict(cfg), default=str)),
-        "epsilon_reg": eps, "outputs": [], "solvers": {},
+        "epsilon_reg": regularization_eps(cfg.physics.epsilon_reg, grid), "outputs": [],
     }
-    results = {}
     try:
-        if cfg.solver.method in ("fixed_point", "both"):
-            t0 = time.time()
-            fsol, traj, rep = coupled_fixed_point(
-                u0, nuclei, cfg.time.T, tol=cfg.solver.fixedpoint.tol,
-                max_outer=cfg.solver.fixedpoint.max_outer, theta=cfg.solver.fixedpoint.damping,
-                plan=plan, n_steps=n_steps, eps0=cfg.physics.epsilon0,
-                picard_tol=cfg.solver.picard.tol, picard_max_iter=cfg.solver.picard.max_iter,
-                sigma=cfg.solver.sigma, contraction_const=cfg.solver.contraction_const)
-            results["fixed_point"] = (fsol, traj, rep)
-            manifest["solvers"]["fixed_point"] = {
-                "outer_iterations": rep.outer_iterations, "step_history": rep.step_history,
-                "newton_residual": rep.newton_residual,
-                "admissibility_failures": rep.admissibility_failures,
-                "charge_drift": fsol.charge_drift(), "wall_time": time.time() - t0,
-            }
-        if cfg.solver.method in ("direct", "both"):
-            t0 = time.time()
-            fsol, traj, rep = coupled_direct(u0, nuclei, cfg.time.T, cfg.time.dt, eps_reg=eps,
-                                            sigma=cfg.solver.sigma)
-            results["direct"] = (fsol, traj, rep)
-            manifest["solvers"]["direct"] = {
-                "energy_drift": rep.energy_drift, "momentum_drift": rep.momentum_drift,
-                "charge_drift": rep.charge_drift, "wall_time": time.time() - t0,
-            }
+        results, manifest["solvers"] = _run_solvers(cfg, grid, u0, nuclei)
     except SOLVER_ERRORS as exc:
-        record = {"status": "failure", "error": type(exc).__name__, "message": str(exc),
-                  "history": getattr(exc, "history", None)}
-        (outdir / "failure.json").write_text(json.dumps(record, indent=2, default=str))
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_failure(outdir, exc)
 
     if len(results) == 2:
         (fa, ta, _), (fb, tb, _) = results["fixed_point"], results["direct"]
@@ -362,30 +380,95 @@ def cmd_groundstate(args) -> int:
     return EXIT_OK if consistent_all else EXIT_INVARIANT
 
 
-def cmd_convergence(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        grid, u0, _ = build_initial_state(cfg)
-    except ConfigError as exc:
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    outdir = _output_dir(args, args.out)
+# the config key each ladder axis replaces; rungs run from coarse to fine, so
+# the axes refined by lowering the value (the step and the regularization) run
+# in decreasing order
+AXES = {"n_slices": "time.n_slices", "dt": "time.dt", "n": "grid.n",
+        "epsilon_reg": "physics.epsilon_reg", "box_length": "grid.box_length"}
+DECREASING = ("dt", "epsilon_reg")
+DRIFTS = ("energy_drift", "momentum_drift", "charge_drift")
+
+
+def _cell(x) -> str:
+    return "" if x is None else _fmt(x)
+
+
+def _order(prev_diff, diff):
+    """Empirical order ``log2(prev_diff / diff)`` of two successive differences, or None."""
+    return np.log2(prev_diff / diff) if prev_diff and diff else None
+
+
+def _slice_rows(cfg, rungs) -> list:
+    """The linear propagator along the config's constant-velocity path at each
+    rung's n_slices: the L2 change of u(T) from the previous rung and its order."""
+    grid, u0 = rungs[0][1], rungs[0][2]
     eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     traj = Trajectory.constant_velocity(
         cfg.physics.charges, cfg.physics.masses, cfg.init.positions, cfg.init.velocities,
         0.0, cfg.time.T, max(16, cfg.time.n_slices))
     rows = ["n_slices,l2_diff_to_previous,empirical_order"]
     prev = prev_diff = None
-    for ns in sorted(args.ladder):
-        plan = PropagatorPlan(n_slices=ns, eps_reg=eps, velocity_cap=cfg.solver.velocity_cap)
+    for rung, *_ in rungs:
+        plan = PropagatorPlan(n_slices=rung.time.n_slices, eps_reg=eps,
+                              velocity_cap=cfg.solver.velocity_cap)
         u = product_formula_evolve(u0, 0.0, cfg.time.T, traj, plan)
         diff = l2_distance(u, prev) if prev is not None else None
-        order = (np.log2(prev_diff / diff) if (diff is not None and prev_diff is not None
-                                               and diff > 0) else None)
-        rows.append(",".join([str(ns),
-                              _fmt(diff) if diff is not None else "",
-                              _fmt(order) if order is not None else ""]))
-        prev, prev_diff = u, diff if diff is not None else prev_diff
+        rows.append(",".join([str(rung.time.n_slices), _cell(diff),
+                              _cell(_order(prev_diff, diff))]))
+        prev, prev_diff = u, diff
+    return rows
+
+
+def _solver_rows(axis: str, rungs) -> list:
+    """Per rung and solver of the config: q(T) of each nucleus, E_total(T), the
+    drifts the solver's manifest entry records, and the changes of q(T) (sup
+    norm) and E_total(T) from the previous rung with their orders."""
+    section, key = AXES[axis].split(".")
+    cols = [axis, "solver"] + [f"q{k}_{ax}" for k in range(len(rungs[0][3])) for ax in "xyz"]
+    cols += ["E_total", *DRIFTS, "q_diff_to_previous", "q_order",
+             "E_total_diff_to_previous", "E_total_order"]
+    rows = [",".join(cols)]
+    prev = {}
+    for cfg, grid, u0, nuclei in rungs:
+        results, entries = _run_solvers(cfg, grid, u0, nuclei)
+        for name, (_, traj, rep) in results.items():
+            q, E = traj.positions[:, -1], rep.energies[-1].total
+            q_prev, E_prev, dq_prev, dE_prev = prev.get(name, (None,) * 4)
+            dq = float(np.max(np.abs(q - q_prev))) if q_prev is not None else None
+            dE = abs(E - E_prev) if E_prev is not None else None
+            rows.append(",".join([repr(getattr(getattr(cfg, section), key)), name,
+                                  *map(_fmt, q.ravel()), _fmt(E),
+                                  *(_cell(entries[name].get(d)) for d in DRIFTS),
+                                  _cell(dq), _cell(_order(dq_prev, dq)),
+                                  _cell(dE), _cell(_order(dE_prev, dE))]))
+            prev[name] = (q, E, dq, dE)
+    return rows
+
+
+def cmd_convergence(args) -> int:
+    section, key = AXES[args.axis].split(".")
+    try:
+        raw = read_config(args.config)
+        cfg = parse_config(raw)
+        rungs = []
+        for value in sorted(args.ladder, reverse=args.axis in DECREASING):
+            tree = copy.deepcopy(raw)
+            tree[section][key] = value
+            rung = parse_config(tree)
+            rungs.append((rung, *_initial_state(rung)))
+    except (ConfigError, ContractionWindowError) as exc:
+        print(f"config rejected: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    for w in dict.fromkeys(w for rung, *_ in rungs for w in rung.warnings):
+        print(f"warning: {w}", file=sys.stderr)
+    outdir = _output_dir(args, args.out)
+    if args.axis == "n_slices":
+        rows = _slice_rows(cfg, rungs)
+    else:
+        try:
+            rows = _solver_rows(args.axis, rungs)
+        except SOLVER_ERRORS as exc:
+            return _solver_failure(outdir, exc)
     (outdir / "convergence.csv").write_text("\n".join(rows) + "\n")
     print(f"ok: wrote {outdir / 'convergence.csv'}")
     return EXIT_OK
@@ -408,8 +491,8 @@ class _Ladder(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         if len(values) < 2 or len(set(values)) != len(values):
             raise argparse.ArgumentError(
-                self, f"require at least two distinct n_slices values, "
-                      f"got {' '.join(map(str, values))}")
+                self, f"require at least two distinct values, "
+                      f"got {' '.join(f'{v:g}' for v in values)}")
         setattr(namespace, self.dest, values)
 
 
@@ -441,10 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--out", default="groundstate")
     pg.set_defaults(func=cmd_groundstate)
 
-    pc = sub.add_parser("convergence", help="slice-refinement study from a config")
+    pc = sub.add_parser("convergence", help="resolution ladder over one config key")
     pc.add_argument("--config", required=True)
+    pc.add_argument("--axis", default="n_slices", choices=list(AXES),
+                    help="the axis laddered; each rung replaces its config key")
     pc.add_argument("--ladder", nargs="+", required=True, action=_Ladder,
-                    type=_checked(int, "n_slices >= 1", lambda n: n >= 1))
+                    type=_checked(float, "values > 0", lambda v: v > 0),
+                    help="the axis values; each is read and checked as its config key")
     pc.add_argument("--out", default="convergence")
     pc.set_defaults(func=cmd_convergence)
     return p

@@ -288,15 +288,19 @@ def parse_config(raw: dict) -> SimConfig:
     return cfg
 
 
-def load_config(path) -> SimConfig:
+def read_config(path):
+    """The raw key tree of the YAML (or JSON) file at ``path``, unchecked."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} cannot be read: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
-    return parse_config(raw)
+
+
+def load_config(path) -> SimConfig:
+    return parse_config(read_config(path))
 
 
 def build_initial_state(cfg: SimConfig):

@@ -22,22 +22,19 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class HartreeKernel:
-    grid: GridSpec
-    multiplier: np.ndarray
-
-
 @lru_cache(maxsize=8)
-def hartree_kernel(grid: GridSpec) -> HartreeKernel:
+def hartree_multiplier(grid: GridSpec) -> np.ndarray:
+    """The torus kernel's multiplier ``4*pi/|xi|^2`` (0 at xi = 0), read-only
+    because the cache hands the same array to every caller."""
     k2 = grid.freq_sq
     mult = np.where(k2 > 0.0, 4.0 * np.pi / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    return HartreeKernel(grid, mult)
+    mult.setflags(write=False)
+    return mult
 
 
 def convolve_inverse_distance(grid: GridSpec, source: np.ndarray) -> np.ndarray:
     """Convolution ``source * 1/|x|`` with the zero-mean torus kernel."""
-    mult = hartree_kernel(grid).multiplier
+    mult = hartree_multiplier(grid)
     shat = np.fft.fftn(source) * grid.spacing**3
     return np.fft.ifftn(shat * mult) / grid.spacing**3
 

@@ -83,11 +83,6 @@ class EnergyBreakdown:
                    abs(self.nuclear_kinetic), abs(self.internuclear), 1e-30)
 
 
-def field_force(u: SpinorField, nucleus: NucleusState, eps: float) -> np.ndarray:
-    """Hellmann-Feynman force of the field on one nucleus (see module docstring)."""
-    return force_breakdown(u, [nucleus], eps).field[0]
-
-
 def internuclear_force(nuclei) -> np.ndarray:
     """Pairwise Coulomb forces ``Z_k Z_l (q_k - q_l)/|q_k - q_l|^3``; exact action-reaction."""
     nuclei = list(nuclei)

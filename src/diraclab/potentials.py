@@ -307,21 +307,6 @@ def cutoff_zeta_prime(r):
 # Coulomb potentials
 
 
-def coulomb_value(charges, centers, points, eps: float = 0.0, box_length=None) -> np.ndarray:
-    """Pointwise ``-sum_k Z_k / sqrt(|x-q_k|^2 + eps^2)``; eps=0 gives the bare law.
-
-    With ``box_length`` set, distances are minimum-image on the torus.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.zeros(len(pts))
-    for Z, q in zip(np.atleast_1d(charges), np.asarray(centers, dtype=float).reshape(-1, 3)):
-        d = pts - q
-        if box_length is not None:
-            d = (d + box_length / 2) % box_length - box_length / 2
-        out -= Z / np.sqrt(np.sum(d * d, axis=1) + eps**2)
-    return out if len(out) > 1 else float(out[0])
-
-
 def regularization_eps(eps_reg, grid: GridSpec) -> float:
     """The Coulomb regularization scale: ``eps_reg``, or two grid spacings when unset."""
     return eps_reg if eps_reg is not None else 2.0 * grid.spacing

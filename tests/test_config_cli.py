@@ -506,10 +506,12 @@ def test_simulate_rejects_unreadable_checkpoint(tmp_path, capsys, keep):
     (["validate", "--suite", "hardy", "--seed", "-1"], "--seed"),
     (["convergence", "--config", "cfg.yaml", "--ladder", "0", "4"], "--ladder"),
     (["convergence", "--config", "cfg.yaml", "--ladder", "8", "8", "16"], "--ladder"),
+    (["convergence", "--config", "cfg.yaml", "--axis", "warp", "--ladder", "4", "8"], "--axis"),
     (["groundstate", "--nu", "0.5", "--sigma", "3.0"], "--sigma"),
     (["groundstate", "--nu", "0.0", "--sigma", "1.0"], "--nu"),
 ], ids=["validate-n-12", "validate-n-4", "validate-n-8", "validate-seed--1", "convergence-ladder-0",
-        "convergence-ladder-repeat", "groundstate-sigma-3", "groundstate-nu-0"])
+        "convergence-ladder-repeat", "convergence-axis-warp", "groundstate-sigma-3",
+        "groundstate-nu-0"])
 def test_cli_rejects_bad_flag_values(tmp_path, capsys, argv, flag):
     p = _write_cfg(tmp_path, _cfg())
     argv = [str(p) if a == "cfg.yaml" else a for a in argv]
@@ -625,6 +627,38 @@ def test_convergence_cli_short_ladder(tmp_path, capsys):
     rc = cli.main(["--output-root", str(tmp_path), "convergence",
                    "--config", str(p), "--ladder", "4"])
     assert rc == cli.EXIT_CONFIG
+
+
+def test_convergence_rejects_rung_by_config_key(tmp_path, capsys):
+    # each rung is read as its config key: n = 12 is no power of two
+    p = _write_cfg(tmp_path, _cfg())
+    rc = cli.main(["--output-root", str(tmp_path / "out"), "convergence",
+                   "--config", str(p), "--axis", "n", "--ladder", "12", "16"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected:") and "grid.n" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis,ladder", [("epsilon_reg", ["0.8", "0.4"]),
+                                         ("box_length", ["12", "8"])])
+def test_convergence_solver_ladder_is_reproducible(tmp_path, axis, ladder):
+    p = _write_cfg(tmp_path, _cfg(**{"grid.n": 16}))
+    for run in ("a", "b"):
+        rc = cli.main(["--output-root", str(tmp_path / run), "convergence",
+                       "--config", str(p), "--axis", axis, "--ladder", *ladder])
+        assert rc == 0
+    text = (tmp_path / "a" / "convergence" / "convergence.csv").read_text()
+    assert text == (tmp_path / "b" / "convergence" / "convergence.csv").read_text()
+    rows = [row.split(",") for row in text.splitlines()]
+    assert rows[0] == [axis, "solver", "q0_x", "q0_y", "q0_z", "E_total", "energy_drift",
+                       "momentum_drift", "charge_drift", "q_diff_to_previous", "q_order",
+                       "E_total_diff_to_previous", "E_total_order"]
+    # one direct row per rung, coarse to fine: eps falls, the box grows
+    assert [(float(r[0]), r[1]) for r in rows[1:]] == [(0.8, "direct"), (0.4, "direct")] \
+        if axis == "epsilon_reg" else [(8.0, "direct"), (12.0, "direct")]
+    assert rows[1][9:] == ["", "", "", ""]
+    assert float(rows[2][9]) > 0 and float(rows[2][11]) > 0
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

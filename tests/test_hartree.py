@@ -9,13 +9,14 @@ from oracles import ewald_point_green, radial_coulomb_convolution
 
 
 def test_kernel_multiplier_properties(grid16):
-    kern = ht.hartree_kernel(grid16)
-    assert kern.multiplier[0, 0, 0] == 0.0
-    assert np.all(kern.multiplier >= 0.0)
-    assert np.all(np.isfinite(kern.multiplier))
+    mult = ht.hartree_multiplier(grid16)
+    assert mult[0, 0, 0] == 0.0
+    assert np.all(mult >= 0.0)
+    assert np.all(np.isfinite(mult))
     k2 = grid16.freq_sq
     mask = k2 > 0
-    assert np.allclose(kern.multiplier[mask], 4 * np.pi / k2[mask])
+    assert np.allclose(mult[mask], 4 * np.pi / k2[mask])
+    assert not mult.flags.writeable  # cached and shared by every caller
 
 
 def test_potential_of_zero_field(grid16):

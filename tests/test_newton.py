@@ -14,14 +14,14 @@ from oracles import nbody_coulomb_oracle, snapshot_oracle
 def test_field_force_zero_field(grid16):
     u = lat.zero_spinor(grid16)
     nuc = NucleusState(0.5, 1.0, (0.3, 0, 0), (0, 0, 0))
-    assert np.array_equal(nt.field_force(u, nuc, 0.8), np.zeros(3))
+    assert np.array_equal(nt.force_breakdown(u, [nuc], 0.8).field[0], np.zeros(3))
 
 
 def test_field_force_symmetric_density_vanishes(grid16):
     center = np.array([0.75, -0.75, 0.0])  # lattice point: density exactly symmetric
     u = lat.gaussian_spinor(grid16, center, 1.0, (1, 0, 0, 0))
     nuc = NucleusState(0.5, 1.0, center, (0, 0, 0))
-    F = nt.field_force(u, nuc, 0.8)
+    F = nt.force_breakdown(u, [nuc], 0.8).field[0]
     assert np.max(np.abs(F)) < 1e-10
 
 
@@ -35,7 +35,7 @@ def test_field_force_is_minus_gradient_of_interaction_energy():
     u = lat.SpinorField(g, env[..., None] * raw.data)
     eps = 0.8
     q0 = np.array([0.7, -0.3, 0.2])
-    F = nt.field_force(u, NucleusState(0.5, 1.0, q0, (0, 0, 0)), eps)
+    F = nt.force_breakdown(u, [NucleusState(0.5, 1.0, q0, (0, 0, 0))], eps).field[0]
 
     def fd(delta):
         out = np.zeros(3)

@@ -70,9 +70,12 @@ def test_trajectory_rejects_nonuniform_times():
 # Coulomb potentials
 
 
-def test_coulomb_bare_law_at_distance():
-    v = pot.coulomb_value([1.0], [[0, 0, 0]], [[3.0, 0.0, 0.0]], eps=0.0)
-    assert v == pytest.approx(-1.0 / 3.0, rel=1e-15)
+def test_coulomb_bare_law_at_distance(grid16):
+    # node (4, 0, 0) lies at distance 3 (h = 0.75) from a nucleus at the origin
+    nuc = pot.NucleusState(0.6, 1.0, (0, 0, 0), (0, 0, 0))
+    eps = 0.5
+    V = pot.coulomb_field([nuc], eps, grid16)
+    assert V[4, 0, 0] == pytest.approx(-0.6 / np.sqrt(9.0 + eps**2), rel=1e-15)
 
 
 def test_coulomb_field_value_at_center(grid16):

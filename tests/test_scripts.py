@@ -1,4 +1,4 @@
-"""Smoke tests: the study scripts run end to end on small inputs."""
+"""Smoke test: the lab driver script starts."""
 
 import os
 import subprocess
@@ -11,8 +11,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script,args", [
-    ("epsilon_study.py", ["--n", "8", "--factors", "4", "2", "--T", "0.05"]),
-    ("box_convergence.py", ["--boxes", "6", "9", "--out", "{tmp}/box.json"]),
     ("run_full_lab.py", ["--help"]),
 ])
 def test_script_runs(tmp_path, script, args):
