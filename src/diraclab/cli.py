@@ -54,7 +54,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
-SOLVER_ERRORS = (ConvergenceFailure, FixedPointDivergence, AdmissibilityError, CollisionError)
+SOLVER_ERRORS = (ConvergenceFailure, FixedPointDivergence, AdmissibilityError, CollisionError,
+                 FloatingPointError)
 
 
 def _fmt(x) -> str:

@@ -71,9 +71,9 @@ def apply_free_dirac(u: SpinorField) -> SpinorField:
 def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndarray:
     """One exact kinetic/drift step on momentum-space data (see module docstring)."""
     lam = grid.mode_energy
-    cos = np.cos(dt * lam)[..., None]
-    sinc = (np.sin(dt * lam) / lam)[..., None]
-    out = cos * uhat - 1j * sinc * apply_symbol(grid, uhat)
+    out = apply_symbol(grid, uhat)  # cos(dt lam) uhat - i sin(dt lam)/lam H uhat, in place
+    out *= (-1j * (np.sin(dt * lam) / lam))[..., None]
+    out += np.cos(dt * lam)[..., None] * uhat
     if drift is not None:
         v = np.asarray(drift, dtype=float)
         if np.any(v != 0.0):

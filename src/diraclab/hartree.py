@@ -1,9 +1,9 @@
 """Nonlocal Hartree term (|u|^2 * 1/|x|) u via Fourier-space convolution.
 
-On the torus the kernel 1/|x| is represented by the nonnegative multiplier
-``4*pi/|xi|^2`` with the mean (xi = 0) mode zeroed.  Omitting the mean
-shifts the potential by a constant, i.e. changes u only by a global
-time-dependent phase; forces and densities are unaffected.
+On the torus 1/|x| is the nonnegative multiplier ``4*pi/|xi|^2`` with the
+mean (xi = 0) mode zeroed, which shifts the potential by a constant: a global
+phase of u, with forces and densities unaffected.  A real density goes through
+a real transform pair; the direct integrator builds its potential once per snapshot.
 """
 
 from __future__ import annotations
@@ -33,16 +33,19 @@ def hartree_multiplier(grid: GridSpec) -> np.ndarray:
 
 
 def convolve_inverse_distance(grid: GridSpec, source: np.ndarray) -> np.ndarray:
-    """Convolution ``source * 1/|x|`` with the zero-mean torus kernel."""
+    """Convolution ``source * 1/|x|`` with the zero-mean torus kernel; a real source takes
+    ``rfftn``/``irfftn`` and the half-spectrum multiplier (``h^3`` and ``h^-3`` cancel)."""
     mult = hartree_multiplier(grid)
-    shat = np.fft.fftn(source) * grid.spacing**3
-    return np.fft.ifftn(shat * mult) / grid.spacing**3
+    if np.iscomplexobj(source):
+        return np.fft.ifftn(np.fft.fftn(source) * grid.spacing**3 * mult) / grid.spacing**3
+    shat = np.fft.rfftn(source)
+    shat *= mult[..., : grid.n // 2 + 1]
+    return np.fft.irfftn(shat, s=source.shape, axes=(0, 1, 2))
 
 
 def hartree_potential(u: SpinorField) -> np.ndarray:
-    """The mean-field potential ``(<u,u> * 1/|x|)`` of the field's own density, as an
-    array that owns its data (a view of the real part would keep the complex buffer)."""
-    return convolve_inverse_distance(u.grid, density(u)).real.copy()
+    """The mean-field potential ``(<u,u> * 1/|x|)`` of the field's own density (real)."""
+    return convolve_inverse_distance(u.grid, density(u))
 
 
 def apply_nonlinearity(u: SpinorField) -> SpinorField:

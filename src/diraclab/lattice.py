@@ -66,7 +66,7 @@ class GridSpec:
 
     @cached_property
     def freq_mesh(self) -> tuple:
-        return tuple(np.meshgrid(self.freq1d, self.freq1d, self.freq1d, indexing="ij"))
+        return tuple(np.meshgrid(self.freq1d, self.freq1d, self.freq1d, indexing="ij", sparse=True))
 
     @cached_property
     def freq_sq(self) -> np.ndarray:

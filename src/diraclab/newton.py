@@ -127,7 +127,7 @@ def internuclear_energy(nuclei) -> float:
 
 
 def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
-                         rho: np.ndarray = None, V: np.ndarray = None):
+                         rho: np.ndarray = None, V: np.ndarray = None, V_H: np.ndarray = None):
     """(EnergyBreakdown, total momentum, H^sigma norm) of one snapshot, from one
     forward transform and one density.
 
@@ -135,8 +135,8 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     kinetic energy ``<uhat, H_xi uhat>``, the momentum ``sum xi |uhat|^2`` and
     the H^sigma norm from the same ``|uhat|^2``.  The interaction energy is
     ``h^3 sum rho V`` with the propagator's regularized potential ``V`` and the
-    Hartree energy ``(1/2) h^3 sum rho (rho * 1/|x|)``; ``rho`` and ``V`` are
-    built here unless the caller has them.  The nuclear terms come from ``nuclei``.
+    Hartree energy ``(1/2) h^3 sum rho V_H``; ``rho``, ``V`` and ``V_H = rho * 1/|x|``
+    are built here unless the caller has them.  The nuclear terms come from ``nuclei``.
     """
     nuclei = list(nuclei)
     uhat = to_momentum(u)
@@ -144,11 +144,12 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     h3, vol = grid.spacing**3, grid.volume
     rho = density(u) if rho is None else rho
     V = coulomb_field(nuclei, eps, grid) if V is None else V
+    V_H = convolve_inverse_distance(grid, rho) if V_H is None else V_H
     w = np.sum(np.abs(uhat) ** 2, axis=-1)
     energy = EnergyBreakdown(
         field_kinetic=float(np.vdot(uhat, apply_symbol(grid, uhat)).real / vol),
         interaction=float(h3 * np.sum(rho * V)),
-        hartree=float(0.5 * h3 * np.sum(rho * np.real(convolve_inverse_distance(grid, rho)))),
+        hartree=float(0.5 * h3 * np.sum(rho * V_H)),
         nuclear_kinetic=float(sum(0.5 * nuc.m * nuc.qdot @ nuc.qdot for nuc in nuclei)),
         internuclear=internuclear_energy(nuclei),
     )
@@ -401,10 +402,11 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     potential evaluated at the step-start and step-end positions in the two
     half-kicks.  After each step's velocity update one
     :func:`snapshot_diagnostics` pass (H^sigma norm with ``sigma``) reads the
-    step's end potential and the density its forces were computed from.
-    Raises :class:`CollisionError` when two nuclei come closer than two grid
-    spacings, and ValueError without nuclei.  Returns (FieldSolution,
-    Trajectory, DirectRunReport).
+    step's end potential, the density its forces were computed from and its
+    Hartree potential, which the next step's first half-kick reuses.  Raises
+    :class:`CollisionError` when two nuclei come closer than two grid spacings,
+    FloatingPointError naming a step with a non-finite force or total energy,
+    and ValueError without nuclei.  Returns (FieldSolution, Trajectory, DirectRunReport).
     """
     charges, masses, q0, v0 = _initial_arrays(list(nuclei0))
     u, grid = u0, u0.grid
@@ -433,21 +435,25 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     # each snapshot's density serves its forces and its diagnostics
     V = coulomb_field(nuclei_at(0), eps, grid)
     rho = density(u)
+    V_H = convolve_inverse_distance(grid, rho)
     snaps = [u.copy()]
     forces = [force_breakdown(u, nuclei_at(0), eps, rho=rho)]
-    passes = [snapshot_diagnostics(u, nuclei_at(0), eps, sigma, rho=rho, V=V)]
+    passes = [snapshot_diagnostics(u, nuclei_at(0), eps, sigma, rho=rho, V=V, V_H=V_H)]
     for j in range(M):
         vhalf = v[:, j] + 0.5 * delta * forces[-1].total / masses[:, None]
         q[:, j + 1] = q[:, j] + delta * vhalf
         check_collision(j + 1)
         nucs_end = [NucleusState(charges[k], masses[k], q[k, j + 1], v[k, j]) for k in range(n)]
         V_end = coulomb_field(nucs_end, eps, grid)
-        u = strang_step(u, delta, V, V_out=V_end, hartree=True)
+        u = strang_step(u, delta, V, V_out=V_end, hartree=True, V_H=V_H)
         V = V_end
         rho = density(u)
+        V_H = convolve_inverse_distance(grid, rho)
         forces.append(force_breakdown(u, nucs_end, eps, rho=rho))
         v[:, j + 1] = vhalf + 0.5 * delta * forces[-1].total / masses[:, None]
-        passes.append(snapshot_diagnostics(u, nuclei_at(j + 1), eps, sigma, rho=rho, V=V))
+        passes.append(snapshot_diagnostics(u, nuclei_at(j + 1), eps, sigma, rho=rho, V=V, V_H=V_H))
+        if not (np.isfinite(forces[-1].total).all() and np.isfinite(passes[-1][0].total)):
+            raise FloatingPointError(f"non-finite force or total energy at step {j + 1}")
         snaps.append(u)
 
     fsol = FieldSolution(times, snaps)

@@ -137,17 +137,17 @@ def _half_kick(delta: float, V):
 
 
 def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
-                drift=None) -> SpinorField:
+                drift=None, V_H=None) -> SpinorField:
     """One Strang kick-drift-kick: ``exp(-i delta/2 V_out) exp(-i delta K) exp(-i delta/2 V) u``.
 
     ``V`` and ``V_out`` are the potentials of the first and second half-kick
     (``V_out`` defaults to ``V``; with ``hartree`` either may be the scalar
     0.0, for no nuclei).  With ``hartree`` each half-kick adds the Hartree
-    potential of the field it acts on.  ``drift`` is the comoving drift
-    velocity of the kinetic factor.
+    potential of the field it acts on, the first ``V_H`` if given (the direct
+    integrator's snapshot potential).  ``drift`` is the kinetic factor's comoving velocity.
     """
     grid = u.grid
-    kick = _half_kick(delta, V + hartree_potential(u) if hartree else V)
+    kick = _half_kick(delta, V + (hartree_potential(u) if V_H is None else V_H) if hartree else V)
     data = np.fft.fftn(u.data * kick, axes=(0, 1, 2))
     data = dirac.step_momentum_data(grid, data, delta, drift)
     data = np.fft.ifftn(data, axes=(0, 1, 2))

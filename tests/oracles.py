@@ -2,6 +2,7 @@
 
 Each oracle deliberately avoids the code path it checks: radial quadrature
 for 3D grid sums, dense matrix exponentials for closed-form mode steps,
+complex transforms for the real-transform Hartree convolution,
 finite-difference stencils for spectral derivatives, Ewald summation for
 the spectral Poisson solve, and adaptive ODE integration for the nuclear
 dynamics.
@@ -85,6 +86,16 @@ def ewald_point_green(points, L, alpha=None, n_real=2, n_recip=8):
                 G += 4.0 * np.pi / (L**3 * k2) * np.exp(-k2 / (4 * alpha**2)) * np.cos(pts @ kv)
     G -= np.pi / (alpha**2 * L**3)
     return G if len(G) > 1 else float(G[0])
+
+
+def complex_fft_convolution(grid, source):
+    """``source * 1/|x|`` on the torus through full complex transforms, with the
+    zero-mean multiplier ``4 pi/|xi|^2`` built here from the 1D frequencies."""
+    k = grid.freq1d
+    k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2 + k[None, None, :] ** 2
+    mult = np.zeros_like(k2)
+    mult[k2 > 0] = 4.0 * np.pi / k2[k2 > 0]
+    return np.fft.ifftn(np.fft.fftn(source) * mult)
 
 
 def dense_mode_exponential(xi, dt, drift=(0.0, 0.0, 0.0)):

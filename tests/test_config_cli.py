@@ -272,18 +272,20 @@ def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
 
     # a direct run of M steps: one forward transform per snapshot (plus the
     # contraction-window check), no inverse, the step's own potential, and one
-    # density per snapshot shared by its forces and diagnostics (plus two per
-    # Strang step)
+    # density and one Hartree potential per snapshot, the density shared by its
+    # forces and diagnostics and the potential by its diagnostics and the next
+    # step's first half-kick (plus one of each for each step's second half-kick)
     calls = _count_calls(monkeypatch, {
         "to_momentum": lat.to_momentum, "to_position": lat.to_position,
-        "coulomb_field": coulomb_field, "density": lat.density})
+        "coulomb_field": coulomb_field, "density": lat.density,
+        "convolve_inverse_distance": ht.convolve_inverse_distance})
     p = _write_cfg(tmp_path, _cfg(**{"solver.method": "direct", "output.every": 1}))
     rc = cli.main(["--output-root", str(tmp_path / "direct"), "simulate", "--config", str(p)])
     assert rc == 0
     M = len(_read_csv(tmp_path / "direct" / "run" / "timeseries_direct.csv")) - 1
     assert M == 4
     assert calls == {"to_momentum": M + 2, "to_position": 0, "coulomb_field": M + 1,
-                     "density": 3 * M + 1}
+                     "density": 2 * M + 1, "convolve_inverse_distance": 2 * M + 1}
     monkeypatch.undo()
 
     # at every: 2 each row must still match an independent evaluation of its snapshot
@@ -426,6 +428,31 @@ def test_simulate_solver_failure_writes_record(tmp_path, capsys, monkeypatch):
     assert len(record["history"]) == 1
     # max_outer: 1 allows one P evaluation
     assert len(calls) == 1
+
+
+def test_direct_non_finite_step_writes_failure_and_no_csv(tmp_path, capsys, monkeypatch):
+    # a NaN force at step 2 ends the direct run there: exit 3, a failure.json
+    # naming the step, and no timeseries or checkpoint
+    forces = nt.force_breakdown
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(1)
+        fb = forces(*args, **kwargs)
+        if len(calls) == 3:
+            fb.field[:] = np.nan
+        return fb
+
+    monkeypatch.setattr(nt, "force_breakdown", broken)
+    p = _write_cfg(tmp_path, _cfg(**{"solver.method": "direct"}))
+    rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_SOLVER
+    assert "Traceback" not in capsys.readouterr().err
+    record = json.loads((tmp_path / "run" / "failure.json").read_text())
+    assert record["error"] == "FloatingPointError"
+    assert record["message"].endswith("at step 2")
+    assert sorted(f.name for f in (tmp_path / "run").iterdir()) == ["failure.json"]
+    assert len(calls) == 3
 
 
 def _nan_on_second_call(monkeypatch, series):

@@ -113,6 +113,28 @@ def test_step_matches_dense_expm(grid16):
         assert np.max(np.abs(out.data - expected.data)) < 1e-12 * max(1.0, np.abs(w).max())
 
 
+@pytest.mark.parametrize("drift", [None, (0.2, -0.1, 0.05)])
+def test_fused_step_matches_closed_form_and_is_unitary_per_mode(grid16, rng, drift):
+    # exp(i dt v.xi) [cos(dt lam) - i sin(dt lam)/lam H_xi] uhat with H_xi as
+    # one dense 4x4 matrix per mode
+    dt = 0.37
+    uhat = lat.to_momentum(lat.random_smooth_field(grid16, rng, kmax=6, decay=0.3))
+    got = dr.step_momentum_data(grid16, uhat, dt, drift)
+    m = dr.dirac_matrices()
+    kx, ky, kz = np.meshgrid(*[grid16.freq1d] * 3, indexing="ij")
+    H = (kx[..., None, None] * m.alpha1 + ky[..., None, None] * m.alpha2
+         + kz[..., None, None] * m.alpha3 + m.beta)
+    lam = np.sqrt(1.0 + kx**2 + ky**2 + kz**2)[..., None]
+    want = np.cos(dt * lam) * uhat - 1j * np.sin(dt * lam) / lam * np.einsum(
+        "...ij,...j->...i", H, uhat)
+    if drift is not None:
+        want *= np.exp(1j * dt * (drift[0] * kx + drift[1] * ky + drift[2] * kz))[..., None]
+    scale = np.max(np.abs(uhat))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    norms = np.linalg.norm(uhat, axis=-1)
+    assert np.max(np.abs(np.linalg.norm(got, axis=-1) - norms)) <= 1e-14 * np.max(norms)
+
+
 def test_step_semigroup_half_steps(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.5)
     dt = 0.4

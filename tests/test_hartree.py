@@ -5,7 +5,7 @@ from scipy.special import erf
 from diraclab import hartree as ht
 from diraclab import lattice as lat
 from diraclab import newton as nt
-from oracles import ewald_point_green, radial_coulomb_convolution
+from oracles import complex_fft_convolution, ewald_point_green, radial_coulomb_convolution
 
 
 def test_kernel_multiplier_properties(grid16):
@@ -29,6 +29,20 @@ def test_potential_is_contiguous_and_owns_its_data(grid16, rng):
     V = ht.hartree_potential(lat.random_smooth_field(grid16, rng, kmax=3, decay=0.7))
     assert V.dtype == np.float64
     assert V.flags["C_CONTIGUOUS"] and V.flags["OWNDATA"] and V.base is None
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_convolution_matches_complex_transform_oracle(n):
+    # a real density takes the real transform pair and gives a real array; the
+    # complex pair density of the bilinear lab takes the complex one
+    grid = lat.make_grid(n, 12.0)
+    rng = np.random.default_rng(n)
+    u, v = (lat.random_smooth_field(grid, rng, kmax=4, decay=0.6) for _ in range(2))
+    for source in (lat.density(u), np.sum(np.conj(u.data) * v.data, axis=-1)):
+        got = ht.convolve_inverse_distance(grid, source)
+        want = complex_fft_convolution(grid, source)
+        assert np.iscomplexobj(got) == np.iscomplexobj(source)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gaussian_potential_matches_erf_formula():

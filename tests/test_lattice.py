@@ -32,6 +32,17 @@ def test_frequency_grid_symmetry(grid16):
     assert np.allclose(pos, neg[:-1])  # the extra negative entry is Nyquist
 
 
+def test_sparse_freq_mesh_matches_dense_mesh(grid16):
+    # the mesh broadcasts; squared frequencies and mode energies are bitwise
+    # those of a dense meshgrid
+    n = grid16.n
+    assert [k.shape for k in grid16.freq_mesh] == [(n, 1, 1), (1, n, 1), (1, 1, n)]
+    kx, ky, kz = np.meshgrid(grid16.freq1d, grid16.freq1d, grid16.freq1d, indexing="ij")
+    k2 = kx * kx + ky * ky + kz * kz
+    assert np.array_equal(grid16.freq_sq, k2)
+    assert np.array_equal(grid16.mode_energy, np.sqrt(1.0 + k2))
+
+
 def test_constant_field_dc_mode(grid16):
     c = np.array([1.0, 0.5j, -0.25, 0.0])
     u = lat.constant_spinor(grid16, c)
