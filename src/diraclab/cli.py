@@ -134,6 +134,7 @@ def _run_solvers(cfg, grid, u0, nuclei):
         results["fixed_point"] = (fsol, traj, rep)
         entries["fixed_point"] = {
             "outer_iterations": rep.outer_iterations, "step_history": rep.step_history,
+            "picard_tols": rep.picard_tols, "picard_sweeps": rep.picard_sweeps,
             "newton_residual": rep.newton_residual,
             "admissibility_failures": rep.admissibility_failures,
             "charge_drift": fsol.charge_drift(), "wall_time": time.time() - t0,

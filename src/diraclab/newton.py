@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import apply_symbol
 from .hartree import convolve_inverse_distance
 from .lattice import SpinorField, charge, density, to_momentum, translate
 from .potentials import (
@@ -132,7 +131,8 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     forward transform and one density.
 
     The field terms read the spectrum ``uhat`` (Parseval, ``L^-3 sum_xi``): the
-    kinetic energy ``<uhat, H_xi uhat>``, the momentum ``sum xi |uhat|^2`` and
+    kinetic energy ``<uhat, H_xi uhat> = |a|^2 - |b|^2 + 2 Re <a, (sigma.xi) b>``
+    over the upper and lower 2-spinors a, b, the momentum ``sum xi |uhat|^2`` and
     the H^sigma norm from the same ``|uhat|^2``.  The interaction energy is
     ``h^3 sum rho V`` with the propagator's regularized potential ``V`` and the
     Hartree energy ``(1/2) h^3 sum rho V_H``; ``rho``, ``V`` and ``V_H = rho * 1/|x|``
@@ -145,15 +145,18 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     rho = density(u) if rho is None else rho
     V = coulomb_field(nuclei, eps, grid) if V is None else V
     V_H = convolve_inverse_distance(grid, rho) if V_H is None else V_H
-    w = np.sum(np.abs(uhat) ** 2, axis=-1)
+    abs2 = np.abs(uhat) ** 2
+    w = np.sum(abs2, axis=-1)
+    kx, ky, kz = grid.freq_mesh
+    a0, a1, b0, b1 = (uhat[..., c] for c in range(4))
+    ab = np.vdot(a0, kz * b0 + (kx - 1j * ky) * b1) + np.vdot(a1, (kx + 1j * ky) * b0 - kz * b1)
     energy = EnergyBreakdown(
-        field_kinetic=float(np.vdot(uhat, apply_symbol(grid, uhat)).real / vol),
+        field_kinetic=float((np.sum(abs2[..., :2]) - np.sum(abs2[..., 2:]) + 2 * ab.real) / vol),
         interaction=float(h3 * np.sum(rho * V)),
         hartree=float(0.5 * h3 * np.sum(rho * V_H)),
         nuclear_kinetic=float(sum(0.5 * nuc.m * nuc.qdot @ nuc.qdot for nuc in nuclei)),
         internuclear=internuclear_energy(nuclei),
     )
-    kx, ky, kz = grid.freq_mesh
     p = np.array([np.sum(kx * w), np.sum(ky * w), np.sum(kz * w)]) / vol
     for nuc in nuclei:
         p = p + nuc.m * nuc.qdot
@@ -207,8 +210,9 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     (:func:`coupled_fixed_point` checks it once, for ``u0``).  ``start``, the
     lab-frame snapshots of an earlier evaluation, warm-starts the Picard
     solve and is overwritten in place by this evaluation's snapshots.
-    Returns (trajectory, field solution, admissibility report, forces), where
-    ``forces`` holds one ForceBreakdown per snapshot along ``traj_in``.
+    Returns (trajectory, field solution, admissibility report, forces, Picard
+    report), where ``forces`` holds one ForceBreakdown per snapshot along
+    ``traj_in`` and the Picard report is None for a zero field (no solve).
     """
     plan = plan or PropagatorPlan()
     M = snapshot_count(plan, n_steps)
@@ -216,6 +220,7 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     if charge(u0) == 0.0:
         fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, M + 1),
                              [u0] * (M + 1))
+        picard = None
     else:
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
         # term is exactly translation-covariant, so translating in at t0 and
@@ -225,9 +230,9 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
         if comoving and start is not None:
             for j, t in enumerate(traj_in.t0 + np.linspace(0.0, T, M + 1)):
                 start[j] = translate(start[j], traj_in.position(t)[0])
-        fsol, _ = duhamel_picard(u_start, traj_in, T, tol=picard_tol,
-                                 max_iter=picard_max_iter, plan=plan, n_steps=M,
-                                 enforce_window=False, start=start)
+        fsol, picard = duhamel_picard(u_start, traj_in, T, tol=picard_tol,
+                                      max_iter=picard_max_iter, plan=plan, n_steps=M,
+                                      enforce_window=False, start=start)
         if comoving:
             for j, t in enumerate(fsol.times):
                 fsol.snapshots[j] = translate(fsol.snapshots[j], -traj_in.position(t)[0])
@@ -235,7 +240,7 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
               for u, t in zip(fsol.snapshots, fsol.times)]
     out = _integrate_force_series(traj_in, fsol.times, np.array([fb.total for fb in forces]))
     return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
-                                          velocity_cap=plan.velocity_cap), forces
+                                          velocity_cap=plan.velocity_cap), forces, picard
 
 
 @dataclass
@@ -263,6 +268,8 @@ class FixedPointReport(RunDiagnostics):
 
     outer_iterations: int     # P evaluations
     step_history: list        # the undamped residual of each P evaluation
+    picard_tols: list         # the Picard tolerance of each P evaluation
+    picard_sweeps: list       # the Picard sweeps of each P evaluation
     converged: bool
     newton_residual: float
     admissibility_failures: list
@@ -278,6 +285,7 @@ def _newton_residual(traj: Trajectory, forces: list) -> float:
 
 
 ANDERSON_DEPTH = 3
+PICARD_FORCING = 3e-5  # inner tolerance per unit of the previous outer residual
 
 
 def _anderson_step(xs: list, gs: list, beta: float) -> np.ndarray:
@@ -312,8 +320,12 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     checked in H^sigma for nonzero u0).  Each outer iteration is one P
     evaluation, warm-started from the previous evaluation's field.  Its
     residual, the undamped ``max(|P_v(q) - v|, |P_q(q) - q| / delta)`` in sup
-    norm (delta the snapshot spacing), is recorded in ``step_history``, and
-    the iteration stops at the first q whose residual is below ``tol``.  The
+    norm (delta the snapshot spacing), is recorded in ``step_history``.
+    Evaluation k is solved to the Picard tolerance ``max(picard_tol,
+    PICARD_FORCING r_{k-1})`` (Eisenstat & Walker 1996; r_0 = 1); the
+    iteration stops at the first q whose residual is below ``tol`` in an
+    evaluation solved at ``picard_tol``, and a loosely solved q below ``tol``
+    is solved again at ``picard_tol``, as an evaluation of its own.  The
     next q is Anderson(3) on the stacked (positions, velocities) vector with
     mixing ``theta`` (a damped step ``q + theta (P(q) - q)`` on the first
     iteration and when the least-squares problem is rank-deficient).
@@ -338,13 +350,16 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     M = snapshot_count(plan, n_steps)
     delta = T / M
     traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, M)
-    history, xs, gs = [], [], []
-    snapshots = None
+    history, inner_tols, sweeps, xs, gs = [], [], [], [], []
+    snapshots, residual = None, 1.0
     while True:
-        traj_P, fsol, report_adm, forces = trajectory_map_P(
-            traj, u0, T, plan=plan, picard_tol=picard_tol,
+        inner_tol = picard_tol if residual < tol else max(picard_tol, PICARD_FORCING * residual)
+        traj_P, fsol, report_adm, forces, picard = trajectory_map_P(
+            traj, u0, T, plan=plan, picard_tol=inner_tol,
             picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0, start=snapshots)
         snapshots = fsol.snapshots
+        inner_tols.append(inner_tol)
+        sweeps.append(picard.iterations if picard else 0)
         dq = traj_P.positions - traj.positions
         dv = traj_P.velocities - traj.velocities
         residual = float(np.maximum(np.max(np.abs(dv)), np.max(np.abs(dq)) / delta))  # NaN-safe
@@ -353,12 +368,14 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
             raise FixedPointDivergence(
                 f"outer fixed point: non-finite residual at evaluation {len(history)} "
                 f"(residuals: {history})", history)
-        if residual < tol:
+        if residual < tol and inner_tol == picard_tol:
             break
         if len(history) >= max_outer:
             raise FixedPointDivergence(
                 f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
                 f"(residuals: {history})", history)
+        if residual < tol:
+            continue  # solve the same q again, at picard_tol
         xs.append(np.concatenate([traj.positions.ravel(), traj.velocities.ravel()]))
         gs.append(np.concatenate([dq.ravel(), dv.ravel()]))
         del xs[:-ANDERSON_DEPTH - 1], gs[:-ANDERSON_DEPTH - 1]
@@ -375,7 +392,8 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
         *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
                    for u, t in zip(fsol.snapshots, fsol.times)]),
         forces, outer_iterations=len(history), step_history=history,
-        converged=True, newton_residual=_newton_residual(traj, forces),
+        picard_tols=inner_tols, picard_sweeps=sweeps, converged=True,
+        newton_residual=_newton_residual(traj, forces),
         admissibility_failures=report_adm.failures)
     return fsol, traj, report
 

@@ -354,7 +354,8 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     warm start); each sweep overwrites that list in place, and the returned
     FieldSolution holds it, so a warm start keeps no second set of fields.
     Returns (FieldSolution, PicardReport); raises :class:`ConvergenceFailure`
-    with the iterate-distance history when ``max_iter`` is exhausted.
+    with the iterate-distance history when ``max_iter`` is exhausted, or at
+    once on a non-finite distance.
     """
     plan = plan or PropagatorPlan()
     if enforce_window:
@@ -391,8 +392,11 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
             mid = SpinorField(grid, new[j].data - 0.5j * delta * nonl[j].data)
             propagated = linear_step(mid, j)
             new.append(SpinorField(grid, propagated.data - 0.5j * delta * nonl[j + 1].data))
-        dist = max(l2_distance(a, b) for a, b in zip(new[1:], iterates[1:]))
-        distances.append(dist)
+        dist = float(np.max([l2_distance(a, b) for a, b in zip(new[1:], iterates[1:])]))
+        distances.append(dist)  # np.max keeps a NaN that Python's max would drop
+        if not np.isfinite(dist):
+            raise ConvergenceFailure(f"Picard iteration: non-finite iterate distance at sweep "
+                                     f"{it + 1} (distances: {distances})", distances)
         iterates[:] = new
         if dist < tol:
             converged = True

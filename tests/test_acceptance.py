@@ -326,13 +326,13 @@ def test_criterion_10_trajectory_map_hoelder_echo():
     plan = pr.PropagatorPlan(n_slices=16, eps_reg=0.8)
     base = Trajectory.constant_velocity([Z], [mass], [[-0.3, 0, 0]], [[0.02, 0, 0]],
                                         0.0, T, 16)
-    P_base, _, _, _ = nt.trajectory_map_P(base, u0, T, plan=plan, n_steps=16)
+    P_base, *_ = nt.trajectory_map_P(base, u0, T, plan=plan, n_steps=16)
     deltas = np.array([0.04, 0.02, 0.01])
     diffs = []
     for d in deltas:
         other = Trajectory.constant_velocity([Z], [mass], [[-0.3, 0, 0]],
                                              [[0.02 + d, 0, 0]], 0.0, T, 16)
-        P_other, _, _, _ = nt.trajectory_map_P(other, u0, T, plan=plan, n_steps=16)
+        P_other, *_ = nt.trajectory_map_P(other, u0, T, plan=plan, n_steps=16)
         c1 = np.max(np.abs(P_other.positions - P_base.positions)) \
             + np.max(np.abs(P_other.velocities - P_base.velocities))
         diffs.append(c1)

@@ -17,6 +17,7 @@ from diraclab import config as cf
 from diraclab import hartree as ht
 from diraclab import lattice as lat
 from diraclab import newton as nt
+from diraclab import propagator as pr
 from diraclab.potentials import coulomb_field
 from oracles import snapshot_oracle
 
@@ -220,6 +221,21 @@ def test_simulate_end_to_end(tmp_path):
     u, t, Z, m, q, v = lat.read_checkpoint(outdir / "final.dns")
     assert t == pytest.approx(0.1)
     assert Z[0] == 0.5
+
+
+def test_simulate_manifest_records_picard_tolerance_and_sweeps(tmp_path):
+    # one inner tolerance and one sweep count per P evaluation, the last
+    # evaluation solved at solver.picard.tol
+    raw = _cfg(**{"solver.method": "fixed_point"})
+    raw["solver"]["picard"] = {"tol": 1e-9, "max_iter": 30}
+    rc = cli.main(["--output-root", str(tmp_path), "simulate",
+                   "--config", str(_write_cfg(tmp_path, raw))])
+    assert rc == 0
+    fp = json.loads((tmp_path / "run" / "manifest.json").read_text())["solvers"]["fixed_point"]
+    n = fp["outer_iterations"]
+    assert len(fp["step_history"]) == len(fp["picard_tols"]) == len(fp["picard_sweeps"]) == n
+    assert fp["picard_tols"][0] == nt.PICARD_FORCING and fp["picard_tols"][-1] == 1e-9
+    assert all(t >= 1e-9 for t in fp["picard_tols"]) and all(k >= 1 for k in fp["picard_sweeps"])
 
 
 def test_simulate_deterministic_output(tmp_path):
@@ -455,16 +471,38 @@ def test_direct_non_finite_step_writes_failure_and_no_csv(tmp_path, capsys, monk
     assert len(calls) == 3
 
 
+def test_picard_non_finite_sweep_writes_failure_and_no_csv(tmp_path, capsys, monkeypatch):
+    # a NaN in the first Picard sweep ends the fixed-point run there: exit 3
+    # and a failure.json naming the sweep, with no timeseries or checkpoint
+    nonlinearity = pr.apply_nonlinearity
+
+    def broken(u):
+        out = nonlinearity(u)
+        out.data[:] = np.nan
+        return out
+
+    monkeypatch.setattr(pr, "apply_nonlinearity", broken)
+    p = _write_cfg(tmp_path, _cfg(**{"solver.method": "fixed_point"}))
+    rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_SOLVER
+    assert "Traceback" not in capsys.readouterr().err
+    record = json.loads((tmp_path / "run" / "failure.json").read_text())
+    assert record["error"] == "ConvergenceFailure"
+    assert "non-finite iterate distance at sweep 1" in record["message"]
+    assert len(record["history"]) == 1
+    assert sorted(f.name for f in (tmp_path / "run").iterdir()) == ["failure.json"]
+
+
 def _nan_on_second_call(monkeypatch, series):
     map_P = nt.trajectory_map_P
     calls = []
 
     def broken(*args, **kwargs):
         calls.append(1)
-        out, fsol, adm, forces = map_P(*args, **kwargs)
+        out, *rest = map_P(*args, **kwargs)
         if len(calls) == 2:
             getattr(out, series)[:] = np.nan
-        return out, fsol, adm, forces
+        return (out, *rest)
 
     monkeypatch.setattr(nt, "trajectory_map_P", broken)
     return calls

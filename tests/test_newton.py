@@ -7,6 +7,7 @@ from diraclab import config as cf
 from diraclab import hartree as ht
 from diraclab import lattice as lat
 from diraclab import newton as nt
+from diraclab.dirac import apply_symbol
 from diraclab.potentials import NucleusState, Trajectory, coulomb_field
 from diraclab.propagator import PropagatorPlan, step_count
 from oracles import nbody_coulomb_oracle, snapshot_oracle
@@ -122,6 +123,17 @@ def test_snapshot_diagnostics_match_independent_oracles(n, n_nuclei):
     assert eb_given == eb and np.array_equal(p_given, p) and hsigma_given == hsigma
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_snapshot_kinetic_energy_matches_symbol_form(n):
+    # the 2-spinor block sum gives <uhat, H_xi uhat> without building H_xi uhat
+    grid = lat.make_grid(n, 12.0)
+    u = lat.random_smooth_field(grid, np.random.default_rng(n), kmax=4, decay=0.8)
+    uhat = lat.to_momentum(u)
+    want = np.vdot(uhat, apply_symbol(grid, uhat)).real / grid.volume
+    got = nt.snapshot_diagnostics(u, TWO_NUCLEI, 0.8, 1.25)[0].field_kinetic
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # trajectory map P
 
@@ -130,7 +142,7 @@ def test_map_P_symmetric_resting_nucleus_stays(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.3, (0.4, 0, 0, 0))
     traj = Trajectory.static([0.5], [10.0], [[0, 0, 0]], 0.0, 0.3, 24)
     plan = PropagatorPlan(n_slices=24, eps_reg=0.8)
-    out, fsol, rep, _ = nt.trajectory_map_P(traj, u0, 0.3, plan=plan, n_steps=24)
+    out, fsol, rep, *_ = nt.trajectory_map_P(traj, u0, 0.3, plan=plan, n_steps=24)
     assert np.max(np.abs(out.positions)) < 1e-8
     # velocities carry the raw force integral; the Nyquist-row parity artifact
     # of the discrete Dirac symbol leaves a ~1e-8 floor at this resolution
@@ -153,8 +165,8 @@ def test_map_P_kepler_fixed_point(grid16):
     vel = ys[6:].reshape(2, 3, M + 1).transpose(0, 2, 1)
     traj_in = Trajectory(charges, masses, times, pos, vel)
     u0 = lat.zero_spinor(grid16)
-    out, _, _, _ = nt.trajectory_map_P(traj_in, u0, T, plan=PropagatorPlan(eps_reg=0.8),
-                                       n_steps=M)
+    out, *_ = nt.trajectory_map_P(traj_in, u0, T, plan=PropagatorPlan(eps_reg=0.8),
+                                  n_steps=M)
     assert np.max(np.abs(out.positions - pos)) < 1e-6
     assert np.max(np.abs(out.velocities - vel)) < 1e-6
 
@@ -167,9 +179,9 @@ def test_map_P_mirror_symmetry(grid16):
     traj = Trajectory.constant_velocity(charges, masses,
                                         [[-1.25, 0, 0], [1.25, 0, 0]],
                                         [[0.04, 0, 0], [-0.04, 0, 0]], 0.0, 0.3, 24)
-    out, _, _, _ = nt.trajectory_map_P(traj, u0, 0.3,
-                                       plan=PropagatorPlan(n_slices=24, eps_reg=0.8),
-                                       n_steps=24, eps0=eps0)
+    out, *_ = nt.trajectory_map_P(traj, u0, 0.3,
+                                  plan=PropagatorPlan(n_slices=24, eps_reg=0.8),
+                                  n_steps=24, eps0=eps0)
     # point reflection through the origin swaps the two nuclei
     assert np.max(np.abs(out.positions[0] + out.positions[1])) < 1e-8
     assert np.max(np.abs(out.velocities[0] + out.velocities[1])) < 5e-8
@@ -213,7 +225,7 @@ def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
                                              picard_tol=picard_tol, contraction_const=0.2)
     assert rep.outer_iterations >= 2
     assert len(calls) == rep.outer_iterations
-    _, last, adm, forces = calls[-1]
+    _, last, adm, forces, *_ = calls[-1]
     assert np.array_equal(fsol.times, last.times)
     for a, b in zip(fsol.snapshots, last.snapshots, strict=True):
         assert np.array_equal(a.data, b.data)
@@ -221,7 +233,7 @@ def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
         assert np.array_equal(a.field, b.field)
         assert np.array_equal(a.internuclear, b.internuclear)
     assert rep.admissibility_failures == adm.failures
-    _, cold, _, _ = map_P(traj, u0, T, plan=plan, picard_tol=picard_tol, n_steps=8, eps0=0.25)
+    _, cold, *_ = map_P(traj, u0, T, plan=plan, picard_tol=picard_tol, n_steps=8, eps0=0.25)
     assert np.array_equal(fsol.times, cold.times)
     for a, b in zip(fsol.snapshots, cold.snapshots, strict=True):
         assert lat.l2_distance(a, b) < 10 * picard_tol
@@ -282,6 +294,73 @@ def test_fixed_point_divergence_after_max_outer_evaluations(grid16, monkeypatch)
     assert len(sweeps) == 3
     assert len(info.value.history) == 3
     assert all(np.isfinite(info.value.history))
+
+
+def _demo_fixed_point(name, monkeypatch, **overrides):
+    """(run, calls): ``run()`` solves a demo config's fixed point (``overrides``
+    replace its arguments); ``calls`` records each P evaluation as (input
+    trajectory, Picard tolerance, Picard sweeps)."""
+    cfg = cf.load_config(Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.yaml")
+    _, u0, nuclei = cf.build_initial_state(cfg)
+    fp = cfg.solver.fixedpoint
+    kwargs = dict(
+        tol=fp.tol, max_outer=fp.max_outer, theta=fp.damping,
+        plan=PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg),
+        n_steps=step_count(cfg.time.T, cfg.time.dt), eps0=cfg.physics.epsilon0,
+        picard_tol=cfg.solver.picard.tol, contraction_const=cfg.solver.contraction_const)
+    kwargs.update(overrides)
+    map_P = nt.trajectory_map_P
+    calls = []
+
+    def recorded(traj, *args, **kw):
+        result = map_P(traj, *args, **kw)
+        calls.append((traj, kw["picard_tol"], result[4].iterations))
+        return result
+
+    monkeypatch.setattr(nt, "trajectory_map_P", recorded)
+    return lambda: nt.coupled_fixed_point(u0, nuclei, cfg.time.T, **kwargs), calls
+
+
+def test_fixed_point_picard_tolerance_follows_outer_residual(monkeypatch):
+    # evaluation k is solved to max(picard_tol, PICARD_FORCING r_{k-1}), with
+    # r_0 = 1, and the accepted one at picard_tol: small_run takes 13 sweeps
+    # in 4 evaluations where solving each to picard_tol took 21
+    run, calls = _demo_fixed_point("small_run", monkeypatch)
+    _, _, rep = run()
+    picard_tol = 1e-9
+    tols = [c[1] for c in calls]
+    assert rep.picard_tols == tols and rep.picard_sweeps == [c[2] for c in calls]
+    assert len(calls) == rep.outer_iterations <= 4
+    assert sum(rep.picard_sweeps) <= 14
+    assert all(t >= picard_tol for t in tols) and tols[-1] == picard_tol
+    residuals = [1.0] + rep.step_history[:-1]
+    assert tols == [max(picard_tol, nt.PICARD_FORCING * r) for r in residuals]
+    assert tols[0] == nt.PICARD_FORCING
+
+
+def test_fixed_point_resolves_a_loose_acceptance_at_picard_tol(monkeypatch):
+    # on two_nuclei the third q's loosely solved residual is below tol, so the
+    # same q is solved again at picard_tol, and that evaluation is accepted
+    run, calls = _demo_fixed_point("two_nuclei", monkeypatch)
+    _, traj, rep = run()
+    tol, picard_tol = 1e-6, 1e-9
+    (q_loose, tol_loose, _), (q_tight, tol_tight, _) = calls[-2:]
+    assert len(calls) == rep.outer_iterations
+    assert np.array_equal(q_loose.positions, q_tight.positions)
+    assert np.array_equal(q_loose.velocities, q_tight.velocities)
+    assert tol_loose > picard_tol and tol_tight == picard_tol
+    assert rep.step_history[-2] < tol and rep.step_history[-1] < tol
+    assert np.array_equal(traj.positions, q_tight.positions)
+
+
+def test_fixed_point_max_outer_counts_the_re_solve(monkeypatch):
+    # the re-solve is a P evaluation: with max_outer at the loose evaluation,
+    # two_nuclei stops there unaccepted although its residual is below tol
+    run, calls = _demo_fixed_point("two_nuclei", monkeypatch, max_outer=3)
+    with pytest.raises(nt.FixedPointDivergence) as info:
+        run()
+    assert len(calls) == len(info.value.history) == 3
+    assert info.value.history[-1] < 1e-6 and calls[-1][1] > 1e-9
 
 
 def test_anderson_step_solves_affine_map_and_falls_back_to_damped_step():

@@ -376,3 +376,28 @@ def test_picard_max_iter_failure_carries_history(grid16):
                           n_steps=8, enforce_window=False)
     assert len(err.value.history) == 2
     assert all(d > 0 for d in err.value.history)
+
+
+def test_picard_non_finite_sweep_fails_at_once(grid16, monkeypatch):
+    # a NaN nonlinear term at the 5th snapshot of the first sweep ends the
+    # solve at that sweep; a max that dropped the NaN distances of the later
+    # snapshots would let the solve "converge" on a non-finite field
+    nonlinearity = pr.apply_nonlinearity
+    calls = []
+
+    def broken(u):
+        calls.append(1)
+        out = nonlinearity(u)
+        if len(calls) == 5:
+            out.data[:] = np.nan
+        return out
+
+    monkeypatch.setattr(pr, "apply_nonlinearity", broken)
+    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
+    M = 8
+    with pytest.raises(pr.ConvergenceFailure, match="non-finite iterate distance at sweep 1") as err:
+        pr.duhamel_picard(u0, _static_traj(Z=0.4, T=0.4), 0.4, tol=1e-10, max_iter=25,
+                          plan=pr.PropagatorPlan(n_slices=M, eps_reg=0.8), n_steps=M,
+                          enforce_window=False)
+    assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
+    assert len(calls) == M + 1
