@@ -198,16 +198,28 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
 # transforms and norms
 
 
+def spinor_fft(data: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Unscaled 3-D ``fftn`` (``ifftn`` if ``inverse``) of each spinor component
+    ``data[..., c]`` into ``out[..., c]``; ``out`` may be ``data``.
+
+    Bitwise ``fftn(data, axes=(0, 1, 2))``, but one component at a time is
+    faster on the interleaved layout and needs no second field in place."""
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    for c in range(N_COMPONENTS):
+        transform(data[..., c], out=out[..., c])
+    return out
+
+
 def to_momentum(u: SpinorField) -> np.ndarray:
     """The spectrum ``uhat = h^3 fftn(u)`` of a field, as a plain array."""
-    uhat = np.fft.fftn(u.data, axes=(0, 1, 2))
+    uhat = spinor_fft(u.data, np.empty_like(u.data))
     uhat *= u.grid.spacing**3
     return uhat
 
 
 def to_position(grid: GridSpec, uhat: np.ndarray) -> SpinorField:
     """The field ``ifftn(uhat) / h^3`` on ``grid`` of a spectrum ``uhat``."""
-    x = np.fft.ifftn(uhat, axes=(0, 1, 2))
+    x = spinor_fft(uhat, np.empty(uhat.shape, dtype=np.complex128), inverse=True)
     x /= grid.spacing**3
     return SpinorField(grid, x)
 

@@ -32,6 +32,7 @@ from .lattice import (
     l2_distance,
     l2_norm,
     sobolev_norm,
+    spinor_fft,
     translate,
 )
 from .hartree import apply_nonlinearity, hartree_potential
@@ -148,9 +149,10 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     """
     grid = u.grid
     kick = _half_kick(delta, V + (hartree_potential(u) if V_H is None else V_H) if hartree else V)
-    data = np.fft.fftn(u.data * kick, axes=(0, 1, 2))
+    data = u.data * kick  # a new array: the transforms below work in place
+    spinor_fft(data, data)
     data = dirac.step_momentum_data(grid, data, delta, drift)
-    data = np.fft.ifftn(data, axes=(0, 1, 2))
+    spinor_fft(data, data, inverse=True)
     if hartree:
         w = SpinorField(grid, data)
         kick = _half_kick(delta, (V if V_out is None else V_out) + hartree_potential(w))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +73,47 @@ def test_round_trip_and_parseval(grid16, rng):
     back = lat.to_position(grid16, uhat)
     assert lat.l2_distance(back, u) / lat.l2_norm(u) < 1e-12
     assert np.sum(np.abs(uhat) ** 2) / grid16.volume == pytest.approx(lat.charge(u), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("strided", [False, True])
+def test_spinor_fft_matches_fftn_bitwise(n, inverse, strided):
+    # per component, into a fresh array or in place, from a C-contiguous
+    # array or a strided view: bitwise the transform of the whole spinor
+    rng = np.random.default_rng(n)
+    raw = rng.normal(size=(n, n, n, 8)) + 1j * rng.normal(size=(n, n, n, 8))
+    data = raw[..., ::2] if strided else np.ascontiguousarray(raw[..., :4])
+    expected = (np.fft.ifftn if inverse else np.fft.fftn)(data, axes=(0, 1, 2))
+    out = np.empty_like(expected)
+    assert lat.spinor_fft(data, out, inverse) is out
+    assert np.array_equal(out, expected)
+    assert lat.spinor_fft(data, data, inverse) is data
+    assert np.array_equal(data, expected)
+
+
+def _spinor_transform_lines(source: str) -> list:
+    """Line of each ``fftn``/``ifftn`` call over axes (0, 1, 2) in ``source``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+        axes = [kw.value for kw in node.keywords if kw.arg == "axes"] + node.args[2:3]
+        if callee in ("fftn", "ifftn") and any(
+                [getattr(e, "value", None) for e in getattr(a, "elts", ())] == [0, 1, 2] for a in axes):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_spinor_fft_is_the_only_spinor_transform():
+    # a whole-spinor fftn/ifftn over axes (0, 1, 2) is the slow path that
+    # lattice.spinor_fft replaces; the scalar Hartree transforms take no such axes
+    assert _spinor_transform_lines(
+        "def step(u):\n    return np.fft.ifftn(fftn(u, None, [0, 1, 2]), axes=(0, 1, 2))\n") == [2, 2]
+    package = Path(lat.__file__).parent
+    found = {path.name: _spinor_transform_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_spinor_field_holds_position_data_only(grid16):

@@ -53,6 +53,23 @@ def test_frozen_step_constant_potential_is_global_phase(grid16, rng):
     assert lat.l2_distance(out, expected) / lat.l2_norm(u) < 1e-12
 
 
+@pytest.mark.parametrize("V, options", [
+    ("coulomb", {"hartree": True}),
+    (0.0, {}),
+    ("coulomb", {"drift": (0.1, -0.2, 0.05)}),
+])
+def test_strang_step_leaves_its_input_unchanged(grid16, rng, V, options):
+    # the step transforms its own kicked copy in place; coupled_direct keeps u as a snapshot
+    u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
+    before = u.data.copy()
+    if V == "coulomb":
+        V = coulomb_field([NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))],
+                          regularization_eps(None, grid16), grid16)
+    out = pr.strang_step(u, 0.1, V, **options)
+    assert np.array_equal(u.data, before)
+    assert not np.shares_memory(out.data, u.data)
+
+
 def test_product_formula_charge_preserved(grid16, rng):
     u0 = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.7)
     traj = _moving_traj()
