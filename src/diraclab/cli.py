@@ -46,6 +46,7 @@ from .propagator import (
     PropagatorPlan,
     check_contraction_window,
     product_formula_evolve,
+    slices_per_step,
     step_count,
 )
 
@@ -56,6 +57,11 @@ EXIT_INVARIANT = 4
 
 SOLVER_ERRORS = (ConvergenceFailure, FixedPointDivergence, AdmissibilityError, CollisionError,
                  FloatingPointError)
+
+# fields a run holds besides the Picard snapshots and slice potentials: u0, the
+# direct step's or the Picard sweep's working fields and one diagnostic pass
+# (tracemalloc at n = 16, 32 and 64: at most 8.2 with u0, rounded up)
+WORKING_FIELDS = 10
 
 
 def _fmt(x) -> str:
@@ -78,10 +84,10 @@ def _output_dir(args, name: str) -> Path:
     return outdir
 
 
-def _write_timeseries(path: Path, fsol, traj, rep, every: int) -> None:
-    """One CSV row per ``every``-th snapshot: H^sigma norm, energy, momentum and
-    force from the solver's report, charge from ``fsol`` and q and v from
-    ``traj`` at the snapshot time; nothing is computed here but formatting."""
+def _write_timeseries(path: Path, traj, rep, every: int) -> None:
+    """One CSV row per ``every``-th snapshot: charge, H^sigma norm, energy,
+    momentum and force from the solver's report and q and v from ``traj`` at
+    the snapshot time; nothing is computed here but formatting."""
     cols = ["t", "charge", "hsigma",
             "E_field_kinetic", "E_interaction", "E_hartree", "E_nuclear_kinetic",
             "E_internuclear", "E_total", "p_x", "p_y", "p_z"]
@@ -89,10 +95,10 @@ def _write_timeseries(path: Path, fsol, traj, rep, every: int) -> None:
         for name in ("q", "v", "F_field", "F_internuclear", "F_total"):
             cols += [f"{name}{k}_{ax}" for ax in "xyz"]
     lines = [",".join(cols)]
-    for j in range(0, len(fsol.times), every):
-        t = fsol.times[j]
+    for j in range(0, len(traj.times), every):
+        t = traj.times[j]
         eb, p, fb = rep.energies[j], rep.momenta[j], rep.forces[j]
-        row = [_fmt(t), _fmt(fsol.charges[j]), _fmt(rep.hsigma[j]),
+        row = [_fmt(t), _fmt(rep.charges[j]), _fmt(rep.hsigma[j]),
                _fmt(eb.field_kinetic), _fmt(eb.interaction), _fmt(eb.hartree),
                _fmt(eb.nuclear_kinetic), _fmt(eb.internuclear), _fmt(eb.total),
                _fmt(p[0]), _fmt(p[1]), _fmt(p[2])]
@@ -112,6 +118,29 @@ def _initial_state(cfg):
         check_contraction_window(cfg.time.T, u0, cfg.solver.sigma,
                                  cfg.solver.contraction_const)
     return grid, u0, nuclei
+
+
+def _peak_estimate(cfg) -> int:
+    """Estimated peak bytes of the config's solvers, at 64 n^3 bytes per field:
+    ``WORKING_FIELDS``, plus for the fixed point the M+1 Picard snapshots and
+    one potential (1/8 field) per slice.  The direct run holds no snapshot
+    list, and under ``both`` it runs after the fixed point's slices are freed."""
+    M = step_count(cfg.time.T, cfg.time.dt)
+    fields = WORKING_FIELDS
+    if cfg.solver.method in ("fixed_point", "both"):
+        fields += M + 1 + M * slices_per_step(cfg.time.n_slices, M) / 8
+    return int(fields * 64 * cfg.grid.n**3)
+
+
+def _check_memory(cfg) -> None:
+    """Reject a config whose estimated peak exceeds the machine's physical memory."""
+    need = _peak_estimate(cfg)
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > limit:
+        raise ConfigError(
+            f"grid.n, time.dt, time.n_slices, solver.method: estimated peak memory "
+            f"{need / 2**30:.3g} GiB ({need} bytes) exceeds the physical memory "
+            f"{limit / 2**30:.3g} GiB ({limit} bytes)")
 
 
 def _run_solvers(cfg, grid, u0, nuclei):
@@ -137,7 +166,7 @@ def _run_solvers(cfg, grid, u0, nuclei):
             "picard_tols": rep.picard_tols, "picard_sweeps": rep.picard_sweeps,
             "newton_residual": rep.newton_residual,
             "admissibility_failures": rep.admissibility_failures,
-            "charge_drift": fsol.charge_drift(), "wall_time": time.time() - t0,
+            "charge_drift": rep.charge_drift, "wall_time": time.time() - t0,
         }
     if cfg.solver.method in ("direct", "both"):
         t0 = time.time()
@@ -165,6 +194,7 @@ def cmd_simulate(args) -> int:
         cfg = load_config(args.config)
         for w in cfg.warnings:
             print(f"warning: {w}", file=sys.stderr)
+        _check_memory(cfg)
         grid, u0, nuclei = _initial_state(cfg)
     except (ConfigError, ContractionWindowError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
@@ -187,9 +217,9 @@ def cmd_simulate(args) -> int:
             "q_final_max_diff": float(np.max(np.abs(ta.positions[:, -1] - tb.positions[:, -1]))),
             "field_final_l2_diff": l2_distance(fa.final, fb.final),
         }
-    for name, (fsol, traj, rep) in results.items():
+    for name, (_, traj, rep) in results.items():
         ts_path = outdir / f"timeseries_{name}.csv"
-        _write_timeseries(ts_path, fsol, traj, rep, cfg.output.every)
+        _write_timeseries(ts_path, traj, rep, cfg.output.every)
         manifest["outputs"].append(ts_path.name)
     fsol, traj, _ = results.get("fixed_point", results.get("direct"))
     ck_path = outdir / "final.dns"
@@ -433,7 +463,10 @@ def _solver_rows(axis: str, rungs) -> list:
     prev = {}
     for cfg, grid, u0, nuclei in rungs:
         results, entries = _run_solvers(cfg, grid, u0, nuclei)
-        for name, (_, traj, rep) in results.items():
+        # hold no field of this rung while the next one is solved
+        runs = [(name, traj, rep) for name, (_, traj, rep) in results.items()]
+        del results
+        for name, traj, rep in runs:
             q, E = traj.positions[:, -1], rep.energies[-1].total
             q_prev, E_prev, dq_prev, dE_prev = prev.get(name, (None,) * 4)
             dq = float(np.max(np.abs(q - q_prev))) if q_prev is not None else None
@@ -457,6 +490,8 @@ def cmd_convergence(args) -> int:
             tree = copy.deepcopy(raw)
             tree[section][key] = value
             rung = parse_config(tree)
+            if args.axis != "n_slices":
+                _check_memory(rung)
             rungs.append((rung, *_initial_state(rung)))
     except (ConfigError, ContractionWindowError) as exc:
         print(f"config rejected: {exc}", file=sys.stderr)

@@ -354,9 +354,9 @@ def read_checkpoint(path):
             raise ValueError(f"checkpoint {path} is {size} bytes, expected {expected} "
                              f"for n={n} with {n_nuc} nuclei")
         recs = np.frombuffer(fh.read(8 * 8 * n_nuc), dtype="<f8").reshape(n_nuc, 8)
-        raw = np.frombuffer(fh.read(16 * n**3 * N_COMPONENTS), dtype="<c16")
+        raw = np.fromfile(fh, dtype="<c16", count=n**3 * N_COMPONENTS)  # no bytes copy
     grid = GridSpec(int(n), float(box_length))
-    data = raw.reshape(n, n, n, N_COMPONENTS).astype(np.complex128)
+    data = raw.reshape(n, n, n, N_COMPONENTS).astype(np.complex128, copy=False)
     field = SpinorField(grid, data)
     if not field.is_finite():
         raise ValueError("checkpoint contains non-finite field data")

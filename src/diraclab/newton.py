@@ -38,6 +38,7 @@ from .propagator import (
     PropagatorPlan,
     check_contraction_window,
     duhamel_picard,
+    relative_charge_drift,
     snapshot_count,
     step_count,
     strang_step,
@@ -245,15 +246,20 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
 
 @dataclass
 class RunDiagnostics:
-    """Computed by the solver, one entry per snapshot of the returned field:
-    EnergyBreakdown, total momentum (a row of the (n_times, 3) array), H^sigma
-    norm and ForceBreakdown.  Energy, momentum and H^sigma come from one
+    """Computed by the solver, one entry per snapshot of the run: EnergyBreakdown,
+    total momentum (a row of the (n_times, 3) array), H^sigma norm,
+    ForceBreakdown and charge.  Energy, momentum and H^sigma come from one
     :func:`snapshot_diagnostics` pass per snapshot."""
 
     energies: list
     momenta: np.ndarray
     hsigma: np.ndarray
     forces: list
+    charges: np.ndarray
+
+    @property
+    def charge_drift(self) -> float:
+        return relative_charge_drift(self.charges)
 
 
 def _stacked(passes: list):
@@ -391,7 +397,7 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     report = FixedPointReport(
         *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
                    for u, t in zip(fsol.snapshots, fsol.times)]),
-        forces, outer_iterations=len(history), step_history=history,
+        forces, fsol.charges, outer_iterations=len(history), step_history=history,
         picard_tols=inner_tols, picard_sweeps=sweeps, converged=True,
         newton_residual=_newton_residual(traj, forces),
         admissibility_failures=report_adm.failures)
@@ -408,7 +414,6 @@ class DirectRunReport(RunDiagnostics):
 
     energy_drift: float
     momentum_drift: float
-    charge_drift: float
 
 
 def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float = None,
@@ -424,7 +429,9 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     Hartree potential, which the next step's first half-kick reuses.  Raises
     :class:`CollisionError` when two nuclei come closer than two grid spacings,
     FloatingPointError naming a step with a non-finite force or total energy,
-    and ValueError without nuclei.  Returns (FieldSolution, Trajectory, DirectRunReport).
+    and ValueError without nuclei.  Returns (FieldSolution, Trajectory,
+    DirectRunReport); the run holds one field at a time, so the FieldSolution
+    holds only the final field, at T, and the report every snapshot's charge.
     """
     charges, masses, q0, v0 = _initial_arrays(list(nuclei0))
     u, grid = u0, u0.grid
@@ -454,7 +461,7 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     V = coulomb_field(nuclei_at(0), eps, grid)
     rho = density(u)
     V_H = convolve_inverse_distance(grid, rho)
-    snaps = [u.copy()]
+    field_charges = [charge(u)]
     forces = [force_breakdown(u, nuclei_at(0), eps, rho=rho)]
     passes = [snapshot_diagnostics(u, nuclei_at(0), eps, sigma, rho=rho, V=V, V_H=V_H)]
     for j in range(M):
@@ -472,9 +479,9 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
         passes.append(snapshot_diagnostics(u, nuclei_at(j + 1), eps, sigma, rho=rho, V=V, V_H=V_H))
         if not (np.isfinite(forces[-1].total).all() and np.isfinite(passes[-1][0].total)):
             raise FloatingPointError(f"non-finite force or total energy at step {j + 1}")
-        snaps.append(u)
+        field_charges.append(charge(u))
 
-    fsol = FieldSolution(times, snaps)
+    fsol = FieldSolution(times[-1:], [u])
     traj = Trajectory(charges, masses, times, q, v)
     energies, momenta, hsigma = _stacked(passes)
     e_tot = np.array([e.total for e in energies])
@@ -483,8 +490,7 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
                   max(float(np.sum(masses * np.linalg.norm(v[:, j], axis=-1)))
                       for j in range(M + 1)), 1e-30)
     report = DirectRunReport(
-        energies, momenta, hsigma, forces,
+        energies, momenta, hsigma, forces, np.array(field_charges),
         energy_drift=float(np.max(np.abs(e_tot - e_tot[0])) / e_scale),
-        momentum_drift=float(np.max(np.linalg.norm(momenta - momenta[0], axis=1)) / p_scale),
-        charge_drift=fsol.charge_drift())
+        momentum_drift=float(np.max(np.linalg.norm(momenta - momenta[0], axis=1)) / p_scale))
     return fsol, traj, report

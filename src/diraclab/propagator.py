@@ -95,6 +95,12 @@ class PropagatorPlan:
             raise ValueError("eps_reg must be positive")
 
 
+def relative_charge_drift(charges: np.ndarray) -> float:
+    """``max_j |Q_j - Q_0| / Q_0`` of a charge series (0 for a zero first charge)."""
+    c0 = charges[0]
+    return float(np.max(np.abs(charges - c0)) / c0) if c0 > 0 else 0.0
+
+
 @dataclass
 class FieldSolution:
     """Snapshots of a field evolution at ``times``; the per-snapshot charges
@@ -118,8 +124,7 @@ class FieldSolution:
         return self.snapshots[-1]
 
     def charge_drift(self) -> float:
-        c0 = self.charges[0]
-        return float(np.max(np.abs(self.charges - c0)) / c0) if c0 > 0 else 0.0
+        return relative_charge_drift(self.charges)
 
 
 def step_count(T: float, dt: float) -> int:
@@ -130,6 +135,11 @@ def step_count(T: float, dt: float) -> int:
 def snapshot_count(plan: PropagatorPlan, n_steps: int = None) -> int:
     """Snapshot intervals of a Picard solve: ``n_steps``, or ``max(8, plan.n_slices)``."""
     return n_steps if n_steps is not None else max(8, plan.n_slices)
+
+
+def slices_per_step(n_slices: int, M: int) -> int:
+    """Slices per snapshot interval of a Picard solve over ``M`` intervals (at least one)."""
+    return max(1, int(round(n_slices / M)))
 
 
 def _half_kick(delta: float, V):
@@ -353,8 +363,9 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     The Duhamel integral is evaluated by composite trapezoid on the snapshot
     grid, propagated stepwise so each iteration costs one linear sweep.
     Iterate 0 is the linear evolution, or the M+1 snapshots of ``start`` (a
-    warm start); each sweep overwrites that list in place, and the returned
-    FieldSolution holds it, so a warm start keeps no second set of fields.
+    warm start); each sweep overwrites that list in place, snapshot by
+    snapshot, and the returned FieldSolution holds it, so a solve holds the
+    M+1 iterates and a few further fields.
     Returns (FieldSolution, PicardReport); raises :class:`ConvergenceFailure`
     with the iterate-distance history when ``max_iter`` is exhausted, or at
     once on a non-finite distance.
@@ -366,8 +377,7 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     M = snapshot_count(plan, n_steps)
     times = traj.t0 + np.linspace(0.0, T, M + 1)
     delta = T / M
-    slices_per_step = max(1, int(round(plan.n_slices / M)))
-    step_plan = replace(plan, n_slices=M * slices_per_step)
+    step_plan = replace(plan, n_slices=M * slices_per_step(plan.n_slices, M))
 
     # the trajectory is fixed for the whole solve: build each step's slices once
     steps = [list(_frozen_slices(traj, times[j], times[j + 1], step_plan, grid))
@@ -387,19 +397,26 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
 
     distances = []
     converged = False
+    half = 0.5j * delta
     for it in range(max_iter):
-        nonl = [apply_nonlinearity(u) for u in iterates]
-        new = [u0.copy()]
+        # step j reads the old iterate j+1 only through its nonlinear term, which
+        # it carries to step j+1, so the sweep overwrites each iterate in place
+        term = apply_nonlinearity(iterates[0]).data
+        term *= half
+        iterates[0] = u0.copy()
+        step_dists = []
         for j in range(M):
-            mid = SpinorField(grid, new[j].data - 0.5j * delta * nonl[j].data)
-            propagated = linear_step(mid, j)
-            new.append(SpinorField(grid, propagated.data - 0.5j * delta * nonl[j + 1].data))
-        dist = float(np.max([l2_distance(a, b) for a, b in zip(new[1:], iterates[1:])]))
+            new = linear_step(SpinorField(grid, iterates[j].data - term), j)
+            term = apply_nonlinearity(iterates[j + 1]).data
+            term *= half
+            new.data -= term
+            step_dists.append(l2_distance(new, iterates[j + 1]))
+            iterates[j + 1] = new
+        dist = float(np.max(step_dists))
         distances.append(dist)  # np.max keeps a NaN that Python's max would drop
         if not np.isfinite(dist):
             raise ConvergenceFailure(f"Picard iteration: non-finite iterate distance at sweep "
                                      f"{it + 1} (distances: {distances})", distances)
-        iterates[:] = new
         if dist < tol:
             converged = True
             break

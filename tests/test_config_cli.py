@@ -304,31 +304,45 @@ def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
                      "density": 2 * M + 1, "convolve_inverse_distance": 2 * M + 1}
     monkeypatch.undo()
 
-    # at every: 2 each row must still match an independent evaluation of its snapshot
-    returned = {}
+    # at every: 2 each row must still match an independent evaluation of its
+    # snapshot: the fixed point returns its snapshots, and a direct run's
+    # snapshots are u0 and the output of each of its steps
+    returned, snapshots = {}, {}
     for solver in ("coupled_fixed_point", "coupled_direct"):
         def recorded(*args, _fn=getattr(nt, solver), _name=solver, **kwargs):
+            snapshots.setdefault(_name, [args[0]])
             returned[_name] = _fn(*args, **kwargs)
             return returned[_name]
 
         monkeypatch.setattr(cli, solver, recorded)
+    step = nt.strang_step
+
+    def recorded_step(*args, **kwargs):
+        snapshots["coupled_direct"].append(step(*args, **kwargs))
+        return snapshots["coupled_direct"][-1]
+
+    monkeypatch.setattr(nt, "strang_step", recorded_step)
     p = _write_cfg(tmp_path, _cfg(**{"solver.method": "both", "output.every": 2}))
     rc = cli.main(["--output-root", str(tmp_path / "every2"), "simulate", "--config", str(p)])
     assert rc == 0
+    snapshots["coupled_fixed_point"] = returned["coupled_fixed_point"][0].snapshots
     eps = BASE["physics"]["epsilon_reg"]
     sigma = cf.load_config(p).solver.sigma
     energy_cols = ["E_field_kinetic", "E_interaction", "E_hartree", "E_nuclear_kinetic",
                    "E_internuclear", "E_total"]
     for solver, name in (("coupled_fixed_point", "fixed_point"), ("coupled_direct", "direct")):
         fsol, traj, _ = returned[solver]
+        assert len(snapshots[solver]) == len(traj.times)
+        assert fsol.final is snapshots[solver][-1] and fsol.times[-1] == traj.times[-1]
         rows = _read_csv(tmp_path / "every2" / "run" / f"timeseries_{name}.csv")
-        assert len(rows) == (len(fsol.times) + 1) // 2
+        assert len(rows) == (len(traj.times) + 1) // 2
         for i, row in enumerate(rows):
             j = 2 * i
-            assert row["t"] == fsol.times[j]
-            nuclei = traj.nuclei_at(fsol.times[j])
-            want = snapshot_oracle(fsol.snapshots[j], nuclei, eps, sigma)
-            fb = nt.force_breakdown(fsol.snapshots[j], nuclei, eps)
+            assert row["t"] == traj.times[j]
+            assert row["charge"] == lat.charge(snapshots[solver][j])
+            nuclei = traj.nuclei_at(traj.times[j])
+            want = snapshot_oracle(snapshots[solver][j], nuclei, eps, sigma)
+            fb = nt.force_breakdown(snapshots[solver][j], nuclei, eps)
             for cols in (energy_cols, ["p_x", "p_y", "p_z"], ["hsigma"]):
                 expect = [want[c] for c in cols]
                 np.testing.assert_allclose([row[c] for c in cols], expect, rtol=1e-12,
@@ -345,6 +359,61 @@ def test_simulate_rejects_bad_charge(tmp_path, capsys):
     rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
     assert rc == cli.EXIT_CONFIG
     assert "charge hypothesis" in capsys.readouterr().err
+
+
+def _physical_memory(monkeypatch, limit):
+    """Make ``os.sysconf`` report ``limit`` bytes of physical memory in 4 KiB pages."""
+    sysconf = os.sysconf
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": limit // 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
+
+
+@pytest.mark.parametrize("method", ["direct", "fixed_point", "both"])
+def test_simulate_refuses_a_run_above_physical_memory(tmp_path, capsys, monkeypatch, method):
+    # the estimate is read before the initial state is built: exit 2 naming the
+    # estimate and the limit, no traceback and no output directory
+    raw = _cfg(**{"solver.method": method})
+    need = cli._peak_estimate(cf.parse_config(raw))
+    p = _write_cfg(tmp_path, raw)
+    _physical_memory(monkeypatch, need - 4096)
+    rc = cli.main(["--output-root", str(tmp_path / "out"), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    limit = (need - 4096) // 4096 * 4096
+    assert err.startswith("config rejected:") and "estimated peak memory" in err
+    assert f"({need} bytes)" in err and f"({limit} bytes)" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    _physical_memory(monkeypatch, need + 4096)
+    rc = cli.main(["--output-root", str(tmp_path / "out"), "simulate", "--config", str(p)])
+    assert rc == cli.EXIT_OK
+
+
+def test_memory_estimate_counts_fields_of_the_solvers():
+    # 64 n^3 bytes per field: the direct run a fixed number, the fixed point
+    # also its M+1 snapshots and one potential (1/8 field) per slice
+    field = 64 * 8**3
+    for method, n_slices, fields in (("direct", 4, 10), ("fixed_point", 4, 10 + 5 + 0.5),
+                                     ("both", 4, 10 + 5 + 0.5), ("both", 16, 10 + 5 + 2)):
+        cfg = cf.parse_config(_cfg(**{"solver.method": method, "time.n_slices": n_slices}))
+        assert cli._peak_estimate(cfg) == int(fields * field)
+
+
+def test_memory_estimate_admits_n128_m32_on_an_8_gb_machine():
+    cfg = cf.parse_config(_cfg(**{"solver.method": "both", "grid.n": 128, "grid.box_length": 16.0,
+                                  "time.T": 0.32, "time.dt": 0.01, "time.n_slices": 32}))
+    assert cli._peak_estimate(cfg) == int((10 + 33 + 4) * 64 * 128**3)
+    assert cli._peak_estimate(cfg) < 8 * 10**9
+
+
+def test_convergence_refuses_a_rung_above_physical_memory(tmp_path, capsys):
+    # a solver ladder's rung at n = 4096 would need about 690 GB; refused unbuilt
+    p = _write_cfg(tmp_path, _cfg())
+    rc = cli.main(["--output-root", str(tmp_path / "out"), "convergence",
+                   "--config", str(p), "--axis", "n", "--ladder", "8", "4096"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config rejected:") and "estimated peak memory" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key,value", [

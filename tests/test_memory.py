@@ -1,0 +1,92 @@
+"""Memory guards, counted in fields (64 n^3 bytes, one (n, n, n, 4) complex128 array).
+
+Peaks are read with ``tracemalloc``, which numpy reports its array buffers to,
+above what was allocated before the call; nothing here allocates to find a limit.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from diraclab import cli
+from diraclab import config as cf
+from diraclab import lattice as lat
+from diraclab import newton as nt
+from diraclab import propagator as pr
+from diraclab.potentials import NucleusState, Trajectory
+
+
+def peak_fields(fn, grid):
+    """(result of ``fn()``, its traced peak allocation in fields of ``grid``)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak / (64 * grid.n**3)
+
+
+def _packet(grid):
+    return lat.gaussian_spinor(grid, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
+
+
+NUCLEI = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
+
+
+@pytest.mark.parametrize("M", [8, 16])
+def test_picard_solve_holds_its_snapshots_and_a_few_fields(grid16, M):
+    # the sweep overwrites its M+1 iterates in place: beside them it holds
+    # one potential (1/8 field) per slice and a fixed number of working fields
+    # (about 6 measured); three lists of M+1 fields would break the bound
+    traj = Trajectory.static([0.4], [10.0], [[-0.6, 0, 0]], 0.0, 0.4, 8)
+    plan = pr.PropagatorPlan(n_slices=M, eps_reg=0.8)
+    (sol, rep), peak = peak_fields(lambda: pr.duhamel_picard(
+        _packet(grid16), traj, 0.4, tol=1e-9, plan=plan, n_steps=M, enforce_window=False),
+        grid16)
+    assert rep.converged and rep.iterations > 2 and len(sol.snapshots) == M + 1
+    assert peak <= M + 1 + M / 8 + 8
+
+
+def test_direct_run_peak_does_not_grow_with_the_step_count(grid16):
+    peaks = []
+    for steps in (4, 16):
+        (fsol, traj, rep), peak = peak_fields(lambda: nt.coupled_direct(
+            _packet(grid16), NUCLEI, 0.01 * steps, 0.01, eps_reg=0.75), grid16)
+        assert len(traj.times) == len(rep.charges) == steps + 1 and len(fsol.snapshots) == 1
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 1.0
+    assert peaks[1] < 8
+
+
+@pytest.mark.parametrize("method,n_slices", [("direct", 8), ("fixed_point", 8),
+                                             ("fixed_point", 32), ("both", 16)])
+def test_memory_estimate_bounds_the_traced_peak(method, n_slices):
+    # the solvers' traced peak plus u0, which the caller holds, stays within
+    # the pre-solve estimate, and the estimate within 5 fields of it
+    raw = {"grid": {"n": 16, "box_length": 12.0},
+           "physics": {"charges": [0.5], "masses": [10.0], "epsilon_reg": 0.75,
+                       "epsilon0": 0.3},
+           "init": {"positions": [[-0.6, 0, 0]], "velocities": [[0.05, 0.02, 0]],
+                    "field": {"gaussian": {"center": [0.5, 0, 0], "width": 1.3,
+                                           "spinor_weights": [0.4, [0, 0.1], 0, 0]}}},
+           "time": {"T": 0.08, "dt": 0.01, "n_slices": n_slices},
+           "solver": {"method": method, "contraction_const": 0.2},
+           "output": {"every": 1, "path": "run"}}
+    cfg = cf.parse_config(raw)
+    grid, u0, nuclei = cli._initial_state(cfg)
+    _, peak = peak_fields(lambda: cli._run_solvers(cfg, grid, u0, nuclei), grid)
+    estimate = cli._peak_estimate(cfg) / (64 * grid.n**3)
+    assert peak + 1 <= estimate <= peak + 1 + 5
+
+
+def test_read_checkpoint_holds_one_field(tmp_path, grid16, rng):
+    u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.8)
+    path = tmp_path / "u.dns"
+    lat.write_checkpoint(path, u, 0.25, [0.5], [10.0], [[0.1, 0, 0]], [[0, 0.2, 0]])
+    (v, *_), peak = peak_fields(lambda: lat.read_checkpoint(path), grid16)
+    assert np.array_equal(v.data, u.data) and v.data.flags.writeable
+    assert peak < 1.25
+

@@ -456,22 +456,26 @@ def test_direct_collision_abort(grid16):
 
 def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatch):
     # the potential built for each snapshot's Hartree energy is the first
-    # half-kick's potential of the step that starts there, bitwise
+    # half-kick's potential of the step that starts there, bitwise; snapshot 0
+    # is u0 and snapshot j + 1 the output of step j (the run keeps no list)
     step = nt.strang_step
     handed = []
 
     def recorded(u, *args, **kwargs):
-        handed.append((u, kwargs["V_H"]))
-        return step(u, *args, **kwargs)
+        out = step(u, *args, **kwargs)
+        handed.append((u, kwargs["V_H"], out))
+        return out
 
     monkeypatch.setattr(nt, "strang_step", recorded)
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
     fsol, _, _ = nt.coupled_direct(u0, nuclei, 0.04, 0.01, eps_reg=0.75)
     assert len(handed) == 4
-    for j, (u, V_H) in enumerate(handed):
-        assert np.array_equal(u.data, fsol.snapshots[j].data)
+    snapshots = [u0] + [out for *_, out in handed]
+    for j, (u, V_H, _) in enumerate(handed):
+        assert np.array_equal(u.data, snapshots[j].data)
         assert np.array_equal(V_H, ht.hartree_potential(u))
+    assert fsol.final is snapshots[-1]
 
 
 def test_direct_energy_momentum_drift_small(grid16):
