@@ -69,11 +69,15 @@ def apply_free_dirac(u: SpinorField) -> SpinorField:
 
 
 def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndarray:
-    """One exact kinetic/drift step on momentum-space data (see module docstring)."""
+    """One exact kinetic/drift step on momentum-space data (see module docstring).
+
+    Consumes ``uhat``: it is scaled by ``cos(dt lam)`` in place, so pass an
+    array the caller owns and reads no more."""
     lam = grid.mode_energy
     out = apply_symbol(grid, uhat)  # cos(dt lam) uhat - i sin(dt lam)/lam H uhat, in place
     out *= (-1j * (np.sin(dt * lam) / lam))[..., None]
-    out += np.cos(dt * lam)[..., None] * uhat
+    uhat *= np.cos(dt * lam)[..., None]
+    out += uhat
     if drift is not None:
         v = np.asarray(drift, dtype=float)
         if np.any(v != 0.0):

@@ -131,7 +131,9 @@ class SpinorField:
         return SpinorField(self.grid, self.data.copy())
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data.view(np.float64))))
+        """Whether every entry is finite, checked one x-plane at a time (no
+        field-sized temporary)."""
+        return all(np.isfinite(plane).all() for plane in self.data.view(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +227,14 @@ def to_position(grid: GridSpec, uhat: np.ndarray) -> SpinorField:
 
 
 def density(u: SpinorField) -> np.ndarray:
-    """Pointwise C^4 density <u,u> on the position grid."""
-    return np.sum(np.abs(u.data) ** 2, axis=-1)
+    """Pointwise C^4 density <u,u> on the position grid.
+
+    Summed component by component in ``np.sum``'s order ``((a0 + a1) + a2) + a3``,
+    bitwise ``np.sum(|u|^2, axis=-1)`` without a length-4-axis reduction."""
+    rho = np.abs(u.data[..., 0]) ** 2
+    for c in range(1, N_COMPONENTS):
+        rho += np.abs(u.data[..., c]) ** 2
+    return rho
 
 
 def charge(u: SpinorField) -> float:
@@ -328,7 +336,7 @@ def write_checkpoint(path, u: SpinorField, t: float, charges=(), masses=(),
         fh.write(struct.pack("<ddI", u.grid.box_length, float(t), n_nuc))
         for k in range(n_nuc):
             fh.write(struct.pack("<8d", charges[k], masses[k], *positions[k], *velocities[k]))
-        fh.write(np.ascontiguousarray(u.data, dtype="<c16").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(u.data, dtype="<c16")).cast("B"))  # no bytes copy
 
 
 def read_checkpoint(path):

@@ -13,8 +13,11 @@ the discrete energy is exactly differentiable in q and the Hellmann-Feynman
 identity holds to quadrature roundoff).
 
 Each solver reports per snapshot (``RunDiagnostics``) the forces and one
-:func:`snapshot_diagnostics` pass: five energies, total momentum and the
-H^sigma norm from one forward transform and one density.
+:func:`snapshot_diagnostics` pass: five energies, total momentum, the H^sigma
+norm and the charge from one forward transform and one density.  The direct
+integrator builds one density and one Hartree potential per step: its Strang
+step's second half-kick builds them, and the step's forces, its snapshot pass
+and the next step's first half-kick share them.
 """
 
 from __future__ import annotations
@@ -126,43 +129,61 @@ def internuclear_energy(nuclei) -> float:
     return total
 
 
+def _conj_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pointwise product ``conj(a) b``, with one temporary."""
+    out = np.conj(a)
+    out *= b
+    return out
+
+
 def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
                          rho: np.ndarray = None, V: np.ndarray = None, V_H: np.ndarray = None):
-    """(EnergyBreakdown, total momentum, H^sigma norm) of one snapshot, from one
-    forward transform and one density.
+    """(EnergyBreakdown, total momentum, H^sigma norm, charge) of one snapshot,
+    from one forward transform and one density.
 
     The field terms read the spectrum ``uhat`` (Parseval, ``L^-3 sum_xi``): the
     kinetic energy ``<uhat, H_xi uhat> = |a|^2 - |b|^2 + 2 Re <a, (sigma.xi) b>``
     over the upper and lower 2-spinors a, b, the momentum ``sum xi |uhat|^2`` and
-    the H^sigma norm from the same ``|uhat|^2``.  The interaction energy is
-    ``h^3 sum rho V`` with the propagator's regularized potential ``V`` and the
-    Hartree energy ``(1/2) h^3 sum rho V_H``; ``rho``, ``V`` and ``V_H = rho * 1/|x|``
-    are built here unless the caller has them.  The nuclear terms come from ``nuclei``.
+    the H^sigma norm from the same ``|uhat|^2``.  The frequency ``xi_j`` depends
+    on axis j alone, so each ``sum xi_j f`` is the 1-D frequency vector dotted
+    with the marginal sum of ``f`` over the other two axes.  The interaction
+    energy is ``h^3 sum rho V`` with the propagator's regularized potential
+    ``V``, the Hartree energy ``(1/2) h^3 sum rho V_H`` and the charge
+    ``h^3 sum rho``; ``rho``, ``V`` and ``V_H = rho * 1/|x|`` are built here
+    unless the caller has them.  The nuclear terms come from ``nuclei``.
     """
     nuclei = list(nuclei)
     uhat = to_momentum(u)
     grid = u.grid
-    h3, vol = grid.spacing**3, grid.volume
+    h3, vol, xi = grid.spacing**3, grid.volume, grid.freq1d
     rho = density(u) if rho is None else rho
     V = coulomb_field(nuclei, eps, grid) if V is None else V
     V_H = convolve_inverse_distance(grid, rho) if V_H is None else V_H
-    abs2 = np.abs(uhat) ** 2
-    w = np.sum(abs2, axis=-1)
-    kx, ky, kz = grid.freq_mesh
     a0, a1, b0, b1 = (uhat[..., c] for c in range(4))
-    ab = np.vdot(a0, kz * b0 + (kx - 1j * ky) * b1) + np.vdot(a1, (kx + 1j * ky) * b0 - kz * b1)
+    upper = np.abs(a0) ** 2
+    upper += np.abs(a1) ** 2
+    lower = np.abs(b0) ** 2
+    lower += np.abs(b1) ** 2
+    w = upper + lower
+    # Re <a, (sigma.xi) b> = sum kx Re(a0* b1 + a1* b0) - ky Im(a1* b0 - a0* b1)
+    #                        + kz Re(a0* b0 - a1* b1)
+    c01, c10 = _conj_times(a0, b1), _conj_times(a1, b0)
+    ab = (xi @ (c01.sum(axis=(1, 2)) + c10.sum(axis=(1, 2))).real
+          + xi @ (c01.sum(axis=(0, 2)) - c10.sum(axis=(0, 2))).imag
+          + xi @ (_conj_times(a0, b0).sum(axis=(0, 1))
+                  - _conj_times(a1, b1).sum(axis=(0, 1))).real)
     energy = EnergyBreakdown(
-        field_kinetic=float((np.sum(abs2[..., :2]) - np.sum(abs2[..., 2:]) + 2 * ab.real) / vol),
+        field_kinetic=float((np.sum(upper) - np.sum(lower) + 2 * ab) / vol),
         interaction=float(h3 * np.sum(rho * V)),
         hartree=float(0.5 * h3 * np.sum(rho * V_H)),
         nuclear_kinetic=float(sum(0.5 * nuc.m * nuc.qdot @ nuc.qdot for nuc in nuclei)),
         internuclear=internuclear_energy(nuclei),
     )
-    p = np.array([np.sum(kx * w), np.sum(ky * w), np.sum(kz * w)]) / vol
+    p = np.array([xi @ w.sum(axis=(1, 2)), xi @ w.sum(axis=(0, 2)), xi @ w.sum(axis=(0, 1))]) / vol
     for nuc in nuclei:
         p = p + nuc.m * nuc.qdot
     hsigma = float(np.sqrt(np.sum((1.0 + grid.freq_sq) ** sigma * w) / vol))
-    return energy, p, hsigma
+    return energy, p, hsigma, float(h3 * np.sum(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +269,14 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
 class RunDiagnostics:
     """Computed by the solver, one entry per snapshot of the run: EnergyBreakdown,
     total momentum (a row of the (n_times, 3) array), H^sigma norm,
-    ForceBreakdown and charge.  Energy, momentum and H^sigma come from one
-    :func:`snapshot_diagnostics` pass per snapshot."""
+    ForceBreakdown and charge.  Energy, momentum, H^sigma and charge come from
+    one :func:`snapshot_diagnostics` pass per snapshot."""
 
     energies: list
     momenta: np.ndarray
     hsigma: np.ndarray
-    forces: list
     charges: np.ndarray
+    forces: list
 
     @property
     def charge_drift(self) -> float:
@@ -263,9 +284,9 @@ class RunDiagnostics:
 
 
 def _stacked(passes: list):
-    """(energies, (n_times, 3) momenta, H^sigma norms) from per-snapshot passes."""
-    energies, momenta, hsigma = zip(*passes)
-    return list(energies), np.array(momenta), np.array(hsigma)
+    """(energies, (n_times, 3) momenta, H^sigma norms, charges) from per-snapshot passes."""
+    energies, momenta, hsigma, charges = zip(*passes)
+    return list(energies), np.array(momenta), np.array(hsigma), np.array(charges)
 
 
 @dataclass
@@ -397,7 +418,7 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     report = FixedPointReport(
         *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
                    for u, t in zip(fsol.snapshots, fsol.times)]),
-        forces, fsol.charges, outer_iterations=len(history), step_history=history,
+        forces, outer_iterations=len(history), step_history=history,
         picard_tols=inner_tols, picard_sweeps=sweeps, converged=True,
         newton_residual=_newton_residual(traj, forces),
         admissibility_failures=report_adm.failures)
@@ -423,10 +444,14 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     The field advances by one :func:`propagator.strang_step` per nuclear
     step, with the Hartree term refreshed in each half-kick and the nuclear
     potential evaluated at the step-start and step-end positions in the two
-    half-kicks.  After each step's velocity update one
-    :func:`snapshot_diagnostics` pass (H^sigma norm with ``sigma``) reads the
-    step's end potential, the density its forces were computed from and its
-    Hartree potential, which the next step's first half-kick reuses.  Raises
+    half-kicks.  Each step builds one density and one Hartree potential: the
+    step's second half-kick builds them from its pre-kick field w, whose
+    density is the step's output u's up to roundoff (the kick is a phase), and
+    hands them back.  The step's forces use that density; after its velocity
+    update one :func:`snapshot_diagnostics` pass (H^sigma norm with ``sigma``)
+    reads the step's end potential, that density and that Hartree potential,
+    which the next step's first half-kick reuses.  So M steps build M + 1
+    densities and M + 1 Hartree potentials.  Raises
     :class:`CollisionError` when two nuclei come closer than two grid spacings,
     FloatingPointError naming a step with a non-finite force or total energy,
     and ValueError without nuclei.  Returns (FieldSolution, Trajectory,
@@ -457,11 +482,11 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
                         f"at t={times[j]:.6g}")
 
     # the step-end potential of one step is the step-start potential of the next;
-    # each snapshot's density serves its forces and its diagnostics
+    # each snapshot's density serves its forces and its diagnostics, and its
+    # Hartree potential its diagnostics and the next step's first half-kick
     V = coulomb_field(nuclei_at(0), eps, grid)
     rho = density(u)
     V_H = convolve_inverse_distance(grid, rho)
-    field_charges = [charge(u)]
     forces = [force_breakdown(u, nuclei_at(0), eps, rho=rho)]
     passes = [snapshot_diagnostics(u, nuclei_at(0), eps, sigma, rho=rho, V=V, V_H=V_H)]
     for j in range(M):
@@ -470,27 +495,24 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
         check_collision(j + 1)
         nucs_end = [NucleusState(charges[k], masses[k], q[k, j + 1], v[k, j]) for k in range(n)]
         V_end = coulomb_field(nucs_end, eps, grid)
-        u = strang_step(u, delta, V, V_out=V_end, hartree=True, V_H=V_H)
+        u, rho, V_H = strang_step(u, delta, V, V_out=V_end, hartree=True, V_H=V_H)
         V = V_end
-        rho = density(u)
-        V_H = convolve_inverse_distance(grid, rho)
         forces.append(force_breakdown(u, nucs_end, eps, rho=rho))
         v[:, j + 1] = vhalf + 0.5 * delta * forces[-1].total / masses[:, None]
         passes.append(snapshot_diagnostics(u, nuclei_at(j + 1), eps, sigma, rho=rho, V=V, V_H=V_H))
         if not (np.isfinite(forces[-1].total).all() and np.isfinite(passes[-1][0].total)):
             raise FloatingPointError(f"non-finite force or total energy at step {j + 1}")
-        field_charges.append(charge(u))
 
     fsol = FieldSolution(times[-1:], [u])
     traj = Trajectory(charges, masses, times, q, v)
-    energies, momenta, hsigma = _stacked(passes)
+    energies, momenta, hsigma, field_charges = _stacked(passes)
     e_tot = np.array([e.total for e in energies])
     e_scale = max(max(e.component_scale() for e in energies), 1e-30)
     p_scale = max(float(np.max(np.linalg.norm(momenta, axis=1))),
                   max(float(np.sum(masses * np.linalg.norm(v[:, j], axis=-1)))
                       for j in range(M + 1)), 1e-30)
     report = DirectRunReport(
-        energies, momenta, hsigma, forces, np.array(field_charges),
+        energies, momenta, hsigma, field_charges, forces,
         energy_drift=float(np.max(np.abs(e_tot - e_tot[0])) / e_scale),
         momentum_drift=float(np.max(np.linalg.norm(momenta - momenta[0], axis=1)) / p_scale))
     return fsol, traj, report

@@ -29,13 +29,14 @@ from .lattice import (
     GridSpec,
     SpinorField,
     charge,
+    density,
     l2_distance,
     l2_norm,
     sobolev_norm,
     spinor_fft,
     translate,
 )
-from .hartree import apply_nonlinearity, hartree_potential
+from .hartree import apply_nonlinearity, convolve_inverse_distance, hartree_potential
 from .potentials import (
     NucleusState,
     Trajectory,
@@ -148,7 +149,7 @@ def _half_kick(delta: float, V):
 
 
 def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
-                drift=None, V_H=None) -> SpinorField:
+                drift=None, V_H=None):
     """One Strang kick-drift-kick: ``exp(-i delta/2 V_out) exp(-i delta K) exp(-i delta/2 V) u``.
 
     ``V`` and ``V_out`` are the potentials of the first and second half-kick
@@ -156,6 +157,10 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     0.0, for no nuclei).  With ``hartree`` each half-kick adds the Hartree
     potential of the field it acts on, the first ``V_H`` if given (the direct
     integrator's snapshot potential).  ``drift`` is the kinetic factor's comoving velocity.
+    Returns the new field; with ``hartree``, ``(field, rho, V_H)``, where ``rho``
+    and ``V_H = rho * 1/|x|`` are the density and Hartree potential that the
+    second half-kick built from the pre-kick field w.  The kick is a phase, so
+    they are the field's own up to roundoff.
     """
     grid = u.grid
     kick = _half_kick(delta, V + (hartree_potential(u) if V_H is None else V_H) if hartree else V)
@@ -164,9 +169,11 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     data = dirac.step_momentum_data(grid, data, delta, drift)
     spinor_fft(data, data, inverse=True)
     if hartree:
-        w = SpinorField(grid, data)
-        kick = _half_kick(delta, (V if V_out is None else V_out) + hartree_potential(w))
-    elif V_out is not None:
+        rho = density(SpinorField(grid, data))
+        V_H = convolve_inverse_distance(grid, rho)
+        data *= _half_kick(delta, (V if V_out is None else V_out) + V_H)
+        return SpinorField(grid, data), rho, V_H
+    if V_out is not None:
         kick = _half_kick(delta, V_out)
     return SpinorField(grid, data * kick)
 
@@ -447,6 +454,7 @@ def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,
     snaps = [u.copy()]
     for j in range(M):
         V = coulomb_field(traj.nuclei_at(times[j]), eps, grid)
-        u = strang_step(u, delta, V, hartree=include_hartree)
+        out = strang_step(u, delta, V, hartree=include_hartree)
+        u = out[0] if include_hartree else out  # drop the step's density and potential
         snaps.append(u)
     return FieldSolution(times, snaps)

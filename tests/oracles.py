@@ -179,6 +179,21 @@ def snapshot_oracle(u, nuclei, eps, sigma):
     return out
 
 
+def spectral_snapshot_oracle(u, sigma):
+    """The field terms of one snapshot pass over the full frequency grid:
+    ``<uhat, H_xi uhat> / L^3`` with the whole symbol (``apply_symbol`` and
+    ``vdot``), the momentum ``sum xi_j w / L^3`` as full-grid products ``kx * w``
+    of ``w = sum_c |uhat_c|^2``, ``lattice.sobolev_norm`` and ``lattice.charge``."""
+    grid = u.grid
+    uhat = lat.to_momentum(u)
+    w = np.sum(np.abs(uhat) ** 2, axis=-1)
+    kx, ky, kz = grid.freq_mesh
+    return {"field_kinetic": np.vdot(uhat, dirac.apply_symbol(grid, uhat)).real / grid.volume,
+            "momentum": np.array([np.sum(kx * w), np.sum(ky * w), np.sum(kz * w)]) / grid.volume,
+            "hsigma": lat.sobolev_norm(u, sigma),
+            "charge": lat.charge(u)}
+
+
 def random_smooth_field_loop(grid, rng, kmax=5, decay=1.0, amplitude=1.0):
     """``lattice.random_smooth_field`` written as one draw per mode: eight normals
     (four real parts, then four imaginary parts) for each (mx, my, mz) in

@@ -288,29 +288,35 @@ def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
 
     # a direct run of M steps: one forward transform per snapshot (plus the
     # contraction-window check), no inverse, the step's own potential, and one
-    # density and one Hartree potential per snapshot, the density shared by its
-    # forces and diagnostics and the potential by its diagnostics and the next
-    # step's first half-kick (plus one of each for each step's second half-kick)
+    # density and one Hartree potential per snapshot, built by the step's second
+    # half-kick (by the run for u0), the density shared by its forces and
+    # diagnostics and the potential by its diagnostics and the next step's first
+    # half-kick; each snapshot's charge comes from its diagnostic pass, and the
+    # only lattice.charge is the contraction-window check's
     calls = _count_calls(monkeypatch, {
         "to_momentum": lat.to_momentum, "to_position": lat.to_position,
         "coulomb_field": coulomb_field, "density": lat.density,
-        "convolve_inverse_distance": ht.convolve_inverse_distance})
+        "convolve_inverse_distance": ht.convolve_inverse_distance, "charge": lat.charge})
     p = _write_cfg(tmp_path, _cfg(**{"solver.method": "direct", "output.every": 1}))
     rc = cli.main(["--output-root", str(tmp_path / "direct"), "simulate", "--config", str(p)])
     assert rc == 0
     M = len(_read_csv(tmp_path / "direct" / "run" / "timeseries_direct.csv")) - 1
     assert M == 4
+    charges = calls.pop("charge")
     assert calls == {"to_momentum": M + 2, "to_position": 0, "coulomb_field": M + 1,
-                     "density": 2 * M + 1, "convolve_inverse_distance": 2 * M + 1}
+                     "density": M + 1, "convolve_inverse_distance": M + 1}
+    assert charges <= 1
     monkeypatch.undo()
 
     # at every: 2 each row must still match an independent evaluation of its
     # snapshot: the fixed point returns its snapshots, and a direct run's
-    # snapshots are u0 and the output of each of its steps
-    returned, snapshots = {}, {}
+    # snapshots are u0 and the output of each of its steps, whose density is the
+    # one the step hands back (its pre-kick field's, the snapshot's to roundoff)
+    returned, snapshots, densities = {}, {}, {}
     for solver in ("coupled_fixed_point", "coupled_direct"):
         def recorded(*args, _fn=getattr(nt, solver), _name=solver, **kwargs):
             snapshots.setdefault(_name, [args[0]])
+            densities.setdefault(_name, [lat.density(args[0])])
             returned[_name] = _fn(*args, **kwargs)
             return returned[_name]
 
@@ -318,14 +324,17 @@ def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
     step = nt.strang_step
 
     def recorded_step(*args, **kwargs):
-        snapshots["coupled_direct"].append(step(*args, **kwargs))
-        return snapshots["coupled_direct"][-1]
+        out = step(*args, **kwargs)
+        snapshots["coupled_direct"].append(out[0])  # (field, density, Hartree potential)
+        densities["coupled_direct"].append(out[1])
+        return out
 
     monkeypatch.setattr(nt, "strang_step", recorded_step)
     p = _write_cfg(tmp_path, _cfg(**{"solver.method": "both", "output.every": 2}))
     rc = cli.main(["--output-root", str(tmp_path / "every2"), "simulate", "--config", str(p)])
     assert rc == 0
     snapshots["coupled_fixed_point"] = returned["coupled_fixed_point"][0].snapshots
+    densities["coupled_fixed_point"] = [lat.density(u) for u in snapshots["coupled_fixed_point"]]
     eps = BASE["physics"]["epsilon_reg"]
     sigma = cf.load_config(p).solver.sigma
     energy_cols = ["E_field_kinetic", "E_interaction", "E_hartree", "E_nuclear_kinetic",
@@ -339,7 +348,9 @@ def test_simulate_diagnostics_computed_once_per_snapshot(tmp_path, monkeypatch):
         for i, row in enumerate(rows):
             j = 2 * i
             assert row["t"] == traj.times[j]
-            assert row["charge"] == lat.charge(snapshots[solver][j])
+            h3 = snapshots[solver][j].grid.spacing**3
+            assert row["charge"] == float(h3 * np.sum(densities[solver][j]))
+            assert row["charge"] == pytest.approx(lat.charge(snapshots[solver][j]), rel=1e-14)
             nuclei = traj.nuclei_at(traj.times[j])
             want = snapshot_oracle(snapshots[solver][j], nuclei, eps, sigma)
             fb = nt.force_breakdown(snapshots[solver][j], nuclei, eps)

@@ -119,7 +119,7 @@ def test_fused_step_matches_closed_form_and_is_unitary_per_mode(grid16, rng, dri
     # one dense 4x4 matrix per mode
     dt = 0.37
     uhat = lat.to_momentum(lat.random_smooth_field(grid16, rng, kmax=6, decay=0.3))
-    got = dr.step_momentum_data(grid16, uhat, dt, drift)
+    got = dr.step_momentum_data(grid16, uhat.copy(), dt, drift)  # the step consumes its input
     m = dr.dirac_matrices()
     kx, ky, kz = np.meshgrid(*[grid16.freq1d] * 3, indexing="ij")
     H = (kx[..., None, None] * m.alpha1 + ky[..., None, None] * m.alpha2

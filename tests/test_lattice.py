@@ -256,6 +256,29 @@ def test_checkpoint_layout_bytes(tmp_path, grid16):
     assert first_entries[2] == 2.0 and first_entries[3] == 3.0
 
 
+def test_checkpoint_bytes_are_the_field_buffer(tmp_path, rng):
+    # the written file is the header followed by the field's little-endian
+    # complex128 bytes, exactly as a tobytes() copy would lay them out
+    import struct
+
+    g = lat.make_grid(16, 7.5)
+    u = lat.random_smooth_field(g, rng, kmax=5, decay=0.4)
+    path = tmp_path / "field.dns"
+    lat.write_checkpoint(path, u, 0.25, [0.5], [10.0], [[0.1, -0.2, 0.3]], [[0, 0.2, 0]])
+    want = (b"DNS1" + struct.pack("<II", 1, 16) + struct.pack("<ddI", 7.5, 0.25, 1)
+            + struct.pack("<8d", 0.5, 10.0, 0.1, -0.2, 0.3, 0.0, 0.2, 0.0)
+            + np.ascontiguousarray(u.data, dtype="<c16").tobytes())
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_density_is_bitwise_the_component_axis_sum(n):
+    g = lat.make_grid(n, 9.0)
+    for seed in range(3):
+        u = lat.random_smooth_field(g, np.random.default_rng(seed), kmax=n // 2 - 1, decay=0.3)
+        assert np.array_equal(lat.density(u), np.sum(np.abs(u.data) ** 2, axis=-1))
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.dns"
     p.write_bytes(b"XXXX" + b"\x00" * 64)

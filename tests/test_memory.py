@@ -90,3 +90,13 @@ def test_read_checkpoint_holds_one_field(tmp_path, grid16, rng):
     assert np.array_equal(v.data, u.data) and v.data.flags.writeable
     assert peak < 1.25
 
+
+def test_write_checkpoint_copies_no_field(tmp_path, rng):
+    # the field's buffer is written as it is, with no bytes copy of it
+    grid = lat.make_grid(32, 12.0)
+    u = lat.random_smooth_field(grid, rng, kmax=4, decay=0.8)
+    path = tmp_path / "u.dns"
+    _, peak = peak_fields(lambda: lat.write_checkpoint(path, u, 0.25, [0.5], [10.0],
+                                                       [[0.1, 0, 0]], [[0, 0.2, 0]]), grid)
+    assert path.stat().st_size == 32 + 64 + 64 * grid.n**3
+    assert peak < 0.1

@@ -10,7 +10,7 @@ from diraclab import newton as nt
 from diraclab.dirac import apply_symbol
 from diraclab.potentials import NucleusState, Trajectory, coulomb_field
 from diraclab.propagator import PropagatorPlan, step_count
-from oracles import nbody_coulomb_oracle, snapshot_oracle
+from oracles import nbody_coulomb_oracle, snapshot_oracle, spectral_snapshot_oracle
 
 
 def test_field_force_zero_field(grid16):
@@ -88,7 +88,7 @@ def test_force_breakdown_total_identity(grid16, rng):
 def test_energy_breakdown_consistent_regularization(grid16):
     u = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.5, 0, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (0.9, 0, 0), (0.1, 0, 0))]
-    eb, _, _ = nt.snapshot_diagnostics(u, nuclei, 0.8, 1.0)
+    eb, _, _, _ = nt.snapshot_diagnostics(u, nuclei, 0.8, 1.0)
     # the propagator's potential at the same eps
     V = coulomb_field(nuclei, 0.8, grid16)
     assert eb.interaction == pytest.approx(grid16.spacing**3 * np.sum(lat.density(u) * V))
@@ -108,7 +108,7 @@ def test_snapshot_diagnostics_match_independent_oracles(n, n_nuclei):
     u = lat.random_smooth_field(grid, np.random.default_rng(100 * n + n_nuclei),
                                 kmax=4, decay=0.8)
     nuclei, eps, sigma = TWO_NUCLEI[:n_nuclei], 0.8, 1.25
-    eb, p, hsigma = nt.snapshot_diagnostics(u, nuclei, eps, sigma)
+    eb, p, hsigma, q = nt.snapshot_diagnostics(u, nuclei, eps, sigma)
     want = snapshot_oracle(u, nuclei, eps, sigma)
     got = {"E_field_kinetic": eb.field_kinetic, "E_interaction": eb.interaction,
            "E_hartree": eb.hartree, "E_nuclear_kinetic": eb.nuclear_kinetic,
@@ -118,9 +118,10 @@ def test_snapshot_diagnostics_match_independent_oracles(n, n_nuclei):
         assert value == pytest.approx(want[key], rel=1e-12), key
     # the caller's potential and density are the ones the pass would build
     V = coulomb_field(nuclei, eps, grid)
-    eb_given, p_given, hsigma_given = nt.snapshot_diagnostics(
+    eb_given, p_given, hsigma_given, q_given = nt.snapshot_diagnostics(
         u, nuclei, eps, sigma, rho=lat.density(u), V=V)
     assert eb_given == eb and np.array_equal(p_given, p) and hsigma_given == hsigma
+    assert q_given == q
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -132,6 +133,25 @@ def test_snapshot_kinetic_energy_matches_symbol_form(n):
     want = np.vdot(uhat, apply_symbol(grid, uhat)).real / grid.volume
     got = nt.snapshot_diagnostics(u, TWO_NUCLEI, 0.8, 1.25)[0].field_kinetic
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_snapshot_pass_matches_dense_spectral_oracle(n):
+    # marginal sums dotted with 1-D frequencies against full-grid products;
+    # each term relative to the scale that bounds it (sum |H_xi| |uhat|^2 for
+    # the kinetic energy, sum |xi| |uhat|^2 for the momentum)
+    grid = lat.make_grid(n, 12.0)
+    for seed in range(3):
+        u = lat.random_smooth_field(grid, np.random.default_rng(seed), kmax=4, decay=0.5)
+        eb, p, hsigma, q = nt.snapshot_diagnostics(u, [], 0.8, 1.25)
+        want = spectral_snapshot_oracle(u, 1.25)
+        w = np.sum(np.abs(lat.to_momentum(u)) ** 2, axis=-1)
+        kinetic_scale = np.sum(grid.mode_energy * w) / grid.volume
+        momentum_scale = np.sum(np.sqrt(grid.freq_sq) * w) / grid.volume
+        assert abs(eb.field_kinetic - want["field_kinetic"]) <= 1e-14 * kinetic_scale
+        assert np.max(np.abs(p - want["momentum"])) <= 1e-14 * momentum_scale
+        assert hsigma == pytest.approx(want["hsigma"], rel=1e-14, abs=0.0)
+        assert q == pytest.approx(want["charge"], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +475,10 @@ def test_direct_collision_abort(grid16):
 
 
 def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatch):
-    # the potential built for each snapshot's Hartree energy is the first
-    # half-kick's potential of the step that starts there, bitwise; snapshot 0
-    # is u0 and snapshot j + 1 the output of step j (the run keeps no list)
+    # each step's first half-kick takes, bitwise, the Hartree potential that the
+    # previous step's second half-kick built (from its pre-kick field w), and
+    # that potential is the snapshot's own up to roundoff; snapshot 0 is u0 and
+    # snapshot j + 1 the output of step j (the run keeps no list)
     step = nt.strang_step
     handed = []
 
@@ -471,10 +492,13 @@ def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatc
     nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
     fsol, _, _ = nt.coupled_direct(u0, nuclei, 0.04, 0.01, eps_reg=0.75)
     assert len(handed) == 4
-    snapshots = [u0] + [out for *_, out in handed]
+    snapshots = [u0] + [out[0] for *_, out in handed]
+    built = [ht.hartree_potential(u0)] + [out[2] for *_, out in handed]
     for j, (u, V_H, _) in enumerate(handed):
         assert np.array_equal(u.data, snapshots[j].data)
-        assert np.array_equal(V_H, ht.hartree_potential(u))
+        assert np.array_equal(V_H, built[j])
+        want = ht.hartree_potential(u)
+        assert np.max(np.abs(V_H - want)) <= 1e-14 * np.max(np.abs(want))
     assert fsol.final is snapshots[-1]
 
 

@@ -6,6 +6,7 @@ import pytest
 from diraclab import dirac as dr
 from diraclab import lattice as lat
 from diraclab import propagator as pr
+from diraclab.hartree import hartree_potential
 from diraclab.potentials import NucleusState, Trajectory, coulomb_field, regularization_eps
 
 
@@ -66,8 +67,28 @@ def test_strang_step_leaves_its_input_unchanged(grid16, rng, V, options):
         V = coulomb_field([NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))],
                           regularization_eps(None, grid16), grid16)
     out = pr.strang_step(u, 0.1, V, **options)
+    if options.get("hartree"):
+        out = out[0]  # (field, density, Hartree potential)
     assert np.array_equal(u.data, before)
     assert not np.shares_memory(out.data, u.data)
+
+
+@pytest.mark.parametrize("given", [False, True])
+def test_strang_step_hands_back_its_second_kick_density_and_potential(grid16, rng, given):
+    # with hartree the step returns the density and Hartree potential that its
+    # second half-kick built from the pre-kick field w, bitwise; w is the same
+    # first kick and kinetic step followed by a zero second kick
+    u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
+    eps = regularization_eps(None, grid16)
+    V = coulomb_field([NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))], eps, grid16)
+    V_out = coulomb_field([NucleusState(0.5, 1.0, (0.1, 0, 0), (0, 0, 0))], eps, grid16)
+    V_H0 = hartree_potential(u)
+    out, rho, V_H = pr.strang_step(u, 0.1, V, V_out=V_out, hartree=True,
+                                   V_H=V_H0 if given else None)
+    w = pr.strang_step(u, 0.1, V + V_H0, V_out=0.0)
+    assert np.array_equal(rho, lat.density(w))
+    assert np.array_equal(V_H, hartree_potential(w))
+    assert np.array_equal(out.data, w.data * np.exp(-0.05j * (V_out + V_H))[..., None])
 
 
 def test_product_formula_charge_preserved(grid16, rng):
