@@ -38,7 +38,7 @@ from .newton import (
     coupled_direct,
     coupled_fixed_point,
 )
-from .potentials import Trajectory, regularization_eps
+from .potentials import CHARGE_LIMIT, Trajectory, regularization_eps
 from .propagator import (
     AdmissibilityError,
     ContractionWindowError,
@@ -555,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("groundstate", help="regularity classification tables")
     pg.add_argument("--nu", nargs="+", required=True, type=_checked(
-        float, "0 < nu < sqrt(3)/2 (coupling hypothesis)", lambda nu: 0 < nu < gs.NU_LIMIT))
+        float, "0 < nu < sqrt(3)/2 (coupling hypothesis)", lambda nu: 0 < nu < CHARGE_LIMIT))
     pg.add_argument("--sigma", nargs="+", required=True,
                     type=_checked(float, "0 <= sigma <= 2", lambda s: 0 <= s <= 2))
     pg.add_argument("--out", default="groundstate")

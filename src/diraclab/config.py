@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .lattice import gaussian_spinor, make_grid, read_checkpoint
-from .potentials import CHARGE_LIMIT, NucleusState
+from .potentials import CHARGE_LIMIT, check_initial_separation, nucleus_states
 
 # list shapes: a number per nucleus, a 3-vector, a 3-vector per nucleus, and
 # four spinor weights (numbers or [re, im] pairs); _SHAPES reads each
@@ -262,14 +262,10 @@ def parse_config(raw: dict) -> SimConfig:
         raise ConfigError("solver.mode: the comoving frame is implemented for a single "
                           f"nucleus only, got {n_nuclei} nuclei")
 
-    for k in range(n_nuclei):
-        for l in range(k + 1, n_nuclei):
-            sep = float(np.linalg.norm(np.array(init.positions[k]) - np.array(init.positions[l])))
-            if sep < 8.0 * phys.epsilon0 - 1e-12:
-                raise ConfigError(
-                    "init.positions: separation hypothesis violated: require "
-                    f"min |q_k(0) - q_l(0)| >= 8*epsilon0 = {8 * phys.epsilon0:.6g}, "
-                    f"got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
+    try:
+        check_initial_separation(init.positions, phys.epsilon0)
+    except ValueError as exc:
+        raise ConfigError(f"init.positions: {exc}") from None
     for k, v in enumerate(init.velocities):
         speed = float(np.linalg.norm(v))
         if speed > solver.velocity_cap + 1e-15:
@@ -320,7 +316,6 @@ def build_initial_state(cfg: SimConfig):
             raise ConfigError(
                 f"checkpoint grid ({u0.grid.n}, {u0.grid.box_length}) does not match "
                 f"config grid ({grid.n}, {grid.box_length})")
-    nuclei = [NucleusState(Z, m, q, v) for Z, m, q, v in
-              zip(cfg.physics.charges, cfg.physics.masses, cfg.init.positions,
-                  cfg.init.velocities)]
+    nuclei = nucleus_states(cfg.physics.charges, cfg.physics.masses, cfg.init.positions,
+                            cfg.init.velocities)
     return grid, u0, nuclei

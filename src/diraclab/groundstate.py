@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# SciPy is imported inside the functions that use it; simulate and validate never load it
+from .potentials import CHARGE_LIMIT
 
-NU_LIMIT = np.sqrt(3.0) / 2.0
+# SciPy is imported inside the functions that use it; simulate and validate never load it
 
 CONVERGENT = "CONVERGENT"
 DIVERGENT = "DIVERGENT"
@@ -39,7 +39,7 @@ class GroundStateModel:
     a: float = None
 
     def __post_init__(self):
-        if not 0.0 < self.nu < NU_LIMIT:
+        if not 0.0 < self.nu < CHARGE_LIMIT:
             raise ValueError(f"coupling hypothesis violated: require 0 < nu < sqrt(3)/2, got {self.nu}")
         if self.a is None:
             object.__setattr__(self, "a", float(self.nu))
@@ -82,7 +82,7 @@ def groundstate_fourier(model: GroundStateModel, k):
 
 def sobolev_threshold(nu: float) -> float:
     """Largest-regularity threshold ``sigma_max(nu) = sqrt(1 - nu^2) + 1/2``."""
-    if not 0.0 < nu < NU_LIMIT:
+    if not 0.0 < nu < CHARGE_LIMIT:
         raise ValueError(f"coupling hypothesis violated: require 0 < nu < sqrt(3)/2, got {nu}")
     return float(np.sqrt(1.0 - nu**2) + 0.5)
 

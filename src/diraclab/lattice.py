@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -256,6 +256,18 @@ def l2_distance(u: SpinorField, v: SpinorField) -> float:
     return float(np.sqrt(u.grid.spacing**3 * np.sum(np.abs(diff) ** 2)))
 
 
+@lru_cache(maxsize=8)
+def sobolev_weight(grid: GridSpec, sigma: float, homogeneous: bool) -> np.ndarray:
+    """The squared multiplier ``(1+|xi|^2)^sigma``, or with ``homogeneous``
+    ``|xi|^(2 sigma)`` with the xi=0 mode dropped; read-only because the cache
+    hands the same array to every caller."""
+    k2 = grid.freq_sq
+    w = (np.where(k2 > 0.0, np.where(k2 > 0.0, k2, 1.0) ** sigma, 0.0) if homogeneous
+         else (1.0 + k2) ** sigma)
+    w.setflags(write=False)
+    return w
+
+
 def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
     """The norm of ``u`` at each sigma in ``sigmas``, all from one transform.
 
@@ -268,9 +280,7 @@ def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
         if not homogeneous and not 0.0 <= sigma <= 2.0:
             raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
     uhat = to_momentum(u)
-    k2 = u.grid.freq_sq
-    weights = [np.where(k2 > 0.0, np.where(k2 > 0.0, k2, 1.0) ** sigma, 0.0)
-               if homogeneous else (1.0 + k2) ** sigma for sigma in sigmas]
+    weights = [sobolev_weight(u.grid, sigma, homogeneous) for sigma in sigmas]
     power = np.abs(uhat) ** 2
     return [float(np.sqrt(np.sum(w[..., None] * power) / u.grid.volume)) for w in weights]
 
@@ -289,12 +299,15 @@ def homogeneous_sobolev_norm(u: SpinorField, sigma: float) -> float:
 
 
 def translate(u: SpinorField, shift) -> SpinorField:
-    """Exact spectral translation: returns v with ``v(x) = u(x + shift)``."""
+    """Exact spectral translation ``v(x) = u(x + shift)``, built in the spectrum's buffer."""
     uhat = to_momentum(u)
     kx, ky, kz = u.grid.freq_mesh
     s = np.asarray(shift, dtype=float)
     phase = np.exp(1j * (kx * s[0] + ky * s[1] + kz * s[2]))
-    return to_position(u.grid, phase[..., None] * uhat)
+    np.multiply(phase[..., None], uhat, out=uhat)  # phase first: `uhat *= phase` rounds differently
+    spinor_fft(uhat, uhat, inverse=True)
+    uhat /= u.grid.spacing**3
+    return SpinorField(u.grid, uhat)
 
 
 def spectral_upsample(u: SpinorField, factor: int = 2) -> SpinorField:

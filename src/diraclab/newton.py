@@ -27,12 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hartree import convolve_inverse_distance
-from .lattice import SpinorField, charge, density, to_momentum, translate
+from .lattice import SpinorField, charge, density, sobolev_weight, to_momentum, translate
 from .potentials import (
-    NucleusState,
     Trajectory,
     admissibility_check,
+    check_initial_separation,
     coulomb_field,
+    nucleus_pairs,
+    nucleus_states,
     regularization_eps,
 )
 from .propagator import (
@@ -41,7 +43,6 @@ from .propagator import (
     PropagatorPlan,
     check_contraction_window,
     duhamel_picard,
-    relative_charge_drift,
     snapshot_count,
     step_count,
     strang_step,
@@ -86,20 +87,22 @@ class EnergyBreakdown:
                    abs(self.nuclear_kinetic), abs(self.internuclear), 1e-30)
 
 
+def _coulomb_pairs(nuclei: list):
+    """``(k, l, Z_k Z_l, q_k - q_l, |q_k - q_l|)`` per pair; CollisionError if they coincide."""
+    for k, l, d, r in nucleus_pairs([nuc.q for nuc in nuclei]):
+        if r == 0.0:
+            raise CollisionError(f"nuclei {k} and {l} coincide")
+        yield k, l, nuclei[k].Z * nuclei[l].Z, d, r
+
+
 def internuclear_force(nuclei) -> np.ndarray:
     """Pairwise Coulomb forces ``Z_k Z_l (q_k - q_l)/|q_k - q_l|^3``; exact action-reaction."""
     nuclei = list(nuclei)
-    n = len(nuclei)
-    F = np.zeros((n, 3))
-    for k in range(n):
-        for l in range(k + 1, n):
-            d = nuclei[k].q - nuclei[l].q
-            r = np.linalg.norm(d)
-            if r == 0.0:
-                raise CollisionError(f"nuclei {k} and {l} coincide")
-            f = nuclei[k].Z * nuclei[l].Z * d / r**3
-            F[k] += f
-            F[l] -= f
+    F = np.zeros((len(nuclei), 3))
+    for k, l, zz, d, r in _coulomb_pairs(nuclei):
+        f = zz * d / r**3
+        F[k] += f
+        F[l] -= f
     return F
 
 
@@ -118,14 +121,10 @@ def force_breakdown(u: SpinorField, nuclei, eps: float, rho: np.ndarray = None) 
 
 
 def internuclear_energy(nuclei) -> float:
-    nuclei = list(nuclei)
+    """Pairwise Coulomb energy ``sum_{k<l} Z_k Z_l / |q_k - q_l|``."""
     total = 0.0
-    for k in range(len(nuclei)):
-        for l in range(k + 1, len(nuclei)):
-            r = np.linalg.norm(nuclei[k].q - nuclei[l].q)
-            if r == 0.0:
-                raise CollisionError(f"nuclei {k} and {l} coincide")
-            total += nuclei[k].Z * nuclei[l].Z / r
+    for _, _, zz, _, r in _coulomb_pairs(list(nuclei)):
+        total += zz / r
     return total
 
 
@@ -182,7 +181,7 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     p = np.array([xi @ w.sum(axis=(1, 2)), xi @ w.sum(axis=(0, 2)), xi @ w.sum(axis=(0, 1))]) / vol
     for nuc in nuclei:
         p = p + nuc.m * nuc.qdot
-    hsigma = float(np.sqrt(np.sum((1.0 + grid.freq_sq) ** sigma * w) / vol))
+    hsigma = float(np.sqrt(np.sum(sobolev_weight(grid, sigma, False) * w) / vol))
     return energy, p, hsigma, float(h3 * np.sum(rho))
 
 
@@ -280,7 +279,9 @@ class RunDiagnostics:
 
     @property
     def charge_drift(self) -> float:
-        return relative_charge_drift(self.charges)
+        """``max_j |Q_j - Q_0| / Q_0`` over the snapshots (0 for a zero first charge)."""
+        c0 = self.charges[0]
+        return float(np.max(np.abs(self.charges - c0)) / c0) if c0 > 0 else 0.0
 
 
 def _stacked(passes: list):
@@ -365,13 +366,7 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     nuclei0 = list(nuclei0)
     charges, masses, a, b = _initial_arrays(nuclei0)
     plan = plan or PropagatorPlan()
-    for k in range(len(nuclei0)):
-        for l in range(k + 1, len(nuclei0)):
-            sep = np.linalg.norm(nuclei0[k].q - nuclei0[l].q)
-            if sep < 8.0 * eps0 - 1e-12:
-                raise ValueError(
-                    "separation hypothesis violated: require min |q_k(0) - q_l(0)| "
-                    f">= 8*eps0 = {8 * eps0:.6g}, got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
+    check_initial_separation(a, eps0)
     if charge(u0) > 0:
         check_contraction_window(T, u0, sigma, contraction_const)
     M = snapshot_count(plan, n_steps)
@@ -465,41 +460,35 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     M = step_count(T, dt)
     delta = T / M
     times = np.linspace(0.0, T, M + 1)
-    n = len(charges)
-    q = np.zeros((n, M + 1, 3))
-    v = np.zeros((n, M + 1, 3))
+    q = np.zeros((len(charges), M + 1, 3))
+    v = np.zeros((len(charges), M + 1, 3))
     q[:, 0], v[:, 0] = q0, v0
-
-    def nuclei_at(j):
-        return [NucleusState(charges[k], masses[k], q[k, j], v[k, j]) for k in range(n)]
-
-    def check_collision(j):
-        for k in range(n):
-            for l in range(k + 1, n):
-                if np.linalg.norm(q[k, j] - q[l, j]) < floor:
-                    raise CollisionError(
-                        f"nuclei {k} and {l} closer than the resolvable scale {floor:.4g} "
-                        f"at t={times[j]:.6g}")
 
     # the step-end potential of one step is the step-start potential of the next;
     # each snapshot's density serves its forces and its diagnostics, and its
     # Hartree potential its diagnostics and the next step's first half-kick
-    V = coulomb_field(nuclei_at(0), eps, grid)
+    nuclei = nucleus_states(charges, masses, q0, v0)
+    V = coulomb_field(nuclei, eps, grid)
     rho = density(u)
     V_H = convolve_inverse_distance(grid, rho)
-    forces = [force_breakdown(u, nuclei_at(0), eps, rho=rho)]
-    passes = [snapshot_diagnostics(u, nuclei_at(0), eps, sigma, rho=rho, V=V, V_H=V_H)]
+    forces = [force_breakdown(u, nuclei, eps, rho=rho)]
+    passes = [snapshot_diagnostics(u, nuclei, eps, sigma, rho=rho, V=V, V_H=V_H)]
     for j in range(M):
         vhalf = v[:, j] + 0.5 * delta * forces[-1].total / masses[:, None]
         q[:, j + 1] = q[:, j] + delta * vhalf
-        check_collision(j + 1)
-        nucs_end = [NucleusState(charges[k], masses[k], q[k, j + 1], v[k, j]) for k in range(n)]
-        V_end = coulomb_field(nucs_end, eps, grid)
+        for k, l, _, r in nucleus_pairs(q[:, j + 1]):
+            if r < floor:
+                raise CollisionError(f"nuclei {k} and {l} closer than the resolvable scale "
+                                     f"{floor:.4g} at t={times[j + 1]:.6g}")
+        # the forces and the step-end potential read positions only
+        nuclei = nucleus_states(charges, masses, q[:, j + 1], vhalf)
+        V_end = coulomb_field(nuclei, eps, grid)
         u, rho, V_H = strang_step(u, delta, V, V_out=V_end, hartree=True, V_H=V_H)
         V = V_end
-        forces.append(force_breakdown(u, nucs_end, eps, rho=rho))
+        forces.append(force_breakdown(u, nuclei, eps, rho=rho))
         v[:, j + 1] = vhalf + 0.5 * delta * forces[-1].total / masses[:, None]
-        passes.append(snapshot_diagnostics(u, nuclei_at(j + 1), eps, sigma, rho=rho, V=V, V_H=V_H))
+        nuclei = nucleus_states(charges, masses, q[:, j + 1], v[:, j + 1])
+        passes.append(snapshot_diagnostics(u, nuclei, eps, sigma, rho=rho, V=V, V_H=V_H))
         if not (np.isfinite(forces[-1].total).all() and np.isfinite(passes[-1][0].total)):
             raise FloatingPointError(f"non-finite force or total energy at step {j + 1}")
 

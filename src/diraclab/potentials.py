@@ -27,7 +27,7 @@ from .lattice import (
 
 # SciPy is imported inside the functions that use it; simulate and validate never load it
 
-CHARGE_LIMIT = np.sqrt(3.0) / 2.0
+CHARGE_LIMIT = np.sqrt(3.0) / 2.0  # the charge hypothesis |Z_k| < sqrt(3)/2
 
 
 @dataclass
@@ -50,6 +50,32 @@ class NucleusState:
             raise ValueError(f"charge hypothesis violated: require |Z| < sqrt(3)/2, got Z={self.Z}")
         if not self.m > 0:
             raise ValueError(f"nucleus mass must be positive, got m={self.m}")
+
+
+def nucleus_states(charges, masses, positions, velocities) -> list:
+    """One :class:`NucleusState` per row of the per-nucleus sequences."""
+    return [NucleusState(Z, m, q, v) for Z, m, q, v in zip(charges, masses, positions, velocities)]
+
+
+def nucleus_pairs(positions):
+    """Yield ``(k, l, q_k - q_l, |q_k - q_l|)`` for each pair k < l of an ``(n, ..., 3)``
+    position array; the distance is ``np.linalg.norm(d)`` for one configuration
+    and an array over the middle axes otherwise."""
+    q = np.asarray(positions, dtype=float)
+    for k in range(len(q)):
+        for l in range(k + 1, len(q)):
+            d = q[k] - q[l]
+            yield k, l, d, np.linalg.norm(d) if d.ndim == 1 else np.linalg.norm(d, axis=-1)
+
+
+def check_initial_separation(positions, eps0: float) -> None:
+    """The separation hypothesis ``|q_k(0) - q_l(0)| >= 8*epsilon0`` for every
+    pair of initial positions; ValueError naming the first pair that breaks it."""
+    for k, l, _, sep in nucleus_pairs(positions):
+        if sep < 8.0 * eps0 - 1e-12:
+            raise ValueError(
+                "separation hypothesis violated: require min |q_k(0) - q_l(0)| >= "
+                f"8*epsilon0 = {8 * eps0:.6g}, got |q_{k}(0) - q_{l}(0)| = {sep:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +176,19 @@ class Trajectory:
                 + d01 / dt * self.positions[:, i + 1] + d11 * self.velocities[:, i + 1])
 
     def nuclei_at(self, t: float) -> list:
-        q = self.position(t)
-        v = self.velocity(t)
-        return [NucleusState(self.charges[k], self.masses[k], q[k], v[k])
-                for k in range(self.n_nuclei)]
+        return nucleus_states(self.charges, self.masses, self.position(t), self.velocity(t))
 
     def max_speed(self) -> float:
         return float(np.max(np.linalg.norm(self.velocities, axis=2)))
 
     def min_separation(self):
-        """Minimum pairwise distance over the sampled grid; (value, (k,l), time)."""
-        if self.n_nuclei < 2:
-            return np.inf, None, None
+        """Minimum pairwise distance over the sampled grid; (value, (k,l), time),
+        ``(inf, None, None)`` for fewer than two nuclei."""
         best = (np.inf, None, None)
-        for k in range(self.n_nuclei):
-            for l in range(k + 1, self.n_nuclei):
-                d = np.linalg.norm(self.positions[k] - self.positions[l], axis=1)
-                i = int(np.argmin(d))
-                if d[i] < best[0]:
-                    best = (float(d[i]), (k, l), float(self.times[i]))
+        for k, l, _, d in nucleus_pairs(self.positions):
+            i = int(np.argmin(d))
+            if d[i] < best[0]:
+                best = (float(d[i]), (k, l), float(self.times[i]))
         return best
 
     def consistency_residual(self) -> float:
@@ -339,14 +359,11 @@ class FreezingMap:
         self.anchors = np.asarray(self.anchors, dtype=float).reshape(-1, 3)
         if not self.eps0 > 0:
             raise ValueError("eps0 must be positive")
-        n = len(self.anchors)
-        for k in range(n):
-            for l in range(k + 1, n):
-                sep = np.linalg.norm(self.anchors[k] - self.anchors[l])
-                if sep < 4.0 * self.eps0:
-                    raise ValueError(
-                        "cutoff supports overlap: anchor separation "
-                        f"|a_{k}-a_{l}|={sep:.6g} < 4*eps0={4 * self.eps0:.6g}")
+        for k, l, _, sep in nucleus_pairs(self.anchors):
+            if sep < 4.0 * self.eps0:
+                raise ValueError(
+                    "cutoff supports overlap: anchor separation "
+                    f"|a_{k}-a_{l}|={sep:.6g} < 4*eps0={4 * self.eps0:.6g}")
 
     def displacements(self, t: float) -> np.ndarray:
         return self.trajectory.position(t) - self.anchors

@@ -28,7 +28,6 @@ from . import dirac
 from .lattice import (
     GridSpec,
     SpinorField,
-    charge,
     density,
     l2_distance,
     l2_norm,
@@ -38,10 +37,10 @@ from .lattice import (
 )
 from .hartree import apply_nonlinearity, convolve_inverse_distance, hartree_potential
 from .potentials import (
-    NucleusState,
     Trajectory,
     admissibility_check,
     coulomb_field,
+    nucleus_states,
     regularization_eps,
 )
 
@@ -96,36 +95,19 @@ class PropagatorPlan:
             raise ValueError("eps_reg must be positive")
 
 
-def relative_charge_drift(charges: np.ndarray) -> float:
-    """``max_j |Q_j - Q_0| / Q_0`` of a charge series (0 for a zero first charge)."""
-    c0 = charges[0]
-    return float(np.max(np.abs(charges - c0)) / c0) if c0 > 0 else 0.0
-
-
 @dataclass
 class FieldSolution:
-    """Snapshots of a field evolution at ``times``; the per-snapshot charges
-    are computed on first use."""
+    """Snapshots of a field evolution at ``times``."""
 
     times: np.ndarray
     snapshots: list
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self._charges = None
-
-    @property
-    def charges(self) -> np.ndarray:
-        if self._charges is None:
-            self._charges = np.array([charge(u) for u in self.snapshots])
-        return self._charges
 
     @property
     def final(self) -> SpinorField:
         return self.snapshots[-1]
-
-    def charge_drift(self) -> float:
-        return relative_charge_drift(self.charges)
 
 
 def step_count(T: float, dt: float) -> int:
@@ -217,9 +199,8 @@ def _frozen_slices(traj: Trajectory, s: float, t: float, plan: PropagatorPlan, g
     if plan.frame == COMOVING_SINGLE:
         if traj.n_nuclei != 1:
             raise ValueError("comoving frame is implemented for a single nucleus only")
-        center = traj.nuclei_at(traj.t0)[0]
-        static = coulomb_field([NucleusState(center.Z, center.m, np.zeros(3), np.zeros(3))],
-                               eps, grid)
+        static = coulomb_field(nucleus_states(traj.charges, traj.masses, np.zeros((1, 3)),
+                                              np.zeros((1, 3))), eps, grid)
         for (x, y, tf) in segs:
             yield y - x, static, traj.velocity(tf)[0]
     else:

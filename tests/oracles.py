@@ -4,8 +4,8 @@ Each oracle deliberately avoids the code path it checks: radial quadrature
 for 3D grid sums, dense matrix exponentials for closed-form mode steps,
 complex transforms for the real-transform Hartree convolution,
 finite-difference stencils for spectral derivatives, Ewald summation for
-the spectral Poisson solve, and adaptive ODE integration for the nuclear
-dynamics.
+the spectral Poisson solve, adaptive ODE integration for the nuclear
+dynamics, and double sums over ordered pairs for the internuclear terms.
 """
 
 import numpy as np
@@ -141,6 +141,22 @@ def nbody_coulomb_oracle(charges, masses, q0, v0, T, rtol=1e-12, atol=1e-14):
     sol = solve_ivp(rhs, (0.0, T), np.concatenate([q0.ravel(), v0.ravel()]),
                     rtol=rtol, atol=atol, dense_output=True)
     return sol
+
+
+def internuclear_oracle(charges, positions):
+    """(forces, energy) of point charges by the double sum over ordered pairs:
+    ``F_k = sum_{l != k} Z_k Z_l (q_k - q_l) / |q_k - q_l|^3`` and
+    ``E = (1/2) sum_{l != k} Z_k Z_l / |q_k - q_l|``, distances as ``sqrt(d.d)``."""
+    q = np.asarray(positions, dtype=float)
+    F, E = np.zeros_like(q), 0.0
+    for k, (zk, qk) in enumerate(zip(charges, q)):
+        for l, (zl, ql) in enumerate(zip(charges, q)):
+            if l != k:
+                d = qk - ql
+                r = np.sqrt(d @ d)
+                F[k] += zk * zl * d / r**3
+                E += 0.5 * zk * zl / r
+    return F, E
 
 
 def sine_transform_quadrature(f, k, r_max, tol=1e-12):

@@ -153,6 +153,15 @@ def test_parse_separation_rejection():
     })
     with pytest.raises(cf.ConfigError, match=r"8\*epsilon0"):
         cf.parse_config(raw)
+    # three nuclei: the rejection names the pair that is too close, (1, 2)
+    raw = _cfg(**{
+        "physics.charges": [0.5, 0.5, 0.5],
+        "physics.masses": [10.0, 10.0, 10.0],
+        "init.positions": [[-3.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]],
+        "init.velocities": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    })
+    with pytest.raises(cf.ConfigError, match=r"\|q_1\(0\) - q_2\(0\)\| = 1\b"):
+        cf.parse_config(raw)
 
 
 def test_parse_missing_field_spec():

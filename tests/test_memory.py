@@ -100,3 +100,16 @@ def test_write_checkpoint_copies_no_field(tmp_path, rng):
                                                        [[0.1, 0, 0]], [[0, 0.2, 0]]), grid)
     assert path.stat().st_size == 32 + 64 + 64 * grid.n**3
     assert peak < 0.1
+
+
+def test_translate_holds_one_field(rng):
+    # the phase, the inverse transform and the scaling act in the spectrum's
+    # buffer; a second spectrum-sized product would reach about 3 fields
+    grid = lat.make_grid(32, 12.0)
+    u = lat.random_smooth_field(grid, rng, kmax=4, decay=0.8)
+    shift = (0.3, -0.2, 0.1)
+    v, peak = peak_fields(lambda: lat.translate(u, shift), grid)
+    kx, ky, kz = grid.freq_mesh
+    phase = np.exp(1j * (kx * shift[0] + ky * shift[1] + kz * shift[2]))
+    assert np.array_equal(v.data, lat.to_position(grid, phase[..., None] * lat.to_momentum(u)).data)
+    assert peak < 2

@@ -10,7 +10,12 @@ from diraclab import newton as nt
 from diraclab.dirac import apply_symbol
 from diraclab.potentials import NucleusState, Trajectory, coulomb_field
 from diraclab.propagator import PropagatorPlan, step_count
-from oracles import nbody_coulomb_oracle, snapshot_oracle, spectral_snapshot_oracle
+from oracles import (
+    internuclear_oracle,
+    nbody_coulomb_oracle,
+    snapshot_oracle,
+    spectral_snapshot_oracle,
+)
 
 
 def test_field_force_zero_field(grid16):
@@ -67,6 +72,17 @@ def test_internuclear_three_collinear_middle_balanced():
     F = nt.internuclear_force(nuclei)
     assert np.max(np.abs(F[1])) < 1e-15
     assert np.max(np.abs(F.sum(axis=0))) < 1e-15
+
+
+def test_internuclear_terms_match_double_sum_oracle():
+    charges = [0.5, -0.3, 0.7]
+    positions = [(-2.0, 0.3, 0.0), (1.0, 0.0, 0.2), (1.6, 0.5, -0.1)]  # closest pair (1, 2)
+    nuclei = [NucleusState(z, 1.0, q, (0, 0, 0)) for z, q in zip(charges, positions)]
+    F_ref, E_ref = internuclear_oracle(charges, positions)
+    F = nt.internuclear_force(nuclei)
+    assert np.allclose(F, F_ref, rtol=1e-14, atol=1e-14 * np.max(np.abs(F_ref)))
+    assert nt.internuclear_energy(nuclei) == pytest.approx(E_ref, rel=1e-14)
+    assert np.max(np.abs(F.sum(axis=0))) < 1e-15 * np.max(np.abs(F))
 
 
 def test_internuclear_coincident_raises():
@@ -472,6 +488,16 @@ def test_direct_collision_abort(grid16):
               NucleusState(-0.5, 1.0, (1.0, 0, 0), (-0.3, 0, 0))]
     with pytest.raises(nt.CollisionError):
         nt.coupled_direct(u0, nuclei, 4.0, 0.02, eps_reg=0.8)
+
+
+def test_direct_collision_names_the_pair(grid16):
+    # nuclei 1 and 2 (closest pair) close in on each other; the floor is 2h = 1.5
+    u0 = lat.zero_spinor(grid16)
+    nuclei = [NucleusState(0.5, 1.0, (-4.0, 0, 0), (0, 0, 0)),
+              NucleusState(0.3, 1.0, (0.0, 0, 0), (1.0, 0, 0)),
+              NucleusState(-0.3, 1.0, (1.8, 0, 0), (-1.0, 0, 0))]
+    with pytest.raises(nt.CollisionError, match="nuclei 1 and 2 closer than the resolvable scale"):
+        nt.coupled_direct(u0, nuclei, 0.4, 0.02, eps_reg=0.8)
 
 
 def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatch):

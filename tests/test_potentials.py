@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -64,6 +68,39 @@ def test_trajectory_rejects_nonuniform_times():
     with pytest.raises(ValueError, match="uniform"):
         pot.Trajectory([0.5], [1.0], [0.0, 0.1, 0.3],
                        np.zeros((1, 3, 3)), np.zeros((1, 3, 3)))
+
+
+def test_min_separation_names_closest_pair_and_time():
+    # nucleus 0 rests far away; nuclei 1 and 2 close in to 0.5 at t = 1
+    traj = pot.Trajectory.constant_velocity(
+        [0.5, 0.4, -0.3], [1.0, 1.0, 1.0], [[-3.0, 0, 0], [1.0, 0, 0], [2.5, 0, 0]],
+        [[0, 0, 0], [0.5, 0, 0], [-0.5, 0, 0]], 0.0, 1.0, 8)
+    sep, pair, t = traj.min_separation()
+    assert pair == (1, 2) and t == 1.0 and sep == pytest.approx(0.5, rel=1e-15)
+    lone = pot.Trajectory.static([0.5], [1.0], [[0, 0, 0]], 0.0, 1.0, 4)
+    assert lone.min_separation() == (np.inf, None, None)
+
+
+def _pair_loop_lines(source: str) -> list:
+    """Line of each ``range(<index> + 1, ...)`` call, the inner loop over pairs, in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+                  and len(node.args) >= 2 and isinstance(node.args[0], ast.BinOp)
+                  and isinstance(node.args[0].op, ast.Add)
+                  and getattr(node.args[0].right, "value", None) == 1)
+
+
+def test_nucleus_pairs_is_the_only_pair_loop():
+    # every pass over nucleus pairs goes through potentials.nucleus_pairs
+    assert _pair_loop_lines(
+        "for k in range(n):\n    for l in range(k + 1, n):\n        x = range(n + 1)\n") == [2]
+    package = Path(pot.__file__).parent
+    found = {path.name: _pair_loop_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
+    body, first = inspect.getsourcelines(pot.nucleus_pairs)
+    inside = range(first, first + len(body))
+    assert len([line for line in found["potentials.py"] if line in inside]) == 1
+    found["potentials.py"] = [line for line in found["potentials.py"] if line not in inside]
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # ---------------------------------------------------------------------------
