@@ -180,20 +180,23 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
     fixed (grid-independent) order, damped by ``exp(-|xi|^2 decay^2 / 2)``.
     The same seed therefore produces the same continuum field on any grid
     with ``n/2 > kmax``, which makes refinement studies meaningful.
+
+    The synthesis is pruned (:func:`_band_to_position`): it inverts only the
+    lines the (2 kmax + 1)^3 mode cube occupies, so it holds about one field.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     n = grid.n
     if kmax >= n // 2:
         raise ValueError("kmax must be below the Nyquist index n/2")
+    K = 2 * kmax + 1
     mx, my, mz = np.mgrid[-kmax:kmax + 1, -kmax:kmax + 1, -kmax:kmax + 1].reshape(3, -1)
     z = rng.normal(size=(mx.size, 2, N_COMPONENTS))  # per mode, mx-major: 4 real, 4 imaginary
     xi2 = (2.0 * np.pi / grid.box_length) ** 2 * (mx * mx + my * my + mz * mz)
     damp = np.exp(-0.5 * xi2 * decay**2)
-    uhat = np.zeros((n, n, n, N_COMPONENTS), dtype=np.complex128)
-    uhat[mx % n, my % n, mz % n] = (z[:, 0] + 1j * z[:, 1]) * damp[:, None]
-    uhat *= amplitude * grid.volume / (2 * kmax + 1) ** 1.5
-    return to_position(grid, uhat)
+    cube = ((z[:, 0] + 1j * z[:, 1]) * damp[:, None]).reshape(K, K, K, N_COMPONENTS)
+    cube *= amplitude * grid.volume / K**1.5
+    return _band_to_position(grid, cube, np.arange(-kmax, kmax + 1) % n)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +225,22 @@ def to_momentum(u: SpinorField) -> np.ndarray:
 def to_position(grid: GridSpec, uhat: np.ndarray) -> SpinorField:
     """The field ``ifftn(uhat) / h^3`` on ``grid`` of a spectrum ``uhat``."""
     x = spinor_fft(uhat, np.empty(uhat.shape, dtype=np.complex128), inverse=True)
+    x /= grid.spacing**3
+    return SpinorField(grid, x)
+
+
+def _band_to_position(grid: GridSpec, cube: np.ndarray, idx: np.ndarray) -> SpinorField:
+    """``to_position`` of the spectrum that equals ``cube`` (K, K, K, 4) on the
+    modes ``idx`` of every axis and is zero elsewhere, bitwise.
+
+    FFT pruning: ``ifftn``'s 1-D passes in its axis order (2, 1, 0), each on the
+    array zero-padded to n along that axis only, so all-zero lines are never
+    transformed: (K, K, K, 4) -> (K, K, n, 4) -> (K, n, n, 4) -> (n, n, n, 4)."""
+    x = cube
+    for axis in (2, 1, 0):
+        padded = np.zeros(x.shape[:axis] + (grid.n,) + x.shape[axis + 1:], dtype=np.complex128)
+        padded[(slice(None),) * axis + (idx,)] = x
+        x = np.fft.ifft(padded, axis=axis, out=padded)
     x /= grid.spacing**3
     return SpinorField(grid, x)
 
@@ -316,11 +335,8 @@ def spectral_upsample(u: SpinorField, factor: int = 2) -> SpinorField:
     n = u.grid.n
     n2 = n * factor
     fine = GridSpec(n2, u.grid.box_length)
-    out = np.zeros((n2, n2, n2, N_COMPONENTS), dtype=np.complex128)
     idx = np.fft.fftfreq(n, 1.0 / n).astype(int)  # integer modes in FFT order
-    ix = idx % n2
-    out[np.ix_(ix, ix, ix)] = uhat
-    return to_position(fine, out)
+    return _band_to_position(fine, uhat, idx % n2)
 
 
 # ---------------------------------------------------------------------------

@@ -447,7 +447,8 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     reads the step's end potential, that density and that Hartree potential,
     which the next step's first half-kick reuses.  So M steps build M + 1
     densities and M + 1 Hartree potentials.  Raises
-    :class:`CollisionError` when two nuclei come closer than two grid spacings,
+    :class:`CollisionError` when two nuclei start or come closer than two grid
+    spacings (checked at t = 0 and at the end of every step),
     FloatingPointError naming a step with a non-finite force or total energy,
     and ValueError without nuclei.  Returns (FieldSolution, Trajectory,
     DirectRunReport); the run holds one field at a time, so the FieldSolution
@@ -464,6 +465,14 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     v = np.zeros((len(charges), M + 1, 3))
     q[:, 0], v[:, 0] = q0, v0
 
+    def check_separation(j):
+        for k, l, _, r in nucleus_pairs(q[:, j]):
+            if r < floor:
+                raise CollisionError(f"nuclei {k} and {l} closer than the resolvable scale "
+                                     f"{floor:.4g} at t={times[j]:.6g}")
+
+    check_separation(0)
+
     # the step-end potential of one step is the step-start potential of the next;
     # each snapshot's density serves its forces and its diagnostics, and its
     # Hartree potential its diagnostics and the next step's first half-kick
@@ -476,10 +485,7 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     for j in range(M):
         vhalf = v[:, j] + 0.5 * delta * forces[-1].total / masses[:, None]
         q[:, j + 1] = q[:, j] + delta * vhalf
-        for k, l, _, r in nucleus_pairs(q[:, j + 1]):
-            if r < floor:
-                raise CollisionError(f"nuclei {k} and {l} closer than the resolvable scale "
-                                     f"{floor:.4g} at t={times[j + 1]:.6g}")
+        check_separation(j + 1)
         # the forces and the step-end potential read positions only
         nuclei = nucleus_states(charges, masses, q[:, j + 1], vhalf)
         V_end = coulomb_field(nuclei, eps, grid)

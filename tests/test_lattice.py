@@ -185,6 +185,31 @@ def test_random_smooth_field_matches_loop_oracle(n, kmax):
     assert rng_new.normal() == rng_old.normal()
 
 
+@pytest.mark.parametrize("n,kmax", [(16, 7), (64, 4)])
+def test_random_smooth_field_matches_full_spectrum_at_band_edge_and_fine_grid(n, kmax):
+    # kmax = n/2 - 1 fills 15 of 16 lines; n = 64 leaves 55 of 64 empty: the
+    # pruned synthesis is bitwise the full-spectrum one, signed zeros included
+    g = lat.make_grid(n, 12.0)
+    rng_new, rng_old = np.random.default_rng(7 * n + kmax), np.random.default_rng(7 * n + kmax)
+    u = lat.random_smooth_field(g, rng_new, kmax=kmax, decay=0.6)
+    ref = random_smooth_field_loop(g, rng_old, kmax=kmax, decay=0.6)
+    assert np.array_equal(u.data.view(np.uint64), ref.data.view(np.uint64))
+    assert rng_new.normal() == rng_old.normal()
+
+
+@pytest.mark.parametrize("n,modes", [(8, [0, 1, 7]), (16, [3, 0, 12, 5])])
+def test_band_to_position_equals_to_position_of_the_scattered_spectrum(n, modes, rng):
+    # any mode lines, in any order: the spectrum is cube on idx^3, zero elsewhere
+    g = lat.make_grid(n, 9.0)
+    idx = np.array(modes)
+    K = len(idx)
+    cube = rng.normal(size=(K, K, K, 4)) + 1j * rng.normal(size=(K, K, K, 4))
+    uhat = np.zeros((n, n, n, 4), dtype=np.complex128)
+    uhat[np.ix_(idx, idx, idx)] = cube
+    u = lat._band_to_position(g, cube, idx)
+    assert np.array_equal(u.data.view(np.uint64), lat.to_position(g, uhat).data.view(np.uint64))
+
+
 @pytest.mark.parametrize("homogeneous", [False, True])
 def test_sobolev_norms_equal_one_sigma_norms_exactly(grid16, rng, homogeneous):
     u = lat.random_smooth_field(grid16, rng, kmax=5, decay=0.5)
@@ -220,6 +245,22 @@ def test_spectral_upsample_preserves_values(grid16, rng):
     fine = lat.spectral_upsample(u, 2)
     assert np.max(np.abs(fine.data[::2, ::2, ::2] - u.data)) < 1e-10
     assert lat.charge(fine) == pytest.approx(lat.charge(u), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,factor", [(8, 2), (8, 4), (16, 2), (32, 2)])
+def test_spectral_upsample_equals_full_spectrum_zero_pad(n, factor):
+    # the fine spectrum built whole, coarse modes scattered with np.ix_, then
+    # inverted by to_position: the pruned synthesis matches it bitwise
+    g = lat.make_grid(n, 12.0)
+    u = lat.random_smooth_field(g, np.random.default_rng(n + factor), kmax=n // 2 - 1, decay=0.4)
+    n2 = factor * n
+    ix = np.fft.fftfreq(n, 1.0 / n).astype(int) % n2
+    out = np.zeros((n2, n2, n2, 4), dtype=np.complex128)
+    out[np.ix_(ix, ix, ix)] = lat.to_momentum(u)
+    ref = lat.to_position(lat.make_grid(n2, 12.0), out)
+    fine = lat.spectral_upsample(u, factor)
+    assert fine.grid == ref.grid
+    assert np.array_equal(fine.data.view(np.uint64), ref.data.view(np.uint64))
 
 
 def test_checkpoint_round_trip(tmp_path, grid16, rng):

@@ -113,3 +113,13 @@ def test_translate_holds_one_field(rng):
     phase = np.exp(1j * (kx * shift[0] + ky * shift[1] + kz * shift[2]))
     assert np.array_equal(v.data, lat.to_position(grid, phase[..., None] * lat.to_momentum(u)).data)
     assert peak < 2
+
+
+def test_random_smooth_field_holds_about_one_field():
+    # the band's lines are inverted axis by axis from the (2 kmax + 1)^3 cube,
+    # so only the last pass holds a whole field (1.15 measured at n = 64); a
+    # zero full spectrum plus its inverse transform would read 2
+    grid = lat.make_grid(64, 12.0)
+    u, peak = peak_fields(lambda: lat.random_smooth_field(grid, 3, kmax=4, decay=0.8), grid)
+    assert u.data.shape == (64, 64, 64, 4)
+    assert peak < 1.3

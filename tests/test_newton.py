@@ -500,6 +500,17 @@ def test_direct_collision_names_the_pair(grid16):
         nt.coupled_direct(u0, nuclei, 0.4, 0.02, eps_reg=0.8)
 
 
+def test_direct_rejects_nuclei_that_start_closer_than_the_floor():
+    # 0.4 apart at t = 0 against a floor 2h = 3.0 (n = 8, L = 12); flying apart
+    # at +-20 they end the run above the floor, so only a t = 0 check sees them
+    grid = lat.make_grid(8, 12.0)
+    nuclei = [NucleusState(0.5, 1.0, (-0.2, 0, 0), (-20.0, 0, 0)),
+              NucleusState(0.5, 1.0, (0.2, 0, 0), (20.0, 0, 0))]
+    with pytest.raises(nt.CollisionError,
+                       match="nuclei 0 and 1 closer than the resolvable scale 3 at t=0$"):
+        nt.coupled_direct(lat.zero_spinor(grid), nuclei, 0.2, 0.1, eps_reg=0.8)
+
+
 def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatch):
     # each step's first half-kick takes, bitwise, the Hartree potential that the
     # previous step's second half-kick built (from its pre-kick field w), and
