@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SpinorField, to_momentum, to_position
+from .lattice import SpinorField, _unit_phase, to_momentum, to_position
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _S2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -46,21 +46,28 @@ def dirac_matrices() -> DiracMatrices:
     return DiracMatrices(*alphas, beta)
 
 
-def apply_symbol(grid, uhat: np.ndarray) -> np.ndarray:
-    """Apply ``H_xi = sum_j alpha_j xi_j + beta`` to momentum-space data.
+# points per block of the kinetic step: whole x-planes, at least one
+_BLOCK_POINTS = 2**14
+
+
+def _symbol_into(out: np.ndarray, kx, ky, kz, uhat: np.ndarray) -> np.ndarray:
+    """Write ``H_xi uhat`` into ``out``, for the mesh ``(kx, ky, kz)`` of ``uhat``'s modes.
 
     Written out per component (row r of H_xi acting on (u0,u1,u2,u3)):
     the alpha blocks swap the upper and lower 2-spinors through the Pauli
     matrices, beta flips the sign of the lower 2-spinor.
     """
-    kx, ky, kz = grid.freq_mesh
     u0, u1, u2, u3 = (uhat[..., c] for c in range(4))
-    out = np.empty_like(uhat)
     out[..., 0] = u0 + kz * u2 + (kx - 1j * ky) * u3
     out[..., 1] = u1 + (kx + 1j * ky) * u2 - kz * u3
     out[..., 2] = -u2 + kz * u0 + (kx - 1j * ky) * u1
     out[..., 3] = -u3 + (kx + 1j * ky) * u0 - kz * u1
     return out
+
+
+def apply_symbol(grid, uhat: np.ndarray) -> np.ndarray:
+    """Apply ``H_xi = sum_j alpha_j xi_j + beta`` to momentum-space data (a new array)."""
+    return _symbol_into(np.empty_like(uhat), *grid.freq_mesh, uhat)
 
 
 def apply_free_dirac(u: SpinorField) -> SpinorField:
@@ -71,20 +78,25 @@ def apply_free_dirac(u: SpinorField) -> SpinorField:
 def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndarray:
     """One exact kinetic/drift step on momentum-space data (see module docstring).
 
-    Consumes ``uhat``: it is scaled by ``cos(dt lam)`` in place, so pass an
-    array the caller owns and reads no more."""
+    Works in place, one block of whole x-planes (at most ``_BLOCK_POINTS``
+    modes) at a time: ``uhat_b = cos(dt lam) uhat_b + (-i sin(dt lam)/lam) H uhat_b``,
+    then the drift phase.  Returns ``uhat`` itself, so pass an array the
+    caller owns and reads no more."""
+    kx, ky, kz = grid.freq_mesh
     lam = grid.mode_energy
-    out = apply_symbol(grid, uhat)  # cos(dt lam) uhat - i sin(dt lam)/lam H uhat, in place
-    out *= (-1j * (np.sin(dt * lam) / lam))[..., None]
-    uhat *= np.cos(dt * lam)[..., None]
-    out += uhat
-    if drift is not None:
-        v = np.asarray(drift, dtype=float)
-        if np.any(v != 0.0):
-            kx, ky, kz = grid.freq_mesh
-            phase = np.exp(1j * dt * (v[0] * kx + v[1] * ky + v[2] * kz))
-            out *= phase[..., None]
-    return out
+    v = np.zeros(3) if drift is None else np.asarray(drift, dtype=float)
+    drifting = np.any(v != 0.0)
+    planes = max(1, _BLOCK_POINTS // grid.n**2)
+    for a in range(0, grid.n, planes):
+        b = slice(a, a + planes)
+        lam_b, kx_b, u_b = lam[b], kx[b], uhat[b]
+        out_b = _symbol_into(np.empty_like(u_b), kx_b, ky, kz, u_b)
+        out_b *= (-1j * (np.sin(dt * lam_b) / lam_b))[..., None]
+        u_b *= np.cos(dt * lam_b)[..., None]
+        u_b += out_b
+        if drifting:
+            u_b *= _unit_phase(dt * (v[0] * kx_b + v[1] * ky + v[2] * kz))[..., None]
+    return uhat
 
 
 def free_propagator_step(u: SpinorField, dt: float, drift=None) -> SpinorField:

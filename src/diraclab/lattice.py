@@ -317,12 +317,27 @@ def homogeneous_sobolev_norm(u: SpinorField, sigma: float) -> float:
     return sobolev_norms(u, (sigma,), homogeneous=True)[0]
 
 
+def _unit_phase(theta) -> np.ndarray:
+    """``exp(i theta)`` for a real array or scalar ``theta``: ``cos(theta)`` and
+    ``sin(theta)`` written into the two halves of one complex buffer.
+
+    Bitwise ``np.exp(1j * theta)``: that argument's real part is zero, so
+    ``cexp`` returns the same (cos, sin) pair, and its imaginary part is
+    ``+0 + theta``, which the sine takes too (a -0 angle becomes +0)."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.add(theta, 0.0, out=out.imag)
+    np.sin(out.imag, out=out.imag)
+    return out
+
+
 def translate(u: SpinorField, shift) -> SpinorField:
     """Exact spectral translation ``v(x) = u(x + shift)``, built in the spectrum's buffer."""
     uhat = to_momentum(u)
     kx, ky, kz = u.grid.freq_mesh
     s = np.asarray(shift, dtype=float)
-    phase = np.exp(1j * (kx * s[0] + ky * s[1] + kz * s[2]))
+    phase = _unit_phase(kx * s[0] + ky * s[1] + kz * s[2])
     np.multiply(phase[..., None], uhat, out=uhat)  # phase first: `uhat *= phase` rounds differently
     spinor_fft(uhat, uhat, inverse=True)
     uhat /= u.grid.spacing**3

@@ -28,6 +28,7 @@ from . import dirac
 from .lattice import (
     GridSpec,
     SpinorField,
+    _unit_phase,
     density,
     l2_distance,
     l2_norm,
@@ -126,8 +127,9 @@ def slices_per_step(n_slices: int, M: int) -> int:
 
 
 def _half_kick(delta: float, V):
-    """The factor ``exp(-i delta/2 V)``, broadcast over the spinor components."""
-    return np.exp(-0.5j * delta * V)[..., None]
+    """The factor ``exp(-i delta/2 V)`` from the cos/sin of ``(-delta/2) V``, broadcast
+    over the spinor components; ``V`` may be the scalar 0.0."""
+    return _unit_phase((-delta / 2) * V)[..., None]
 
 
 def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
@@ -147,8 +149,10 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     grid = u.grid
     kick = _half_kick(delta, V + (hartree_potential(u) if V_H is None else V_H) if hartree else V)
     data = u.data * kick  # a new array: the transforms below work in place
+    if hartree or V_out is not None:
+        del kick  # the second half-kick has a potential of its own: free this one now
     spinor_fft(data, data)
-    data = dirac.step_momentum_data(grid, data, delta, drift)
+    dirac.step_momentum_data(grid, data, delta, drift)  # in place
     spinor_fft(data, data, inverse=True)
     if hartree:
         rho = density(SpinorField(grid, data))
@@ -157,7 +161,8 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
         return SpinorField(grid, data), rho, V_H
     if V_out is not None:
         kick = _half_kick(delta, V_out)
-    return SpinorField(grid, data * kick)
+    data *= kick
+    return SpinorField(grid, data)
 
 
 def _segments(traj: Trajectory, s: float, t: float, n_slices: int):

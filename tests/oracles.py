@@ -5,7 +5,9 @@ for 3D grid sums, dense matrix exponentials for closed-form mode steps,
 complex transforms for the real-transform Hartree convolution,
 finite-difference stencils for spectral derivatives, Ewald summation for
 the spectral Poisson solve, adaptive ODE integration for the nuclear
-dynamics, and double sums over ordered pairs for the internuclear terms.
+dynamics, double sums over ordered pairs for the internuclear terms, and
+whole-array complex exponentials for the blocked kinetic step and the
+cos/sin unit phases.
 """
 
 import numpy as np
@@ -109,6 +111,35 @@ def dense_mode_exponential(xi, dt, drift=(0.0, 0.0, 0.0)):
     beta = np.block([[i2, z], [z, -i2]])
     H = sum(x * a for x, a in zip(xi, alphas)) + beta - np.dot(drift, xi) * np.eye(4)
     return expm(-1j * dt * H)
+
+
+def step_momentum_whole(grid, uhat, dt, drift=None):
+    """The kinetic/drift mode step over the whole array at once, into a second
+    field: ``H_xi uhat`` from ``apply_symbol`` scaled by ``-i sin(dt lam)/lam``,
+    plus ``cos(dt lam) uhat``, times the drift phase ``np.exp(1j dt v.xi)``.
+    Consumes ``uhat`` (scaled by the cosine in place)."""
+    lam = grid.mode_energy
+    out = dirac.apply_symbol(grid, uhat)
+    out *= (-1j * (np.sin(dt * lam) / lam))[..., None]
+    uhat *= np.cos(dt * lam)[..., None]
+    out += uhat
+    if drift is not None:
+        v = np.asarray(drift, dtype=float)
+        if np.any(v != 0.0):
+            kx, ky, kz = grid.freq_mesh
+            out *= np.exp(1j * dt * (v[0] * kx + v[1] * ky + v[2] * kz))[..., None]
+    return out
+
+
+def half_kick_exp(delta, V):
+    """The half-kick factor ``exp(-i delta/2 V)`` as one complex exponential."""
+    return np.exp(-0.5j * delta * V)[..., None]
+
+
+def translation_phase_exp(grid, shift):
+    """The spectral translation phase ``exp(i xi.shift)`` as one complex exponential."""
+    kx, ky, kz = grid.freq_mesh
+    return np.exp(1j * (kx * shift[0] + ky * shift[1] + kz * shift[2]))
 
 
 def fd4_derivative(data, axis, h):

@@ -3,7 +3,7 @@ import pytest
 
 from diraclab import dirac as dr
 from diraclab import lattice as lat
-from oracles import dense_mode_exponential, fd4_derivative
+from oracles import dense_mode_exponential, fd4_derivative, step_momentum_whole
 
 
 def test_matrix_entries():
@@ -157,3 +157,16 @@ def test_step_rejects_nonfinite_dt(grid16):
     u = lat.zero_spinor(grid16)
     with pytest.raises(ValueError):
         dr.free_propagator_step(u, np.inf)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("drift", [None, (0.2, -0.1, 0.05)])
+def test_blocked_kinetic_step_matches_whole_array_oracle(n, drift):
+    # the step works over blocks of x-planes in place (one block at n = 16,
+    # several at 32 and 64) and gives the whole-array step's bits in the input buffer
+    grid = lat.make_grid(n, 12.0)
+    uhat = lat.to_momentum(lat.random_smooth_field(grid, 7, kmax=6, decay=0.3))
+    want = step_momentum_whole(grid, uhat.copy(), 0.37, drift)
+    got = dr.step_momentum_data(grid, uhat, 0.37, drift)
+    assert got is uhat
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

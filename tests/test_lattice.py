@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diraclab import lattice as lat
-from oracles import gaussian_h1_sq, random_smooth_field_loop
+from diraclab.propagator import _half_kick
+from oracles import (gaussian_h1_sq, half_kick_exp, random_smooth_field_loop,
+                     translation_phase_exp)
 
 
 def test_make_grid_basic():
@@ -238,6 +240,28 @@ def test_translate_exact_on_plane_wave(grid16):
     xi = 2 * np.pi / grid16.box_length * np.array([1, 2, 0])
     expected = u.data * np.exp(1j * xi @ shift)
     assert np.max(np.abs(v.data - expected)) < 1e-12
+
+
+def _bits(z):
+    return np.atleast_1d(np.asarray(z, dtype=np.complex128)).view(np.uint64)
+
+
+@pytest.mark.parametrize("delta", [0.1, -0.1, 0.0])
+def test_unit_phase_is_bitwise_the_complex_exponential(grid16, rng, delta):
+    # every exp(i real) factor is cos/sin in one buffer; it must give the bits
+    # of np.exp(...) for a potential with exact zeros, for the scalar 0.0 (no
+    # nuclei) and for a translation phase whose zero mode has a -0 angle
+    V = rng.normal(size=(grid16.n,) * 3)
+    V[0, 0, :2] = 0.0, -0.0
+    for pot in (V, 0.0):
+        got, want = _half_kick(delta, pot), half_kick_exp(delta, pot)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(_bits(got), _bits(want))
+    kx, ky, kz = grid16.freq_mesh
+    for shift in ((0.3, -0.7, 1.1), (-0.3, -0.2, -0.1)):
+        got = lat._unit_phase(kx * shift[0] + ky * shift[1] + kz * shift[2])
+        want = translation_phase_exp(grid16, shift)
+        assert np.array_equal(got, want) and np.array_equal(_bits(got), _bits(want))
 
 
 def test_spectral_upsample_preserves_values(grid16, rng):

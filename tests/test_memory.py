@@ -11,10 +11,11 @@ import pytest
 
 from diraclab import cli
 from diraclab import config as cf
+from diraclab import dirac as dr
 from diraclab import lattice as lat
 from diraclab import newton as nt
 from diraclab import propagator as pr
-from diraclab.potentials import NucleusState, Trajectory
+from diraclab.potentials import NucleusState, Trajectory, coulomb_field
 
 
 def peak_fields(fn, grid):
@@ -123,3 +124,28 @@ def test_random_smooth_field_holds_about_one_field():
     u, peak = peak_fields(lambda: lat.random_smooth_field(grid, 3, kmax=4, decay=0.8), grid)
     assert u.data.shape == (64, 64, 64, 4)
     assert peak < 1.3
+
+
+def test_kinetic_step_works_in_place_over_x_plane_blocks():
+    # the mode step overwrites the spectrum one block of whole x-planes
+    # (2^14 modes) at a time, so beside its input it holds about one block's
+    # symbol; a whole-array symbol would be one more field (1.5-1.8 measured)
+    grid = lat.make_grid(64, 12.0)
+    grid.mode_energy  # cached per grid on first use: built outside the traced call
+    uhat = lat.to_momentum(_packet(grid))
+    out, peak = peak_fields(lambda: dr.step_momentum_data(grid, uhat, 0.01), grid)
+    assert out is uhat
+    assert peak < 0.25
+
+
+def test_hartree_strang_step_holds_at_most_two_fields():
+    # the kicked copy, the kinetic step's block, and for the second half-kick
+    # the density, Hartree potential, angle and phase (1.75 measured); the
+    # first kick is freed before the second is built.  A first step builds the
+    # grid's cached mode energies and Hartree multiplier; the second is traced
+    grid = lat.make_grid(64, 12.0)
+    u = _packet(grid)
+    V = coulomb_field(NUCLEI, 0.75, grid)
+    pr.strang_step(u, 0.01, V, hartree=True)
+    _, peak = peak_fields(lambda: pr.strang_step(u, 0.01, V, V_out=V, hartree=True), grid)
+    assert peak <= 2
