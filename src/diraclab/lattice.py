@@ -7,6 +7,10 @@ Conventions (natural units, hbar = c = electron mass = 1):
   per axis, laid out in FFT order;
 * a :class:`SpinorField` holds position-grid data; its spectrum is a plain
   ``(n, n, n, 4)`` complex array in FFT order;
+* a field synthesised from a band of modes (:func:`random_smooth_field`,
+  :func:`spectral_upsample`) keeps that band as its exact spectrum and its
+  data read-only, so :func:`sobolev_norms` reads its norms from the band with
+  no forward transform, and the band cannot go stale;
 * forward transform ``uhat(xi) = h^3 * sum_x u(x) exp(-i xi.x)`` and inverse
   ``u(x) = L^-3 * sum_xi uhat(xi) exp(+i xi.x)``, so that ``d_j -> i xi_j``
   and Parseval is exact on the discrete torus:
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -111,11 +115,19 @@ class SpinorField:
     A spectrum is a plain array: see :func:`to_momentum` and :func:`to_position`.
     The optional third argument is accepted for callers that still pass the
     old space tag; any value other than ``"position"`` is rejected.
+
+    ``band`` is ``(cube, idx)`` when the field's spectrum is ``cube`` on the
+    modes ``idx`` of every axis and zero elsewhere; only :func:`_band_to_position`
+    sets it.  A field with a band has read-only ``data``, so an in-place write
+    raises instead of leaving the band stale (rebinding ``data`` would leave it
+    stale too: build a new field instead); :meth:`copy` and fields built by
+    arithmetic carry no band and are writable.
     """
 
     grid: GridSpec
     data: np.ndarray
     _space: InitVar[str] = "position"
+    band: tuple = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self, _space):
         expected = (self.grid.n, self.grid.n, self.grid.n, N_COMPONENTS)
@@ -126,6 +138,8 @@ class SpinorField:
         if _space != "position":
             raise ValueError(f"a SpinorField holds position-grid data, got space {_space!r}; "
                              "build a field from a spectrum with to_position")
+        if self.band is not None:
+            self.data.setflags(write=False)
 
     def copy(self) -> "SpinorField":
         return SpinorField(self.grid, self.data.copy())
@@ -183,12 +197,13 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
 
     The synthesis is pruned (:func:`_band_to_position`): it inverts only the
     lines the (2 kmax + 1)^3 mode cube occupies, so it holds about one field.
+    The field keeps the cube as its band, so its norms take no transform.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     n = grid.n
-    if kmax >= n // 2:
-        raise ValueError("kmax must be below the Nyquist index n/2")
+    if not 0 <= kmax < n // 2:
+        raise ValueError(f"kmax must lie in [0, n/2) = [0, {n // 2}), got kmax={kmax}")
     K = 2 * kmax + 1
     mx, my, mz = np.mgrid[-kmax:kmax + 1, -kmax:kmax + 1, -kmax:kmax + 1].reshape(3, -1)
     z = rng.normal(size=(mx.size, 2, N_COMPONENTS))  # per mode, mx-major: 4 real, 4 imaginary
@@ -235,14 +250,17 @@ def _band_to_position(grid: GridSpec, cube: np.ndarray, idx: np.ndarray) -> Spin
 
     FFT pruning: ``ifftn``'s 1-D passes in its axis order (2, 1, 0), each on the
     array zero-padded to n along that axis only, so all-zero lines are never
-    transformed: (K, K, K, 4) -> (K, K, n, 4) -> (K, n, n, 4) -> (n, n, n, 4)."""
+    transformed: (K, K, K, 4) -> (K, K, n, 4) -> (K, n, n, 4) -> (n, n, n, 4).
+    The field keeps ``(cube, idx)``, both made read-only, as its band."""
     x = cube
     for axis in (2, 1, 0):
         padded = np.zeros(x.shape[:axis] + (grid.n,) + x.shape[axis + 1:], dtype=np.complex128)
         padded[(slice(None),) * axis + (idx,)] = x
         x = np.fft.ifft(padded, axis=axis, out=padded)
     x /= grid.spacing**3
-    return SpinorField(grid, x)
+    cube.setflags(write=False)
+    idx.setflags(write=False)
+    return SpinorField(grid, x, band=(cube, idx))
 
 
 def density(u: SpinorField) -> np.ndarray:
@@ -288,19 +306,27 @@ def sobolev_weight(grid: GridSpec, sigma: float, homogeneous: bool) -> np.ndarra
 
 
 def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
-    """The norm of ``u`` at each sigma in ``sigmas``, all from one transform.
+    """The norm of ``u`` at each sigma in ``sigmas``, all from one spectrum.
 
     Multiplier ``(1+|xi|^2)^(sigma/2)`` for sigma in [0, 2], or with
     ``homogeneous`` ``|xi|^sigma`` with the xi=0 mode dropped, for sigma >= 0.
+    A field with a band is normed from the band's modes alone, with no
+    transform; any other field from its forward transform.
     """
     for sigma in sigmas:
         if homogeneous and sigma < 0:
             raise ValueError("sigma must be nonnegative")
         if not homogeneous and not 0.0 <= sigma <= 2.0:
             raise ValueError(f"sigma must lie in [0, 2], got {sigma}")
-    uhat = to_momentum(u)
-    weights = [sobolev_weight(u.grid, sigma, homogeneous) for sigma in sigmas]
-    power = np.abs(uhat) ** 2
+    if u.band is None:
+        spectrum, modes = to_momentum(u), ...  # every mode of the weight
+    else:
+        spectrum, idx = u.band
+        modes = np.ix_(idx, idx, idx)
+    # the weights before |uhat|^2: built after it, the cached n = 64 weight lands
+    # where a direct run's peak RSS reads about 1 MB higher
+    weights = [sobolev_weight(u.grid, sigma, homogeneous)[modes] for sigma in sigmas]
+    power = np.abs(spectrum) ** 2
     return [float(np.sqrt(np.sum(w[..., None] * power) / u.grid.volume)) for w in weights]
 
 

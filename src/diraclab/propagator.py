@@ -126,10 +126,17 @@ def slices_per_step(n_slices: int, M: int) -> int:
     return max(1, int(round(n_slices / M)))
 
 
-def _half_kick(delta: float, V):
-    """The factor ``exp(-i delta/2 V)`` from the cos/sin of ``(-delta/2) V``, broadcast
-    over the spinor components; ``V`` may be the scalar 0.0."""
-    return _unit_phase((-delta / 2) * V)[..., None]
+def _half_kick(delta: float, V, V_H=None):
+    """The factor ``exp(-i delta/2 (V + V_H))`` from the cos/sin of its angle, broadcast
+    over the spinor components; ``V`` may be the scalar 0.0.  With a Hartree
+    potential ``V_H`` the angle is scaled in the sum's own buffer; neither
+    potential is written, as callers share them."""
+    if V_H is None:
+        theta = (-delta / 2) * V
+    else:
+        theta = V + V_H
+        theta *= -delta / 2
+    return _unit_phase(theta)[..., None]
 
 
 def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
@@ -147,7 +154,8 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     they are the field's own up to roundoff.
     """
     grid = u.grid
-    kick = _half_kick(delta, V + (hartree_potential(u) if V_H is None else V_H) if hartree else V)
+    kick = (_half_kick(delta, V, hartree_potential(u) if V_H is None else V_H) if hartree
+            else _half_kick(delta, V))
     data = u.data * kick  # a new array: the transforms below work in place
     if hartree or V_out is not None:
         del kick  # the second half-kick has a potential of its own: free this one now
@@ -157,7 +165,7 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     if hartree:
         rho = density(SpinorField(grid, data))
         V_H = convolve_inverse_distance(grid, rho)
-        data *= _half_kick(delta, (V if V_out is None else V_out) + V_H)
+        data *= _half_kick(delta, V if V_out is None else V_out, V_H)
         return SpinorField(grid, data), rho, V_H
     if V_out is not None:
         kick = _half_kick(delta, V_out)

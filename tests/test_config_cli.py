@@ -714,20 +714,21 @@ def test_validate_dirac_suite(tmp_path):
 
 
 def test_validate_lab_transforms_each_field_once(grid16, monkeypatch):
-    # every field is normed at all its sigmas from one spectrum: a bilinear
-    # triple takes one each of u, v, w and the left-hand field, a Hardy sample
-    # one of u, a multiplier sample one each of u and u/max(|x|, h/2)
+    # every field is normed at all its sigmas from one spectrum, and a drawn
+    # field from the band it was synthesised from, with no transform: a
+    # bilinear triple transforms only the left-hand field, a Hardy sample
+    # nothing, a multiplier sample only u/max(|x|, h/2)
     calls = _count_calls(monkeypatch, {"to_momentum": lat.to_momentum})
     rng = np.random.default_rng(5)
     u, v, w = (lat.random_smooth_field(grid16, rng, kmax=3, decay=0.8) for _ in range(3))
     ht.bilinear_estimate_report(u, v, w)
-    assert calls == {"to_momentum": 4}
+    assert calls == {"to_momentum": 1}
     calls["to_momentum"] = 0
     an.hardy_report(grid16, sigmas=(1.0, 1.2, 1.4), n_samples=3, seed=9)
-    assert calls == {"to_momentum": 3}
+    assert calls == {"to_momentum": 0}
     calls["to_momentum"] = 0
     an.coulomb_multiplier_report(grid16, sigmas=(1.0, 1.2, 1.4), n_samples=3, seed=9)
-    assert calls == {"to_momentum": 6}
+    assert calls == {"to_momentum": 3}
 
 
 def test_validate_is_reproducible(tmp_path):

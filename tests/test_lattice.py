@@ -220,6 +220,61 @@ def test_sobolev_norms_equal_one_sigma_norms_exactly(grid16, rng, homogeneous):
     assert lat.sobolev_norms(u, sigmas, homogeneous) == [one(u, s) for s in sigmas]
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_drawn_field_norms_from_its_band_equal_the_transform_path(n, homogeneous):
+    # a drawn field is normed from the band it was synthesised from; its copy
+    # carries no band and is normed from its forward transform.  The band is
+    # the exact spectrum, so the two agree to roundoff, from a single mode
+    # (kmax = 0, whose homogeneous norm is 0) up to the band edge n/2 - 1
+    g = lat.make_grid(n, 12.0)
+    sigmas = (0.0, 1.0, 1.25, 2.0)
+    for kmax in sorted({0, 1, n // 4, n // 2 - 1}):
+        u = lat.random_smooth_field(g, np.random.default_rng(n + kmax), kmax=kmax, decay=0.3)
+        fields = [u, lat.spectral_upsample(u, 2)] if n < 64 else [u]
+        for f in fields:
+            assert f.band is not None
+            got = lat.sobolev_norms(f, sigmas, homogeneous)
+            want = lat.sobolev_norms(f.copy(), sigmas, homogeneous)
+            assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_drawn_field_is_read_only_and_its_derived_fields_are_not(grid16, rng):
+    u = lat.random_smooth_field(grid16, rng, kmax=3, decay=0.6)
+    with pytest.raises(ValueError):
+        u.data *= 2.0
+    with pytest.raises(ValueError):
+        u.data[0, 0, 0, 0] = 1.0
+    for v in (u.copy(), lat.SpinorField(grid16, u.data * 2)):
+        assert v.band is None and v.data.flags.writeable
+        v.data *= 2.0
+
+
+def test_drawn_field_norms_take_no_transform(grid16, rng, monkeypatch):
+    calls = []
+    spinor_fft = lat.spinor_fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spinor_fft(*args, **kwargs)
+
+    u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
+    fine = lat.spectral_upsample(u, 2)  # one forward transform of u, before counting
+    monkeypatch.setattr(lat, "spinor_fft", counted)
+    lat.sobolev_norms(u, (0.0, 1.0, 2.0))
+    lat.homogeneous_sobolev_norm(u, 1.4)
+    lat.sobolev_norm(fine, 1.0)
+    assert calls == []
+    lat.sobolev_norm(u.copy(), 1.0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kmax", [-1, -3])
+def test_random_smooth_field_rejects_negative_kmax(grid16, kmax):
+    with pytest.raises(ValueError, match="kmax"):
+        lat.random_smooth_field(grid16, 1, kmax=kmax)
+
+
 def test_sobolev_norms_check_every_sigma(grid16):
     u = lat.constant_spinor(grid16, (1, 0, 0, 0))
     with pytest.raises(ValueError, match="sigma"):

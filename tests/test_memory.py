@@ -149,3 +149,17 @@ def test_hartree_strang_step_holds_at_most_two_fields():
     pr.strang_step(u, 0.01, V, hartree=True)
     _, peak = peak_fields(lambda: pr.strang_step(u, 0.01, V, V_out=V, hartree=True), grid)
     assert peak <= 2
+
+
+def test_hartree_half_kick_scales_its_angle_in_place():
+    # each Hartree half-kick scales the angle V + V_H in the sum's own buffer,
+    # so the second kick holds density, potential, angle and phase beside the
+    # kicked copy (1.625 measured); a scaled second copy of the angle reads 1.75
+    grid = lat.make_grid(64, 12.0)
+    u = _packet(grid)
+    V = coulomb_field(NUCLEI, 0.75, grid)
+    V_copy = V.copy()
+    pr.strang_step(u, 0.01, V, hartree=True)
+    _, peak = peak_fields(lambda: pr.strang_step(u, 0.01, V, V_out=V, hartree=True), grid)
+    assert peak < 1.7
+    assert np.array_equal(V, V_copy)  # the shared potential is not written
