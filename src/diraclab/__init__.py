@@ -33,6 +33,7 @@ from .hartree import apply_nonlinearity, bilinear_estimate_report, hartree_poten
 from .propagator import (
     FieldSolution,
     PropagatorPlan,
+    duhamel_march,
     duhamel_picard,
     evolve_linear,
     frame_equivalence_residual,

@@ -46,7 +46,6 @@ from .propagator import (
     PropagatorPlan,
     check_contraction_window,
     product_formula_evolve,
-    slices_per_step,
     step_count,
 )
 
@@ -58,9 +57,9 @@ EXIT_INVARIANT = 4
 SOLVER_ERRORS = (ConvergenceFailure, FixedPointDivergence, AdmissibilityError, CollisionError,
                  FloatingPointError)
 
-# fields a run holds besides the Picard snapshots and slice potentials: u0, the
-# direct step's or the Picard sweep's working fields and one diagnostic pass
-# (tracemalloc at n = 16, 32 and 64: at most 8.2 with u0, rounded up)
+# fields a run holds besides the fixed point's snapshots: u0, the direct step's
+# or the march's working fields (with one step's slice potentials) and one
+# diagnostic pass (tracemalloc at n = 16, 32 and 64: at most 8.2 with u0, rounded up)
 WORKING_FIELDS = 10
 
 
@@ -122,13 +121,14 @@ def _initial_state(cfg):
 
 def _peak_estimate(cfg) -> int:
     """Estimated peak bytes of the config's solvers, at 64 n^3 bytes per field:
-    ``WORKING_FIELDS``, plus for the fixed point the M+1 Picard snapshots and
-    one potential (1/8 field) per slice.  The direct run holds no snapshot
-    list, and under ``both`` it runs after the fixed point's slices are freed."""
-    M = step_count(cfg.time.T, cfg.time.dt)
+    ``WORKING_FIELDS``, plus for the fixed point the M+1 snapshots of one P
+    evaluation.  The march builds each step's slices when it reaches the
+    step, so only one step's potentials are alive, and the fixed point drops
+    an evaluation's field before the next.  The direct run holds no snapshot
+    list, and under ``both`` it runs after the fixed point's fields are freed."""
     fields = WORKING_FIELDS
     if cfg.solver.method in ("fixed_point", "both"):
-        fields += M + 1 + M * slices_per_step(cfg.time.n_slices, M) / 8
+        fields += step_count(cfg.time.T, cfg.time.dt) + 1
     return int(fields * 64 * cfg.grid.n**3)
 
 
@@ -163,7 +163,7 @@ def _run_solvers(cfg, grid, u0, nuclei):
         results["fixed_point"] = (fsol, traj, rep)
         entries["fixed_point"] = {
             "outer_iterations": rep.outer_iterations, "step_history": rep.step_history,
-            "picard_tols": rep.picard_tols, "picard_sweeps": rep.picard_sweeps,
+            "local_iterations": rep.local_iterations,
             "newton_residual": rep.newton_residual,
             "admissibility_failures": rep.admissibility_failures,
             "charge_drift": rep.charge_drift, "wall_time": time.time() - t0,

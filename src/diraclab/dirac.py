@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SpinorField, _unit_phase, to_momentum, to_position
+from .lattice import SpinorField, _band_to_position, _unit_phase, to_momentum, to_position
 
 _S1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _S2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -71,8 +71,18 @@ def apply_symbol(grid, uhat: np.ndarray) -> np.ndarray:
 
 
 def apply_free_dirac(u: SpinorField) -> SpinorField:
-    """Return ``(D + beta) u`` via the momentum-space symbol."""
-    return to_position(u.grid, apply_symbol(u.grid, to_momentum(u)))
+    """Return ``(D + beta) u`` via the momentum-space symbol.
+
+    A field with a band (see :class:`lattice.SpinorField`) takes the symbol on
+    the band's modes alone, with no forward transform, and the result keeps
+    the band: the symbol maps every mode to itself, so the spectrum stays on it.
+    """
+    if u.band is None:
+        return to_position(u.grid, apply_symbol(u.grid, to_momentum(u)))
+    cube, idx = u.band
+    k = u.grid.freq1d[idx]
+    return _band_to_position(u.grid, _symbol_into(np.empty_like(cube), k[:, None, None],
+                                                  k[None, :, None], k[None, None, :], cube), idx)
 
 
 def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndarray:

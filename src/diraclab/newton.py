@@ -42,7 +42,7 @@ from .propagator import (
     FieldSolution,
     PropagatorPlan,
     check_contraction_window,
-    duhamel_picard,
+    duhamel_march,
     snapshot_count,
     step_count,
     strang_step,
@@ -220,20 +220,20 @@ def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarra
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
                      plan: PropagatorPlan = None, picard_tol: float = 1e-8,
                      picard_max_iter: int = 30, n_steps: int = None,
-                     eps0: float = None, start: list = None):
+                     eps0: float = None):
     """One application of the trajectory map: solve the field along ``traj_in``,
     then integrate ``m_k qddot = F_k(t)`` from the input's initial data.
 
     The force series is evaluated along the *input* trajectory (field force
     from the solved field, internuclear force from the input positions), so
     P is an explicit double integration; its fixed points solve the coupled
-    system.  The inner Picard solve does not check the contraction window
-    (:func:`coupled_fixed_point` checks it once, for ``u0``).  ``start``, the
-    lab-frame snapshots of an earlier evaluation, warm-starts the Picard
-    solve and is overwritten in place by this evaluation's snapshots.
-    Returns (trajectory, field solution, admissibility report, forces, Picard
+    system.  The field is solved by :func:`propagator.duhamel_march`, each
+    step to ``picard_tol`` within ``picard_max_iter`` local iterations; the
+    contraction window is not checked here (:func:`coupled_fixed_point`
+    checks it once, for ``u0``).
+    Returns (trajectory, field solution, admissibility report, forces, march
     report), where ``forces`` holds one ForceBreakdown per snapshot along
-    ``traj_in`` and the Picard report is None for a zero field (no solve).
+    ``traj_in`` and the march report is None for a zero field (no solve).
     """
     plan = plan or PropagatorPlan()
     M = snapshot_count(plan, n_steps)
@@ -241,19 +241,15 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     if charge(u0) == 0.0:
         fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, M + 1),
                              [u0] * (M + 1))
-        picard = None
+        march = None
     else:
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
         # term is exactly translation-covariant, so translating in at t0 and
         # back per snapshot recovers the lab-frame field
         comoving = plan.frame == COMOVING_SINGLE
         u_start = translate(u0, traj_in.position(traj_in.t0)[0]) if comoving else u0
-        if comoving and start is not None:
-            for j, t in enumerate(traj_in.t0 + np.linspace(0.0, T, M + 1)):
-                start[j] = translate(start[j], traj_in.position(t)[0])
-        fsol, picard = duhamel_picard(u_start, traj_in, T, tol=picard_tol,
-                                      max_iter=picard_max_iter, plan=plan, n_steps=M,
-                                      enforce_window=False, start=start)
+        fsol, march = duhamel_march(u_start, traj_in, T, tol=picard_tol,
+                                    max_iter=picard_max_iter, plan=plan, n_steps=M)
         if comoving:
             for j, t in enumerate(fsol.times):
                 fsol.snapshots[j] = translate(fsol.snapshots[j], -traj_in.position(t)[0])
@@ -261,7 +257,7 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
               for u, t in zip(fsol.snapshots, fsol.times)]
     out = _integrate_force_series(traj_in, fsol.times, np.array([fb.total for fb in forces]))
     return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
-                                          velocity_cap=plan.velocity_cap), forces, picard
+                                          velocity_cap=plan.velocity_cap), forces, march
 
 
 @dataclass
@@ -296,8 +292,7 @@ class FixedPointReport(RunDiagnostics):
 
     outer_iterations: int     # P evaluations
     step_history: list        # the undamped residual of each P evaluation
-    picard_tols: list         # the Picard tolerance of each P evaluation
-    picard_sweeps: list       # the Picard sweeps of each P evaluation
+    local_iterations: list    # the march's local iterations in each P evaluation
     converged: bool
     newton_residual: float
     admissibility_failures: list
@@ -313,7 +308,6 @@ def _newton_residual(traj: Trajectory, forces: list) -> float:
 
 
 ANDERSON_DEPTH = 3
-PICARD_FORCING = 3e-5  # inner tolerance per unit of the previous outer residual
 
 
 def _anderson_step(xs: list, gs: list, beta: float) -> np.ndarray:
@@ -346,14 +340,12 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     Preconditions: initial separations >= 8*eps0 when several nuclei are
     present, and T inside the contraction window (configurable constant,
     checked in H^sigma for nonzero u0).  Each outer iteration is one P
-    evaluation, warm-started from the previous evaluation's field.  Its
-    residual, the undamped ``max(|P_v(q) - v|, |P_q(q) - q| / delta)`` in sup
-    norm (delta the snapshot spacing), is recorded in ``step_history``.
-    Evaluation k is solved to the Picard tolerance ``max(picard_tol,
-    PICARD_FORCING r_{k-1})`` (Eisenstat & Walker 1996; r_0 = 1); the
-    iteration stops at the first q whose residual is below ``tol`` in an
-    evaluation solved at ``picard_tol``, and a loosely solved q below ``tol``
-    is solved again at ``picard_tol``, as an evaluation of its own.  The
+    evaluation, whose march solves every step to ``picard_tol`` from scratch;
+    the previous evaluation's field is dropped first, so one evaluation's
+    snapshots are held at a time.  Its residual, the undamped
+    ``max(|P_v(q) - v|, |P_q(q) - q| / delta)`` in sup norm (delta the
+    snapshot spacing), is recorded in ``step_history``, and the iteration
+    stops at the first q whose residual is below ``tol``.  The
     next q is Anderson(3) on the stacked (positions, velocities) vector with
     mixing ``theta`` (a damped step ``q + theta (P(q) - q)`` on the first
     iteration and when the least-squares problem is rank-deficient).
@@ -372,16 +364,12 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     M = snapshot_count(plan, n_steps)
     delta = T / M
     traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, M)
-    history, inner_tols, sweeps, xs, gs = [], [], [], [], []
-    snapshots, residual = None, 1.0
+    history, iterations, xs, gs = [], [], [], []
     while True:
-        inner_tol = picard_tol if residual < tol else max(picard_tol, PICARD_FORCING * residual)
-        traj_P, fsol, report_adm, forces, picard = trajectory_map_P(
-            traj, u0, T, plan=plan, picard_tol=inner_tol,
-            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0, start=snapshots)
-        snapshots = fsol.snapshots
-        inner_tols.append(inner_tol)
-        sweeps.append(picard.iterations if picard else 0)
+        traj_P, fsol, report_adm, forces, march = trajectory_map_P(
+            traj, u0, T, plan=plan, picard_tol=picard_tol,
+            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0)
+        iterations.append(march.iterations if march else 0)
         dq = traj_P.positions - traj.positions
         dv = traj_P.velocities - traj.velocities
         residual = float(np.maximum(np.max(np.abs(dv)), np.max(np.abs(dq)) / delta))  # NaN-safe
@@ -390,14 +378,13 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
             raise FixedPointDivergence(
                 f"outer fixed point: non-finite residual at evaluation {len(history)} "
                 f"(residuals: {history})", history)
-        if residual < tol and inner_tol == picard_tol:
+        if residual < tol:
             break
         if len(history) >= max_outer:
             raise FixedPointDivergence(
                 f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
                 f"(residuals: {history})", history)
-        if residual < tol:
-            continue  # solve the same q again, at picard_tol
+        del fsol  # the next evaluation must not hold this one's snapshots beside its own
         xs.append(np.concatenate([traj.positions.ravel(), traj.velocities.ravel()]))
         gs.append(np.concatenate([dq.ravel(), dv.ravel()]))
         del xs[:-ANDERSON_DEPTH - 1], gs[:-ANDERSON_DEPTH - 1]
@@ -414,7 +401,7 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
         *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
                    for u, t in zip(fsol.snapshots, fsol.times)]),
         forces, outer_iterations=len(history), step_history=history,
-        picard_tols=inner_tols, picard_sweeps=sweeps, converged=True,
+        local_iterations=iterations, converged=True,
         newton_residual=_newton_residual(traj, forces),
         admissibility_failures=report_adm.failures)
     return fsol, traj, report

@@ -8,14 +8,18 @@ factor and the exact per-mode kinetic (plus optional comoving drift) factor,
 so every factor is unitary and charge is preserved to roundoff.  Backward
 evolution applies the adjoint product (reversed factors, negated durations).
 :func:`_frozen_slices` is the one slice builder and :func:`_apply_slices` the
-one applier; the Picard solve builds its slices once per solve.  One Strang
-kick-drift-kick is :func:`strang_step`; the split-step integrator below and
-the direct coupled integrator in ``newton`` step with it too.
+one applier; the Picard solve builds its slices once per solve, the march
+each step's slices when it reaches the step.  One Strang kick-drift-kick is
+:func:`strang_step`; the split-step integrator below and the direct coupled
+integrator in ``newton`` step with it too.
 
 The nonlinear field solver comes in two independent flavours used to check
-each other: a Picard iteration on the Duhamel integral form (trapezoid
-quadrature on the snapshot grid) and a direct split-step integrator with the
-Hartree potential refreshed every half-step.
+each other: the Duhamel integral form (trapezoid quadrature on the snapshot
+grid), solved by Picard iteration over the whole window
+(:func:`duhamel_picard`, the contraction of the existence proof) or one step
+at a time (:func:`duhamel_march`, which the coupled fixed point uses), and a
+direct split-step integrator with the Hartree potential refreshed every
+half-step.
 """
 
 from __future__ import annotations
@@ -358,15 +362,15 @@ def check_contraction_window(T: float, u0: SpinorField, sigma: float,
 def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8,
                    max_iter: int = 30, plan: PropagatorPlan = None, n_steps: int = None,
                    sigma: float = 1.25, contraction_const: float = 1.0,
-                   enforce_window: bool = True, start: list = None):
+                   enforce_window: bool = True):
     """Fixed point of the Duhamel map by Picard iteration on a snapshot grid.
 
     The Duhamel integral is evaluated by composite trapezoid on the snapshot
-    grid, propagated stepwise so each iteration costs one linear sweep.
-    Iterate 0 is the linear evolution, or the M+1 snapshots of ``start`` (a
-    warm start); each sweep overwrites that list in place, snapshot by
-    snapshot, and the returned FieldSolution holds it, so a solve holds the
-    M+1 iterates and a few further fields.
+    grid, propagated stepwise so each iteration costs one linear sweep over
+    the whole window.  Iterate 0 is the linear evolution; each sweep
+    overwrites the M+1 iterates in place, snapshot by snapshot, and the
+    returned FieldSolution holds them, so a solve holds the M+1 iterates and
+    a few further fields.
     Returns (FieldSolution, PicardReport); raises :class:`ConvergenceFailure`
     with the iterate-distance history when ``max_iter`` is exhausted, or at
     once on a non-finite distance.
@@ -387,14 +391,9 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     def linear_step(u: SpinorField, j: int) -> SpinorField:
         return _apply_slices(u, steps[j], plan.substeps)
 
-    if start is None:
-        iterates = [u0.copy()]
-        for j in range(M):
-            iterates.append(linear_step(iterates[-1], j))
-    elif len(start) != M + 1:
-        raise ValueError(f"warm start needs {M + 1} snapshots, got {len(start)}")
-    else:
-        iterates = start
+    iterates = [u0.copy()]
+    for j in range(M):
+        iterates.append(linear_step(iterates[-1], j))
 
     distances = []
     converged = False
@@ -429,6 +428,72 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
             f"Picard iteration did not reach tol={tol} in {max_iter} iterations "
             f"(distances: {distances})", distances)
     return FieldSolution(times, iterates), report
+
+
+@dataclass
+class MarchReport:
+    """The local iterations of each step of :func:`duhamel_march`."""
+
+    step_iterations: list
+
+    @property
+    def iterations(self) -> int:
+        return sum(self.step_iterations)
+
+
+def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8,
+                  max_iter: int = 30, plan: PropagatorPlan = None, n_steps: int = None):
+    """The trapezoid-Duhamel system of :func:`duhamel_picard`, solved one step at a time.
+
+    The system is causal: with ``h = (i delta/2) N``, ``N(u) = (|u|^2 * 1/|x|) u``
+    and U_j step j's slices, ``x_{j+1} = L_j - h(x_{j+1})`` where
+    ``L_j = U_j (x_j - h(x_j))`` depends on x_j alone.  Step j builds its slices
+    and forms L_j once, then iterates ``x <- L_j - h(x)`` from ``L_j - h(x_j)``
+    until two iterates differ by less than ``tol`` in L2.  It keeps the newest
+    iterate, and its last nonlinear term becomes step j+1's explicit term.  A
+    local iteration costs one nonlinear term, not a linear step, and contracts
+    with a ratio O(delta ||N'||) whatever T is.  Holds the M+1 snapshots, one
+    step's slices and a few fields.
+    Returns (FieldSolution, MarchReport); raises :class:`ConvergenceFailure`
+    naming the step, with its local distances as the history, when a step
+    exhausts ``max_iter`` or meets a non-finite distance.
+    """
+    plan = plan or PropagatorPlan()
+    grid = u0.grid
+    M = snapshot_count(plan, n_steps)
+    times = traj.t0 + np.linspace(0.0, T, M + 1)
+    half = 0.5j * (T / M)
+    step_plan = replace(plan, n_slices=M * slices_per_step(plan.n_slices, M))
+    snapshots = [u0.copy()]
+    term = apply_nonlinearity(u0).data
+    term *= half
+    counts = []
+    for j in range(M):
+        slices = _frozen_slices(traj, times[j], times[j + 1], step_plan, grid)
+        L = _apply_slices(SpinorField(grid, snapshots[j].data - term), slices, plan.substeps).data
+        x = L - term
+        distances = []
+        while True:
+            new = apply_nonlinearity(SpinorField(grid, x)).data
+            new *= half
+            # two iterates L - term differ by the change of their nonlinear terms
+            term -= new
+            distances.append(l2_norm(SpinorField(grid, term)))
+            term = new
+            np.subtract(L, term, out=x)
+            if not np.isfinite(distances[-1]):
+                raise ConvergenceFailure(f"Duhamel march: non-finite local distance at step "
+                                         f"{j + 1} (distances: {distances})", distances)
+            if distances[-1] < tol:
+                break
+            if len(distances) == max_iter:
+                raise ConvergenceFailure(
+                    f"Duhamel march: step {j + 1} did not reach tol={tol} in {max_iter} "
+                    f"local iterations (distances: {distances})", distances)
+        counts.append(len(distances))
+        snapshots.append(SpinorField(grid, x))
+        del L  # free before the next step builds its own
+    return FieldSolution(times, snapshots), MarchReport(counts)
 
 
 def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,

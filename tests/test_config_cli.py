@@ -233,18 +233,19 @@ def test_simulate_end_to_end(tmp_path):
 
 
 def test_simulate_manifest_records_picard_tolerance_and_sweeps(tmp_path):
-    # one inner tolerance and one sweep count per P evaluation, the last
-    # evaluation solved at solver.picard.tol
+    # one count of the march's local iterations per P evaluation, at least
+    # one per step; every evaluation is solved at solver.picard.tol, so no
+    # tolerance is recorded per evaluation
     raw = _cfg(**{"solver.method": "fixed_point"})
     raw["solver"]["picard"] = {"tol": 1e-9, "max_iter": 30}
     rc = cli.main(["--output-root", str(tmp_path), "simulate",
                    "--config", str(_write_cfg(tmp_path, raw))])
     assert rc == 0
     fp = json.loads((tmp_path / "run" / "manifest.json").read_text())["solvers"]["fixed_point"]
-    n = fp["outer_iterations"]
-    assert len(fp["step_history"]) == len(fp["picard_tols"]) == len(fp["picard_sweeps"]) == n
-    assert fp["picard_tols"][0] == nt.PICARD_FORCING and fp["picard_tols"][-1] == 1e-9
-    assert all(t >= 1e-9 for t in fp["picard_tols"]) and all(k >= 1 for k in fp["picard_sweeps"])
+    n, M = fp["outer_iterations"], 4
+    assert len(fp["step_history"]) == len(fp["local_iterations"]) == n
+    assert all(k >= M for k in fp["local_iterations"])
+    assert "picard_tols" not in fp and "picard_sweeps" not in fp
 
 
 def test_simulate_deterministic_output(tmp_path):
@@ -410,10 +411,10 @@ def test_simulate_refuses_a_run_above_physical_memory(tmp_path, capsys, monkeypa
 
 def test_memory_estimate_counts_fields_of_the_solvers():
     # 64 n^3 bytes per field: the direct run a fixed number, the fixed point
-    # also its M+1 snapshots and one potential (1/8 field) per slice
+    # also one evaluation's M+1 snapshots, whatever the slice count
     field = 64 * 8**3
-    for method, n_slices, fields in (("direct", 4, 10), ("fixed_point", 4, 10 + 5 + 0.5),
-                                     ("both", 4, 10 + 5 + 0.5), ("both", 16, 10 + 5 + 2)):
+    for method, n_slices, fields in (("direct", 4, 10), ("fixed_point", 4, 10 + 5),
+                                     ("both", 4, 10 + 5), ("both", 16, 10 + 5)):
         cfg = cf.parse_config(_cfg(**{"solver.method": method, "time.n_slices": n_slices}))
         assert cli._peak_estimate(cfg) == int(fields * field)
 
@@ -421,7 +422,7 @@ def test_memory_estimate_counts_fields_of_the_solvers():
 def test_memory_estimate_admits_n128_m32_on_an_8_gb_machine():
     cfg = cf.parse_config(_cfg(**{"solver.method": "both", "grid.n": 128, "grid.box_length": 16.0,
                                   "time.T": 0.32, "time.dt": 0.01, "time.n_slices": 32}))
-    assert cli._peak_estimate(cfg) == int((10 + 33 + 4) * 64 * 128**3)
+    assert cli._peak_estimate(cfg) == int((10 + 33) * 64 * 128**3)
     assert cli._peak_estimate(cfg) < 8 * 10**9
 
 
@@ -561,8 +562,9 @@ def test_direct_non_finite_step_writes_failure_and_no_csv(tmp_path, capsys, monk
 
 
 def test_picard_non_finite_sweep_writes_failure_and_no_csv(tmp_path, capsys, monkeypatch):
-    # a NaN in the first Picard sweep ends the fixed-point run there: exit 3
-    # and a failure.json naming the sweep, with no timeseries or checkpoint
+    # a NaN in the march's first local iteration ends the fixed-point run
+    # there: exit 3 and a failure.json naming the step, with no timeseries or
+    # checkpoint
     nonlinearity = pr.apply_nonlinearity
 
     def broken(u):
@@ -577,8 +579,25 @@ def test_picard_non_finite_sweep_writes_failure_and_no_csv(tmp_path, capsys, mon
     assert "Traceback" not in capsys.readouterr().err
     record = json.loads((tmp_path / "run" / "failure.json").read_text())
     assert record["error"] == "ConvergenceFailure"
-    assert "non-finite iterate distance at sweep 1" in record["message"]
+    assert "non-finite local distance at step 1" in record["message"]
     assert len(record["history"]) == 1
+    assert sorted(f.name for f in (tmp_path / "run").iterdir()) == ["failure.json"]
+
+
+def test_picard_max_iter_per_step_writes_failure_and_no_csv(tmp_path, capsys):
+    # solver.picard.max_iter bounds each step of the march: a step that does
+    # not reach solver.picard.tol in it ends the run with exit 3 and a
+    # failure.json naming the step and holding its local distances
+    raw = _cfg(**{"solver.method": "fixed_point"})
+    raw["solver"]["picard"] = {"tol": 1e-15, "max_iter": 2}
+    rc = cli.main(["--output-root", str(tmp_path), "simulate",
+                   "--config", str(_write_cfg(tmp_path, raw))])
+    assert rc == cli.EXIT_SOLVER
+    assert "Traceback" not in capsys.readouterr().err
+    record = json.loads((tmp_path / "run" / "failure.json").read_text())
+    assert record["error"] == "ConvergenceFailure"
+    assert "step 1 did not reach tol=1e-15 in 2 local iterations" in record["message"]
+    assert len(record["history"]) == 2 and all(d > 0 for d in record["history"])
     assert sorted(f.name for f in (tmp_path / "run").iterdir()) == ["failure.json"]
 
 

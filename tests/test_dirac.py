@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diraclab import cli
 from diraclab import dirac as dr
 from diraclab import lattice as lat
 from oracles import dense_mode_exponential, fd4_derivative, step_momentum_whole
@@ -91,6 +92,33 @@ def test_free_operator_norm_equals_h1(grid16, rng):
         lhs = lat.l2_norm(dr.apply_free_dirac(u))
         rhs = lat.sobolev_norm(u, 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_free_dirac_of_a_drawn_field_acts_on_its_band(n, monkeypatch, tmp_path):
+    # the symbol maps each mode to itself, so a drawn field's band is enough:
+    # no transform, the same field as from the full spectrum, and the result
+    # keeps the band; the validate lab's dirac suite then transforms nothing
+    grid = lat.make_grid(n, 12.0)
+    u = lat.random_smooth_field(grid, 4, kmax=4, decay=0.8)
+    plain = dr.apply_free_dirac(u.copy())
+    assert plain.band is None
+    calls = []
+    spinor_fft = lat.spinor_fft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return spinor_fft(*args, **kwargs)
+
+    monkeypatch.setattr(lat, "spinor_fft", counted)
+    out = dr.apply_free_dirac(u)
+    cli._suite_dirac(n, 3, tmp_path)
+    assert calls == []
+    assert lat.l2_distance(out, plain) <= 1e-12 * lat.l2_norm(plain)
+    cube, idx = out.band
+    spectrum = lat.to_momentum(plain)
+    assert np.max(np.abs(cube - spectrum[np.ix_(idx, idx, idx)])) <= 1e-12 * np.max(np.abs(cube))
+    assert not out.data.flags.writeable
 
 
 def test_step_zero_dt_is_identity(grid16, rng):

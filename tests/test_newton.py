@@ -240,9 +240,9 @@ def test_fixed_point_symmetric_rest(grid16):
 def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
     # each outer iteration is one P evaluation and the solver stops at the
     # q that passed the test: the returned field, forces and admissibility
-    # failures are those of the last recorded evaluation, bit for bit, and
-    # the warm-started field agrees with a cold solve along q to the Picard
-    # tolerance
+    # failures are those of the last recorded evaluation, bit for bit; no
+    # evaluation starts from an earlier one, so a fresh evaluation along the
+    # accepted q gives the returned field bit for bit too
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
     T = 0.2
@@ -272,20 +272,21 @@ def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
     _, cold, *_ = map_P(traj, u0, T, plan=plan, picard_tol=picard_tol, n_steps=8, eps0=0.25)
     assert np.array_equal(fsol.times, cold.times)
     for a, b in zip(fsol.snapshots, cold.snapshots, strict=True):
-        assert lat.l2_distance(a, b) < 10 * picard_tol
+        assert np.array_equal(a.data, b.data)
 
 
-def _count_picard_sweeps(monkeypatch):
-    picard = nt.duhamel_picard
-    sweeps = []
+def _count_march_iterations(monkeypatch):
+    """The local iterations of each march the fixed point calls, in call order."""
+    march = nt.duhamel_march
+    iterations = []
 
     def counted(*args, **kwargs):
-        sol, rep = picard(*args, **kwargs)
-        sweeps.append(rep.iterations)
+        sol, rep = march(*args, **kwargs)
+        iterations.append(rep.iterations)
         return sol, rep
 
-    monkeypatch.setattr(nt, "duhamel_picard", counted)
-    return sweeps
+    monkeypatch.setattr(nt, "duhamel_march", counted)
+    return iterations
 
 
 def test_fixed_point_small_run_converges_in_few_evaluations(monkeypatch):
@@ -293,110 +294,46 @@ def test_fixed_point_small_run_converges_in_few_evaluations(monkeypatch):
     # converges in a handful of evaluations, to a Newton residual far below tol
     cfg = cf.load_config(Path(__file__).parents[1] / "scripts" / "configs" / "small_run.yaml")
     _, u0, nuclei = cf.build_initial_state(cfg)
-    sweeps = _count_picard_sweeps(monkeypatch)
+    marches = _count_march_iterations(monkeypatch)
     fp = cfg.solver.fixedpoint
     _, _, rep = nt.coupled_fixed_point(
         u0, nuclei, cfg.time.T, tol=fp.tol, max_outer=fp.max_outer, theta=fp.damping,
         plan=PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg),
         n_steps=step_count(cfg.time.T, cfg.time.dt), eps0=cfg.physics.epsilon0,
         picard_tol=cfg.solver.picard.tol, contraction_const=cfg.solver.contraction_const)
-    assert rep.outer_iterations == len(sweeps) <= 6
+    assert rep.outer_iterations == len(marches) <= 6
+    assert rep.local_iterations == marches
     assert rep.step_history[-1] < fp.tol
     assert rep.newton_residual < 1e-8
 
 
-def test_fixed_point_comoving_warm_start_cuts_sweeps(grid16, monkeypatch):
-    # a cold Picard solve takes about 10 sweeps here; warm-started from the
-    # previous evaluation's field (translated into the new comoving frame)
-    # the later solves take far fewer
+def test_fixed_point_comoving_march_takes_a_few_local_iterations_per_step(grid16,
+                                                                         monkeypatch):
+    # the comoving solve marches the translated field like the lab solve:
+    # every evaluation starts afresh and takes a few local iterations per step
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1, 0, 0))
     nuc = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
-    sweeps = _count_picard_sweeps(monkeypatch)
-    plan = PropagatorPlan(frame="comoving_single", n_slices=16, eps_reg=0.75)
-    _, _, rep = nt.coupled_fixed_point(u0, nuc, 0.25, tol=1e-8, plan=plan, n_steps=16,
+    marches = _count_march_iterations(monkeypatch)
+    M = 16
+    plan = PropagatorPlan(frame="comoving_single", n_slices=M, eps_reg=0.75)
+    _, _, rep = nt.coupled_fixed_point(u0, nuc, 0.25, tol=1e-8, plan=plan, n_steps=M,
                                        eps0=0.3, contraction_const=0.2)
-    assert len(sweeps) == rep.outer_iterations >= 3
-    assert sum(sweeps) < 10 * len(sweeps)
+    assert len(marches) == rep.outer_iterations >= 3
+    assert rep.local_iterations == marches
+    assert all(M <= k <= 6 * M for k in marches)
 
 
 def test_fixed_point_divergence_after_max_outer_evaluations(grid16, monkeypatch):
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
-    sweeps = _count_picard_sweeps(monkeypatch)
+    marches = _count_march_iterations(monkeypatch)
     with pytest.raises(nt.FixedPointDivergence) as info:
         nt.coupled_fixed_point(u0, nuclei, 0.2, tol=1e-30, max_outer=3,
                                plan=PropagatorPlan(n_slices=8, eps_reg=0.75), n_steps=8,
                                contraction_const=0.2)
-    assert len(sweeps) == 3
+    assert len(marches) == 3
     assert len(info.value.history) == 3
     assert all(np.isfinite(info.value.history))
-
-
-def _demo_fixed_point(name, monkeypatch, **overrides):
-    """(run, calls): ``run()`` solves a demo config's fixed point (``overrides``
-    replace its arguments); ``calls`` records each P evaluation as (input
-    trajectory, Picard tolerance, Picard sweeps)."""
-    cfg = cf.load_config(Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.yaml")
-    _, u0, nuclei = cf.build_initial_state(cfg)
-    fp = cfg.solver.fixedpoint
-    kwargs = dict(
-        tol=fp.tol, max_outer=fp.max_outer, theta=fp.damping,
-        plan=PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg),
-        n_steps=step_count(cfg.time.T, cfg.time.dt), eps0=cfg.physics.epsilon0,
-        picard_tol=cfg.solver.picard.tol, contraction_const=cfg.solver.contraction_const)
-    kwargs.update(overrides)
-    map_P = nt.trajectory_map_P
-    calls = []
-
-    def recorded(traj, *args, **kw):
-        result = map_P(traj, *args, **kw)
-        calls.append((traj, kw["picard_tol"], result[4].iterations))
-        return result
-
-    monkeypatch.setattr(nt, "trajectory_map_P", recorded)
-    return lambda: nt.coupled_fixed_point(u0, nuclei, cfg.time.T, **kwargs), calls
-
-
-def test_fixed_point_picard_tolerance_follows_outer_residual(monkeypatch):
-    # evaluation k is solved to max(picard_tol, PICARD_FORCING r_{k-1}), with
-    # r_0 = 1, and the accepted one at picard_tol: small_run takes 13 sweeps
-    # in 4 evaluations where solving each to picard_tol took 21
-    run, calls = _demo_fixed_point("small_run", monkeypatch)
-    _, _, rep = run()
-    picard_tol = 1e-9
-    tols = [c[1] for c in calls]
-    assert rep.picard_tols == tols and rep.picard_sweeps == [c[2] for c in calls]
-    assert len(calls) == rep.outer_iterations <= 4
-    assert sum(rep.picard_sweeps) <= 14
-    assert all(t >= picard_tol for t in tols) and tols[-1] == picard_tol
-    residuals = [1.0] + rep.step_history[:-1]
-    assert tols == [max(picard_tol, nt.PICARD_FORCING * r) for r in residuals]
-    assert tols[0] == nt.PICARD_FORCING
-
-
-def test_fixed_point_resolves_a_loose_acceptance_at_picard_tol(monkeypatch):
-    # on two_nuclei the third q's loosely solved residual is below tol, so the
-    # same q is solved again at picard_tol, and that evaluation is accepted
-    run, calls = _demo_fixed_point("two_nuclei", monkeypatch)
-    _, traj, rep = run()
-    tol, picard_tol = 1e-6, 1e-9
-    (q_loose, tol_loose, _), (q_tight, tol_tight, _) = calls[-2:]
-    assert len(calls) == rep.outer_iterations
-    assert np.array_equal(q_loose.positions, q_tight.positions)
-    assert np.array_equal(q_loose.velocities, q_tight.velocities)
-    assert tol_loose > picard_tol and tol_tight == picard_tol
-    assert rep.step_history[-2] < tol and rep.step_history[-1] < tol
-    assert np.array_equal(traj.positions, q_tight.positions)
-
-
-def test_fixed_point_max_outer_counts_the_re_solve(monkeypatch):
-    # the re-solve is a P evaluation: with max_outer at the loose evaluation,
-    # two_nuclei stops there unaccepted although its residual is below tol
-    run, calls = _demo_fixed_point("two_nuclei", monkeypatch, max_outer=3)
-    with pytest.raises(nt.FixedPointDivergence) as info:
-        run()
-    assert len(calls) == len(info.value.history) == 3
-    assert info.value.history[-1] < 1e-6 and calls[-1][1] > 1e-9
 
 
 def test_anderson_step_solves_affine_map_and_falls_back_to_damped_step():

@@ -316,25 +316,6 @@ def test_picard_builds_potentials_once_per_solve(grid16, monkeypatch, frame):
         assert 1 <= len(calls) <= M
 
 
-def test_picard_warm_start_from_own_output(grid16):
-    # started from its own converged snapshots the solve is done after one
-    # sweep, and it overwrites the list it was given instead of allocating one
-    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
-    traj = _moving_traj(T=0.4)
-    plan = pr.PropagatorPlan(n_slices=16, eps_reg=0.8)
-    tol = 1e-10
-    kw = dict(tol=tol, max_iter=25, plan=plan, n_steps=8, enforce_window=False)
-    cold, rep_cold = pr.duhamel_picard(u0, traj, 0.4, **kw)
-    start = [s.copy() for s in cold.snapshots]
-    warm, rep = pr.duhamel_picard(u0, traj, 0.4, start=start, **kw)
-    assert rep_cold.iterations >= 3 and rep.iterations == 1
-    assert warm.snapshots is start
-    for a, b in zip(warm.snapshots, cold.snapshots, strict=True):
-        assert lat.l2_distance(a, b) < tol
-    with pytest.raises(ValueError, match="warm start needs 9 snapshots"):
-        pr.duhamel_picard(u0, traj, 0.4, start=start[:-1], **kw)
-
-
 def test_picard_window_guard(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (3.0, 0, 0, 0))  # large datum
     traj = _static_traj()
@@ -440,3 +421,92 @@ def test_picard_non_finite_sweep_fails_at_once(grid16, monkeypatch):
                           enforce_window=False)
     assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
     assert len(calls) == M + 1
+
+
+@pytest.mark.parametrize("traj", [_static_traj(Z=0.4, T=0.4), _moving_traj(T=0.4)])
+def test_march_solves_the_whole_window_system(grid16, traj):
+    # the march and the whole-window sweep solve the same trapezoid system,
+    # so their snapshots agree to the tolerance (1.4e-12 measured at tol 1e-10)
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.2, (0.3, 0.06j, 0, 0))
+    tol, M = 1e-10, 16
+    kw = dict(tol=tol, plan=pr.PropagatorPlan(n_slices=M, eps_reg=0.8), n_steps=M)
+    march, rep = pr.duhamel_march(u0, traj, 0.4, **kw)
+    sweep, _ = pr.duhamel_picard(u0, traj, 0.4, enforce_window=False, **kw)
+    assert np.array_equal(march.times, sweep.times)
+    assert len(rep.step_iterations) == M and rep.iterations == sum(rep.step_iterations)
+    assert all(k >= 1 for k in rep.step_iterations)
+    assert max(lat.l2_distance(a, b) for a, b in zip(march.snapshots, sweep.snapshots,
+                                                    strict=True)) < 10 * tol
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 2.0])
+def test_march_local_iterations_do_not_grow_with_the_window(grid16, amplitude):
+    # each step contracts with a ratio O(delta ||N'||): at a fixed step, a
+    # window four times as long takes at most one more local iteration per step
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.2, (0.3 * amplitude, 0.06j, 0, 0))
+    worst = []
+    for T, M in ((0.15, 8), (0.6, 32)):
+        _, rep = pr.duhamel_march(u0, _moving_traj(T=T, steps=M), T, tol=1e-10,
+                                  plan=pr.PropagatorPlan(n_slices=M, eps_reg=0.8), n_steps=M)
+        worst.append(max(rep.step_iterations))
+    assert worst[1] <= worst[0] + 1
+
+
+def test_march_zero_datum_takes_one_iteration_per_step(grid16):
+    sol, rep = pr.duhamel_march(lat.zero_spinor(grid16), _static_traj(), 0.4, tol=1e-12,
+                                plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8), n_steps=8)
+    assert rep.step_iterations == [1] * 8
+    assert max(lat.l2_norm(s) for s in sol.snapshots) == 0.0
+
+
+@pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
+def test_march_builds_each_step_slices_once(grid16, monkeypatch, frame):
+    # a step's slices are built when the march reaches it and applied once
+    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
+    M, slices_per_step = 8, 2
+    build = pr.coulomb_field
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pr, "coulomb_field", counted)
+    plan = pr.PropagatorPlan(frame=frame, n_slices=M * slices_per_step, eps_reg=0.8)
+    _, rep = pr.duhamel_march(u0, _moving_traj(T=0.4), 0.4, tol=1e-10, plan=plan, n_steps=M)
+    assert rep.iterations >= 2 * M
+    assert len(calls) == (M * slices_per_step if frame == pr.LAB else M)
+
+
+def test_march_max_iter_failure_names_the_step(grid16):
+    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.8, 0.1, 0, 0))
+    with pytest.raises(pr.ConvergenceFailure, match="step 1 did not reach tol=1e-14 in 2 "
+                                                    "local iterations") as err:
+        pr.duhamel_march(u0, _static_traj(Z=0.4, T=0.4), 0.4, tol=1e-14, max_iter=2,
+                         plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8), n_steps=8)
+    assert len(err.value.history) == 2
+    assert all(d > 0 for d in err.value.history)
+
+
+def test_march_non_finite_distance_fails_at_once(grid16, monkeypatch):
+    # a NaN nonlinear term in step 2's first local iteration ends the march
+    # there, naming the step; the NaN is not taken for convergence
+    nonlinearity = pr.apply_nonlinearity
+    calls = []
+
+    def broken(u):
+        calls.append(1)
+        out = nonlinearity(u)
+        if len(calls) == first_of_step_2:
+            out.data[:] = np.nan
+        return out
+
+    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
+    kw = dict(tol=1e-10, plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8), n_steps=8)
+    _, rep = pr.duhamel_march(u0, _static_traj(Z=0.4, T=0.4), 0.4, **kw)
+    first_of_step_2 = 1 + rep.step_iterations[0] + 1  # N(u0), step 1's, then step 2's first
+    monkeypatch.setattr(pr, "apply_nonlinearity", broken)
+    with pytest.raises(pr.ConvergenceFailure, match="non-finite local distance at step 2") as err:
+        pr.duhamel_march(u0, _static_traj(Z=0.4, T=0.4), 0.4, **kw)
+    assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
+    assert len(calls) == first_of_step_2
