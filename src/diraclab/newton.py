@@ -43,7 +43,6 @@ from .propagator import (
     PropagatorPlan,
     check_contraction_window,
     duhamel_march,
-    snapshot_count,
     step_count,
     strang_step,
 )
@@ -219,7 +218,7 @@ def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarra
 
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
                      plan: PropagatorPlan = None, picard_tol: float = 1e-8,
-                     picard_max_iter: int = 30, n_steps: int = None,
+                     picard_max_iter: int = 30, *, n_steps: int,
                      eps0: float = None):
     """One application of the trajectory map: solve the field along ``traj_in``,
     then integrate ``m_k qddot = F_k(t)`` from the input's initial data.
@@ -236,11 +235,10 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     ``traj_in`` and the march report is None for a zero field (no solve).
     """
     plan = plan or PropagatorPlan()
-    M = snapshot_count(plan, n_steps)
     eps = regularization_eps(plan.eps_reg, u0.grid)
     if charge(u0) == 0.0:
-        fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, M + 1),
-                             [u0] * (M + 1))
+        fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, n_steps + 1),
+                             [u0] * (n_steps + 1))
         march = None
     else:
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
@@ -249,7 +247,7 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
         comoving = plan.frame == COMOVING_SINGLE
         u_start = translate(u0, traj_in.position(traj_in.t0)[0]) if comoving else u0
         fsol, march = duhamel_march(u_start, traj_in, T, tol=picard_tol,
-                                    max_iter=picard_max_iter, plan=plan, n_steps=M)
+                                    max_iter=picard_max_iter, plan=plan, n_steps=n_steps)
         if comoving:
             for j, t in enumerate(fsol.times):
                 fsol.snapshots[j] = translate(fsol.snapshots[j], -traj_in.position(t)[0])
@@ -331,7 +329,7 @@ def _anderson_step(xs: list, gs: list, beta: float) -> np.ndarray:
 
 def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
                         max_outer: int = 40, theta: float = 0.5,
-                        plan: PropagatorPlan = None, n_steps: int = None,
+                        plan: PropagatorPlan = None, *, n_steps: int,
                         eps0: float = 0.25, picard_tol: float = 1e-9,
                         picard_max_iter: int = 30, sigma: float = 1.25,
                         contraction_const: float = 1.0):
@@ -361,14 +359,13 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     check_initial_separation(a, eps0)
     if charge(u0) > 0:
         check_contraction_window(T, u0, sigma, contraction_const)
-    M = snapshot_count(plan, n_steps)
-    delta = T / M
-    traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, M)
+    delta = T / n_steps
+    traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, n_steps)
     history, iterations, xs, gs = [], [], [], []
     while True:
         traj_P, fsol, report_adm, forces, march = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
-            picard_max_iter=picard_max_iter, n_steps=M, eps0=eps0)
+            picard_max_iter=picard_max_iter, n_steps=n_steps, eps0=eps0)
         iterations.append(march.iterations if march else 0)
         dq = traj_P.positions - traj.positions
         dv = traj_P.velocities - traj.velocities

@@ -8,8 +8,10 @@ factor and the exact per-mode kinetic (plus optional comoving drift) factor,
 so every factor is unitary and charge is preserved to roundoff.  Backward
 evolution applies the adjoint product (reversed factors, negated durations).
 :func:`_frozen_slices` is the one slice builder and :func:`_apply_slices` the
-one applier; the Picard solve builds its slices once per solve, the march
-each step's slices when it reaches the step.  One Strang kick-drift-kick is
+one applier.  The Duhamel solvers share one step schedule, :func:`_duhamel_steps`
+(one builder call per solve), and one explicit term, :func:`_explicit_term`; the
+Picard solve lists every step's slices once, the march builds each step's slices
+when it reaches the step.  One Strang kick-drift-kick is
 :func:`strang_step`; the split-step integrator below and the direct coupled
 integrator in ``newton`` step with it too.
 
@@ -120,16 +122,6 @@ def step_count(T: float, dt: float) -> int:
     return max(1, int(round(T / dt)))
 
 
-def snapshot_count(plan: PropagatorPlan, n_steps: int = None) -> int:
-    """Snapshot intervals of a Picard solve: ``n_steps``, or ``max(8, plan.n_slices)``."""
-    return n_steps if n_steps is not None else max(8, plan.n_slices)
-
-
-def slices_per_step(n_slices: int, M: int) -> int:
-    """Slices per snapshot interval of a Picard solve over ``M`` intervals (at least one)."""
-    return max(1, int(round(n_slices / M)))
-
-
 def _half_kick(delta: float, V, V_H=None):
     """The factor ``exp(-i delta/2 (V + V_H))`` from the cos/sin of its angle, broadcast
     over the spinor components; ``V`` may be the scalar 0.0.  With a Hartree
@@ -203,26 +195,27 @@ def _segments(traj: Trajectory, s: float, t: float, n_slices: int):
     return segs
 
 
-def _frozen_slices(traj: Trajectory, s: float, t: float, plan: PropagatorPlan, grid: GridSpec):
-    """Yield ``(duration, potential, drift)`` per slice of [s, t] in application
-    order (adjoint order when ``t < s``).  Lab frame: the nuclei's potential at
-    the slice's lattice point, built as the slice is reached, no drift.  Comoving
-    frame: one potential of the nucleus at the origin per call, its velocity as drift.
+def _frozen_slices(traj: Trajectory, windows, plan: PropagatorPlan, grid: GridSpec):
+    """Yield, per window ``(s, t)`` of ``windows``, an iterator of ``(duration,
+    potential, drift)`` per slice of [s, t] in application order (adjoint order
+    when ``t < s``).  Lab frame: the nuclei's potential at the slice's lattice
+    point, built as the slice is reached, no drift.  Comoving frame: one potential
+    of the nucleus at the origin per call, its velocity as drift.
     """
     eps = regularization_eps(plan.eps_reg, grid)
-    segs = _segments(traj, min(s, t), max(s, t), plan.n_slices)
-    if t < s:
-        segs = [(y, x, f) for (x, y, f) in reversed(segs)]
     if plan.frame == COMOVING_SINGLE:
         if traj.n_nuclei != 1:
             raise ValueError("comoving frame is implemented for a single nucleus only")
         static = coulomb_field(nucleus_states(traj.charges, traj.masses, np.zeros((1, 3)),
                                               np.zeros((1, 3))), eps, grid)
-        for (x, y, tf) in segs:
-            yield y - x, static, traj.velocity(tf)[0]
+        frozen = lambda tf: (static, traj.velocity(tf)[0])
     else:
-        for (x, y, tf) in segs:
-            yield y - x, coulomb_field(traj.nuclei_at(tf), eps, grid), None
+        frozen = lambda tf: (coulomb_field(traj.nuclei_at(tf), eps, grid), None)
+    for (s, t) in windows:
+        segs = _segments(traj, min(s, t), max(s, t), plan.n_slices)
+        if t < s:
+            segs = [(y, x, f) for (x, y, f) in reversed(segs)]
+        yield ((y - x, *frozen(tf)) for (x, y, tf) in segs)
 
 
 def _apply_slices(u: SpinorField, slices, substeps: int) -> SpinorField:
@@ -251,7 +244,8 @@ def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory
             raise AdmissibilityError(report)
     if t == s:
         return u0.copy()
-    return _apply_slices(u0, _frozen_slices(traj, s, t, plan, u0.grid), plan.substeps)
+    (slices,) = _frozen_slices(traj, [(s, t)], plan, u0.grid)
+    return _apply_slices(u0, slices, plan.substeps)
 
 
 @dataclass
@@ -359,18 +353,37 @@ def check_contraction_window(T: float, u0: SpinorField, sigma: float,
             f"got T = {T:.6g} (C = {contraction_const}, ||u0||_Hs = {R:.6g})")
 
 
+def _duhamel_steps(traj: Trajectory, T: float, plan: PropagatorPlan, grid: GridSpec,
+                   n_steps: int):
+    """``(times, i delta/2, steps)`` of ``n_steps`` equal trapezoid-Duhamel steps over
+    [t0, t0 + T]; ``steps`` yields each step's slices in turn, from one call of
+    :func:`_frozen_slices` at ``round(n_slices / n_steps)`` (at least 1) slices a step."""
+    times = traj.t0 + np.linspace(0.0, T, n_steps + 1)
+    per_step = max(1, int(round(plan.n_slices / n_steps)))
+    steps = _frozen_slices(traj, zip(times[:-1], times[1:]),
+                           replace(plan, n_slices=n_steps * per_step), grid)
+    return times, 0.5j * (T / n_steps), steps
+
+
+def _explicit_term(u: SpinorField, half: complex) -> np.ndarray:
+    """The trapezoid's explicit term ``(i delta/2) N(u)`` as a new array, ``half = i delta/2``."""
+    term = apply_nonlinearity(u).data
+    term *= half
+    return term
+
+
 def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8,
-                   max_iter: int = 30, plan: PropagatorPlan = None, n_steps: int = None,
+                   max_iter: int = 30, plan: PropagatorPlan = None, *, n_steps: int,
                    sigma: float = 1.25, contraction_const: float = 1.0,
                    enforce_window: bool = True):
     """Fixed point of the Duhamel map by Picard iteration on a snapshot grid.
 
-    The Duhamel integral is evaluated by composite trapezoid on the snapshot
-    grid, propagated stepwise so each iteration costs one linear sweep over
-    the whole window.  Iterate 0 is the linear evolution; each sweep
-    overwrites the M+1 iterates in place, snapshot by snapshot, and the
-    returned FieldSolution holds them, so a solve holds the M+1 iterates and
-    a few further fields.
+    The Duhamel integral is evaluated by composite trapezoid on ``n_steps`` (M)
+    equal steps, propagated stepwise so each iteration costs one linear sweep
+    over the whole window.  Iterate 0 is the linear evolution; each sweep
+    overwrites snapshots 1..M in place (snapshot 0 is u0), and the returned
+    FieldSolution holds them, so a solve holds the M+1 snapshots, every step's
+    slices and a few further fields.
     Returns (FieldSolution, PicardReport); raises :class:`ConvergenceFailure`
     with the iterate-distance history when ``max_iter`` is exhausted, or at
     once on a non-finite distance.
@@ -379,36 +392,24 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     if enforce_window:
         check_contraction_window(T, u0, sigma, contraction_const)
     grid = u0.grid
-    M = snapshot_count(plan, n_steps)
-    times = traj.t0 + np.linspace(0.0, T, M + 1)
-    delta = T / M
-    step_plan = replace(plan, n_slices=M * slices_per_step(plan.n_slices, M))
-
+    times, half, steps = _duhamel_steps(traj, T, plan, grid, n_steps)
     # the trajectory is fixed for the whole solve: build each step's slices once
-    steps = [list(_frozen_slices(traj, times[j], times[j + 1], step_plan, grid))
-             for j in range(M)]
-
-    def linear_step(u: SpinorField, j: int) -> SpinorField:
-        return _apply_slices(u, steps[j], plan.substeps)
-
+    steps = [list(slices) for slices in steps]
     iterates = [u0.copy()]
-    for j in range(M):
-        iterates.append(linear_step(iterates[-1], j))
+    for slices in steps:
+        iterates.append(_apply_slices(iterates[-1], slices, plan.substeps))
+    first = _explicit_term(u0, half)  # snapshot 0 is u0 on every sweep
 
     distances = []
     converged = False
-    half = 0.5j * delta
     for it in range(max_iter):
         # step j reads the old iterate j+1 only through its nonlinear term, which
         # it carries to step j+1, so the sweep overwrites each iterate in place
-        term = apply_nonlinearity(iterates[0]).data
-        term *= half
-        iterates[0] = u0.copy()
+        term = first
         step_dists = []
-        for j in range(M):
-            new = linear_step(SpinorField(grid, iterates[j].data - term), j)
-            term = apply_nonlinearity(iterates[j + 1]).data
-            term *= half
+        for j, slices in enumerate(steps):
+            new = _apply_slices(SpinorField(grid, iterates[j].data - term), slices, plan.substeps)
+            term = _explicit_term(iterates[j + 1], half)
             new.data -= term
             step_dists.append(l2_distance(new, iterates[j + 1]))
             iterates[j + 1] = new
@@ -442,7 +443,7 @@ class MarchReport:
 
 
 def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8,
-                  max_iter: int = 30, plan: PropagatorPlan = None, n_steps: int = None):
+                  max_iter: int = 30, plan: PropagatorPlan = None, *, n_steps: int):
     """The trapezoid-Duhamel system of :func:`duhamel_picard`, solved one step at a time.
 
     The system is causal: with ``h = (i delta/2) N``, ``N(u) = (|u|^2 * 1/|x|) u``
@@ -460,22 +461,16 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
     """
     plan = plan or PropagatorPlan()
     grid = u0.grid
-    M = snapshot_count(plan, n_steps)
-    times = traj.t0 + np.linspace(0.0, T, M + 1)
-    half = 0.5j * (T / M)
-    step_plan = replace(plan, n_slices=M * slices_per_step(plan.n_slices, M))
+    times, half, steps = _duhamel_steps(traj, T, plan, grid, n_steps)
     snapshots = [u0.copy()]
-    term = apply_nonlinearity(u0).data
-    term *= half
+    term = _explicit_term(u0, half)
     counts = []
-    for j in range(M):
-        slices = _frozen_slices(traj, times[j], times[j + 1], step_plan, grid)
+    for j, slices in enumerate(steps):
         L = _apply_slices(SpinorField(grid, snapshots[j].data - term), slices, plan.substeps).data
         x = L - term
         distances = []
         while True:
-            new = apply_nonlinearity(SpinorField(grid, x)).data
-            new *= half
+            new = _explicit_term(SpinorField(grid, x), half)
             # two iterates L - term differ by the change of their nonlinear terms
             term -= new
             distances.append(l2_norm(SpinorField(grid, term)))

@@ -511,7 +511,7 @@ def test_simulate_rejects_no_nuclei(tmp_path, capsys):
     with pytest.raises(ValueError, match="at least one nucleus"):
         nt.coupled_direct(u0, [], 0.1, 0.025)
     with pytest.raises(ValueError, match="at least one nucleus"):
-        nt.coupled_fixed_point(u0, [], 0.1, contraction_const=0.2)
+        nt.coupled_fixed_point(u0, [], 0.1, n_steps=8, contraction_const=0.2)
 
 
 def test_simulate_solver_failure_writes_record(tmp_path, capsys, monkeypatch):
@@ -624,7 +624,7 @@ def test_fixed_point_non_finite_residual_fails_at_once(tmp_path, capsys, monkeyp
     _, u0, nuclei = cf.build_initial_state(cfg)
     calls = _nan_on_second_call(monkeypatch, series)
     with pytest.raises(nt.FixedPointDivergence, match="non-finite") as info:
-        nt.coupled_fixed_point(u0, nuclei, cfg.time.T, tol=1e-12, max_outer=40,
+        nt.coupled_fixed_point(u0, nuclei, cfg.time.T, tol=1e-12, max_outer=40, n_steps=16,
                                contraction_const=0.2)
     assert len(calls) == 2
     assert len(info.value.history) == 2 and np.isnan(info.value.history[-1])

@@ -363,7 +363,7 @@ def test_fixed_point_separation_guard(grid16):
     nuclei = [NucleusState(0.5, 10.0, (-1.0, 0, 0), (0, 0, 0)),
               NucleusState(0.5, 10.0, (1.0, 0, 0), (0, 0, 0))]
     with pytest.raises(ValueError, match="separation hypothesis"):
-        nt.coupled_fixed_point(u0, nuclei, 0.2, eps0=0.3)
+        nt.coupled_fixed_point(u0, nuclei, 0.2, n_steps=8, eps0=0.3)
 
 
 def test_fixed_point_kepler_decoupling(grid16):
@@ -519,7 +519,7 @@ def test_fixed_point_window_guard(grid16):
     from diraclab.propagator import ContractionWindowError
 
     with pytest.raises(ContractionWindowError, match="time hypothesis"):
-        nt.coupled_fixed_point(u0, nuclei, 1.0, contraction_const=1.0)
+        nt.coupled_fixed_point(u0, nuclei, 1.0, n_steps=8, contraction_const=1.0)
 
 
 def test_fixed_point_comoving_frame_matches_lab(grid16):

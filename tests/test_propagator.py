@@ -1,4 +1,7 @@
+import ast
+import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,14 +316,15 @@ def test_picard_builds_potentials_once_per_solve(grid16, monkeypatch, frame):
     if frame == pr.LAB:
         assert len(calls) == M * slices_per_step
     else:
-        assert 1 <= len(calls) <= M
+        assert len(calls) == 1
 
 
 def test_picard_window_guard(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (3.0, 0, 0, 0))  # large datum
     traj = _static_traj()
     with pytest.raises(pr.ContractionWindowError, match="time hypothesis"):
-        pr.duhamel_picard(u0, traj, 0.5, plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8))
+        pr.duhamel_picard(u0, traj, 0.5, plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8),
+                          n_steps=8)
 
 
 def test_split_step_reduces_to_product_formula_without_hartree(grid16, rng):
@@ -423,13 +427,17 @@ def test_picard_non_finite_sweep_fails_at_once(grid16, monkeypatch):
     assert len(calls) == M + 1
 
 
-@pytest.mark.parametrize("traj", [_static_traj(Z=0.4, T=0.4), _moving_traj(T=0.4)])
-def test_march_solves_the_whole_window_system(grid16, traj):
-    # the march and the whole-window sweep solve the same trapezoid system,
-    # so their snapshots agree to the tolerance (1.4e-12 measured at tol 1e-10)
+@pytest.mark.parametrize("slices_per_step", [1, 2])
+@pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
+def test_march_solves_the_whole_window_system(grid16, frame, slices_per_step):
+    # the march and the whole-window sweep solve the same trapezoid system on
+    # one step schedule, so their snapshots agree to the tolerance (1.4e-12
+    # measured at tol 1e-10 in every frame and at 1 and 2 slices per step)
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.2, (0.3, 0.06j, 0, 0))
+    traj = _moving_traj(T=0.4)
     tol, M = 1e-10, 16
-    kw = dict(tol=tol, plan=pr.PropagatorPlan(n_slices=M, eps_reg=0.8), n_steps=M)
+    plan = pr.PropagatorPlan(frame=frame, n_slices=M * slices_per_step, eps_reg=0.8)
+    kw = dict(tol=tol, plan=plan, n_steps=M)
     march, rep = pr.duhamel_march(u0, traj, 0.4, **kw)
     sweep, _ = pr.duhamel_picard(u0, traj, 0.4, enforce_window=False, **kw)
     assert np.array_equal(march.times, sweep.times)
@@ -437,6 +445,24 @@ def test_march_solves_the_whole_window_system(grid16, traj):
     assert all(k >= 1 for k in rep.step_iterations)
     assert max(lat.l2_distance(a, b) for a, b in zip(march.snapshots, sweep.snapshots,
                                                     strict=True)) < 10 * tol
+
+
+def _call_lines(name: str, source: str) -> list:
+    """Line of each call of ``name`` (bare or as an attribute) in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_explicit_term_is_the_only_nonlinearity_call():
+    # both Duhamel solvers form the trapezoid's (i delta/2) N(u) through
+    # propagator._explicit_term, so the explicit term has one body
+    assert _call_lines("apply_nonlinearity",
+                       "a = apply_nonlinearity(u).data\nb = hartree.apply_nonlinearity(u)\n"
+                       "c = apply_nonlinearity\n") == [1, 2]
+    (line,) = _call_lines("apply_nonlinearity", Path(pr.__file__).read_text())
+    body, first = inspect.getsourcelines(pr._explicit_term)
+    assert first <= line < first + len(body)
 
 
 @pytest.mark.parametrize("amplitude", [1.0, 2.0])
@@ -461,7 +487,8 @@ def test_march_zero_datum_takes_one_iteration_per_step(grid16):
 
 @pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
 def test_march_builds_each_step_slices_once(grid16, monkeypatch, frame):
-    # a step's slices are built when the march reaches it and applied once
+    # a step's slices are built when the march reaches it and applied once;
+    # the comoving frame builds its one static potential once per solve
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
     M, slices_per_step = 8, 2
     build = pr.coulomb_field
@@ -475,7 +502,7 @@ def test_march_builds_each_step_slices_once(grid16, monkeypatch, frame):
     plan = pr.PropagatorPlan(frame=frame, n_slices=M * slices_per_step, eps_reg=0.8)
     _, rep = pr.duhamel_march(u0, _moving_traj(T=0.4), 0.4, tol=1e-10, plan=plan, n_steps=M)
     assert rep.iterations >= 2 * M
-    assert len(calls) == (M * slices_per_step if frame == pr.LAB else M)
+    assert len(calls) == (M * slices_per_step if frame == pr.LAB else 1)
 
 
 def test_march_max_iter_failure_names_the_step(grid16):
