@@ -164,6 +164,7 @@ def _run_solvers(cfg, grid, u0, nuclei):
         entries["fixed_point"] = {
             "outer_iterations": rep.outer_iterations, "step_history": rep.step_history,
             "local_iterations": rep.local_iterations,
+            "local_contraction": rep.local_contraction,
             "newton_residual": rep.newton_residual,
             "admissibility_failures": rep.admissibility_failures,
             "charge_drift": rep.charge_drift, "wall_time": time.time() - t0,

@@ -115,7 +115,10 @@ def force_breakdown(u: SpinorField, nuclei, eps: float, rho: np.ndarray = None) 
         for k, nuc in enumerate(nuclei):
             dx, dy, dz = u.grid.displacement_mesh(nuc.q)
             w = rho / (dx * dx + dy * dy + dz * dz + eps**2) ** 1.5
-            fld[k] = nuc.Z * h3 * np.array([np.sum(w * dx), np.sum(w * dy), np.sum(w * dz)])
+            # each displacement varies along one axis: weight it against w's marginal sum
+            fld[k] = nuc.Z * h3 * np.array([dx.ravel() @ w.sum(axis=(1, 2)),
+                                            dy.ravel() @ w.sum(axis=(0, 2)),
+                                            dz.ravel() @ w.sum(axis=(0, 1))])
     return ForceBreakdown(field=fld, internuclear=internuclear_force(nuclei))
 
 
@@ -291,6 +294,7 @@ class FixedPointReport(RunDiagnostics):
     outer_iterations: int     # P evaluations
     step_history: list        # the undamped residual of each P evaluation
     local_iterations: list    # the march's local iterations in each P evaluation
+    local_contraction: list   # each P evaluation's largest ratio of successive local distances
     converged: bool
     newton_residual: float
     admissibility_failures: list
@@ -361,12 +365,13 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
         check_contraction_window(T, u0, sigma, contraction_const)
     delta = T / n_steps
     traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, n_steps)
-    history, iterations, xs, gs = [], [], [], []
+    history, iterations, contraction, xs, gs = [], [], [], [], []
     while True:
         traj_P, fsol, report_adm, forces, march = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
             picard_max_iter=picard_max_iter, n_steps=n_steps, eps0=eps0)
         iterations.append(march.iterations if march else 0)
+        contraction.append(march.contraction if march else 0.0)
         dq = traj_P.positions - traj.positions
         dv = traj_P.velocities - traj.velocities
         residual = float(np.maximum(np.max(np.abs(dv)), np.max(np.abs(dq)) / delta))  # NaN-safe
@@ -398,7 +403,7 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
         *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
                    for u, t in zip(fsol.snapshots, fsol.times)]),
         forces, outer_iterations=len(history), step_history=history,
-        local_iterations=iterations, converged=True,
+        local_iterations=iterations, local_contraction=contraction, converged=True,
         newton_residual=_newton_residual(traj, forces),
         admissibility_failures=report_adm.failures)
     return fsol, traj, report

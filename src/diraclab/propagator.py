@@ -19,9 +19,9 @@ The nonlinear field solver comes in two independent flavours used to check
 each other: the Duhamel integral form (trapezoid quadrature on the snapshot
 grid), solved by Picard iteration over the whole window
 (:func:`duhamel_picard`, the contraction of the existence proof) or one step
-at a time (:func:`duhamel_march`, which the coupled fixed point uses), and a
-direct split-step integrator with the Hartree potential refreshed every
-half-step.
+at a time on the step's Hartree potential (:func:`duhamel_march`, which the
+coupled fixed point uses), and a direct split-step integrator with the
+Hartree potential refreshed every half-step.
 """
 
 from __future__ import annotations
@@ -433,28 +433,41 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
 
 @dataclass
 class MarchReport:
-    """The local iterations of each step of :func:`duhamel_march`."""
+    """The local iterations of each step of :func:`duhamel_march`, and each step's
+    largest ratio of successive local distances (0 for a step of one iteration)."""
 
     step_iterations: list
+    step_contraction: list
 
     @property
     def iterations(self) -> int:
         return sum(self.step_iterations)
+
+    @property
+    def contraction(self) -> float:
+        """The largest local ratio of any step."""
+        return max(self.step_contraction, default=0.0)
 
 
 def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8,
                   max_iter: int = 30, plan: PropagatorPlan = None, *, n_steps: int):
     """The trapezoid-Duhamel system of :func:`duhamel_picard`, solved one step at a time.
 
-    The system is causal: with ``h = (i delta/2) N``, ``N(u) = (|u|^2 * 1/|x|) u``
-    and U_j step j's slices, ``x_{j+1} = L_j - h(x_{j+1})`` where
-    ``L_j = U_j (x_j - h(x_j))`` depends on x_j alone.  Step j builds its slices
-    and forms L_j once, then iterates ``x <- L_j - h(x)`` from ``L_j - h(x_j)``
-    until two iterates differ by less than ``tol`` in L2.  It keeps the newest
-    iterate, and its last nonlinear term becomes step j+1's explicit term.  A
-    local iteration costs one nonlinear term, not a linear step, and contracts
-    with a ratio O(delta ||N'||) whatever T is.  Holds the M+1 snapshots, one
-    step's slices and a few fields.
+    The system is causal: with ``h = (i delta/2) N``, ``N(u) = V_H(u) u``,
+    ``V_H(u) = |u|^2 * 1/|x|`` and U_j step j's slices, ``x_{j+1} = L_j - h(x_{j+1})``
+    where ``L_j = U_j (x_j - h(x_j))`` depends on x_j alone.  The implicit factor is
+    pointwise: with ``a = delta/2`` and ``V = V_H(x_{j+1})``,
+    ``x_{j+1} = L_j / (1 + i a V)``, so ``|x_{j+1}|^2 = rho_L / (1 + (a V)^2)`` with
+    rho_L the density of L_j.  Step j builds its slices and forms L_j and rho_L once,
+    then iterates on the real potential, ``V <- (rho_L / (1 + (a V)^2)) * 1/|x|``,
+    from the previous step's V (``V_H(u0)`` on the first step), until two iterates
+    ``L_j / (1 + i a V)`` differ by less than ``tol`` in L2, a distance read from
+    the potentials alone.  It then scales L_j by ``1 / (1 + i a V)`` with the last V
+    (the potential of the penultimate iterate), and step j+1's explicit part is
+    ``x_{j+1} (1 - i a V)`` with that V.  A local iteration costs one scalar
+    convolution, not a nonlinear spinor term, and the potential moves the density
+    only through ``(a V)^2``, so it contracts with a ratio O(delta^2) whatever T
+    is.  Holds the M+1 snapshots, one step's slices and a few fields.
     Returns (FieldSolution, MarchReport); raises :class:`ConvergenceFailure`
     naming the step, with its local distances as the history, when a step
     exhausts ``max_iter`` or meets a non-finite distance.
@@ -462,20 +475,25 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
     plan = plan or PropagatorPlan()
     grid = u0.grid
     times, half, steps = _duhamel_steps(traj, T, plan, grid, n_steps)
+    a, h3 = half.imag, grid.spacing**3
     snapshots = [u0.copy()]
-    term = _explicit_term(u0, half)
-    counts = []
+    V = convolve_inverse_distance(grid, density(u0))
+    w = 1.0 + (a * V) ** 2  # |1 + i a V|^2
+    counts, ratios = [], []
     for j, slices in enumerate(steps):
-        L = _apply_slices(SpinorField(grid, snapshots[j].data - term), slices, plan.substeps).data
-        x = L - term
+        # the explicit part x_j - (i delta/2) V x_j, with the V that made x_j (V_H(u0) for u0)
+        L = _apply_slices(SpinorField(grid, snapshots[j].data * (1.0 - half * V)[..., None]),
+                          slices, plan.substeps).data
+        rho = density(SpinorField(grid, L))
         distances = []
         while True:
-            new = _explicit_term(SpinorField(grid, x), half)
-            # two iterates L - term differ by the change of their nonlinear terms
-            term -= new
-            distances.append(l2_norm(SpinorField(grid, term)))
-            term = new
-            np.subtract(L, term, out=x)
+            source = rho / w  # |x|^2 of the iterate x = L_j / (1 + i a V)
+            V_new = convolve_inverse_distance(grid, source)
+            w_new = 1.0 + (a * V_new) ** 2
+            # |x_new - x|^2 = rho a^2 (V_new - V)^2 / (w_new w) = source a^2 (V_new - V)^2 / w_new
+            dV = V_new - V
+            distances.append(a * float(np.sqrt(h3 * np.sum(source * dV * dV / w_new))))
+            V, w = V_new, w_new
             if not np.isfinite(distances[-1]):
                 raise ConvergenceFailure(f"Duhamel march: non-finite local distance at step "
                                          f"{j + 1} (distances: {distances})", distances)
@@ -486,9 +504,11 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
                     f"Duhamel march: step {j + 1} did not reach tol={tol} in {max_iter} "
                     f"local iterations (distances: {distances})", distances)
         counts.append(len(distances))
-        snapshots.append(SpinorField(grid, x))
+        ratios.append(max((d1 / d0 for d0, d1 in zip(distances, distances[1:])), default=0.0))
+        L *= (1.0 / (1.0 + half * V))[..., None]
+        snapshots.append(SpinorField(grid, L))
         del L  # free before the next step builds its own
-    return FieldSolution(times, snapshots), MarchReport(counts)
+    return FieldSolution(times, snapshots), MarchReport(counts, ratios)
 
 
 def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,

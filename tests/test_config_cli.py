@@ -562,17 +562,17 @@ def test_direct_non_finite_step_writes_failure_and_no_csv(tmp_path, capsys, monk
 
 
 def test_picard_non_finite_sweep_writes_failure_and_no_csv(tmp_path, capsys, monkeypatch):
-    # a NaN in the march's first local iteration ends the fixed-point run
-    # there: exit 3 and a failure.json naming the step, with no timeseries or
+    # a NaN potential in the march's first local iteration ends the fixed-point
+    # run there: exit 3 and a failure.json naming the step, with no timeseries or
     # checkpoint
-    nonlinearity = pr.apply_nonlinearity
+    convolve = pr.convolve_inverse_distance
 
-    def broken(u):
-        out = nonlinearity(u)
-        out.data[:] = np.nan
+    def broken(grid, source):
+        out = convolve(grid, source)
+        out[:] = np.nan
         return out
 
-    monkeypatch.setattr(pr, "apply_nonlinearity", broken)
+    monkeypatch.setattr(pr, "convolve_inverse_distance", broken)
     p = _write_cfg(tmp_path, _cfg(**{"solver.method": "fixed_point"}))
     rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(p)])
     assert rc == cli.EXIT_SOLVER
@@ -582,6 +582,18 @@ def test_picard_non_finite_sweep_writes_failure_and_no_csv(tmp_path, capsys, mon
     assert "non-finite local distance at step 1" in record["message"]
     assert len(record["history"]) == 1
     assert sorted(f.name for f in (tmp_path / "run").iterdir()) == ["failure.json"]
+
+
+def test_simulate_manifest_records_the_local_contraction(tmp_path):
+    # one local ratio per P evaluation, beside its local iterations: the
+    # largest ratio of successive local distances over the march's steps
+    raw = _cfg(**{"solver.method": "fixed_point"})
+    rc = cli.main(["--output-root", str(tmp_path), "simulate",
+                   "--config", str(_write_cfg(tmp_path, raw))])
+    assert rc == 0
+    fp = json.loads((tmp_path / "run" / "manifest.json").read_text())["solvers"]["fixed_point"]
+    assert len(fp["local_contraction"]) == len(fp["local_iterations"]) == fp["outer_iterations"]
+    assert all(0.0 < r < 1e-3 for r in fp["local_contraction"])
 
 
 def test_picard_max_iter_per_step_writes_failure_and_no_csv(tmp_path, capsys):

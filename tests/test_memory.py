@@ -55,7 +55,7 @@ def test_picard_solve_holds_its_snapshots_and_a_few_fields(grid16, M):
 def test_fixed_point_holds_one_evaluation_of_snapshots(grid16, M):
     # each P evaluation marches afresh, and the previous evaluation's field is
     # dropped before the next is solved: beside one evaluation's M+1 snapshots
-    # the fixed point holds a few working fields (5.3 and 4.3 measured); holding
+    # the fixed point holds a few working fields (4.9 and 3.9 measured); holding
     # the previous evaluation's snapshots through the next solve breaks the bound
     u0 = _packet(grid16)
     plan = pr.PropagatorPlan(n_slices=M, eps_reg=0.75)

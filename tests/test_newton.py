@@ -101,6 +101,25 @@ def test_force_breakdown_total_identity(grid16, rng):
     assert np.max(np.abs(fb.internuclear.sum(axis=0))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_field_force_marginal_sums_match_whole_grid_sums(n):
+    # force_breakdown weights each displacement, which varies along one axis,
+    # against the marginal sum of w = rho / (r^2 + eps^2)^(3/2); the whole-grid
+    # sums of w dx, w dy and w dz give the same force to roundoff
+    grid = lat.make_grid(n, 16.0)
+    u = lat.random_smooth_field(grid, np.random.default_rng(n), kmax=3, decay=0.8)
+    nuclei = [NucleusState(0.5, 12.0, (-1.3, 0.2, 0.1), (0, 0, 0)),
+              NucleusState(0.4, 10.0, (1.3, -0.3, 0.05), (0, 0, 0))]
+    eps = 1.0
+    rho, h3 = lat.density(u), grid.spacing**3
+    fb = nt.force_breakdown(u, nuclei, eps)
+    for k, nuc in enumerate(nuclei):
+        dx, dy, dz = grid.displacement_mesh(nuc.q)
+        w = rho / (dx * dx + dy * dy + dz * dz + eps**2) ** 1.5
+        whole = nuc.Z * h3 * np.array([np.sum(w * dx), np.sum(w * dy), np.sum(w * dz)])
+        assert np.max(np.abs(fb.field[k] - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
 def test_energy_breakdown_consistent_regularization(grid16):
     u = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.5, 0, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (0.9, 0, 0), (0.1, 0, 0))]

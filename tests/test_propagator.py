@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diraclab import config as cf
 from diraclab import dirac as dr
 from diraclab import lattice as lat
 from diraclab import propagator as pr
@@ -431,7 +432,7 @@ def test_picard_non_finite_sweep_fails_at_once(grid16, monkeypatch):
 @pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
 def test_march_solves_the_whole_window_system(grid16, frame, slices_per_step):
     # the march and the whole-window sweep solve the same trapezoid system on
-    # one step schedule, so their snapshots agree to the tolerance (1.4e-12
+    # one step schedule, so their snapshots agree to the tolerance (1.0e-12
     # measured at tol 1e-10 in every frame and at 1 and 2 slices per step)
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.2, (0.3, 0.06j, 0, 0))
     traj = _moving_traj(T=0.4)
@@ -455,8 +456,9 @@ def _call_lines(name: str, source: str) -> list:
 
 
 def test_explicit_term_is_the_only_nonlinearity_call():
-    # both Duhamel solvers form the trapezoid's (i delta/2) N(u) through
-    # propagator._explicit_term, so the explicit term has one body
+    # the Picard solve forms the trapezoid's (i delta/2) N(u) through
+    # propagator._explicit_term, so the explicit term has one body (the march
+    # forms its explicit part from the potential it holds)
     assert _call_lines("apply_nonlinearity",
                        "a = apply_nonlinearity(u).data\nb = hartree.apply_nonlinearity(u)\n"
                        "c = apply_nonlinearity\n") == [1, 2]
@@ -476,6 +478,25 @@ def test_march_local_iterations_do_not_grow_with_the_window(grid16, amplitude):
                                   plan=pr.PropagatorPlan(n_slices=M, eps_reg=0.8), n_steps=M)
         worst.append(max(rep.step_iterations))
     assert worst[1] <= worst[0] + 1
+
+
+def test_march_small_run_takes_two_local_iterations_per_step():
+    # the march iterates on the step's potential, whose map moves the density
+    # only through (delta V / 2)^2: along small_run's constant-velocity path each
+    # step stops after two local iterations, the second about 4e-5 of the first
+    # (iterating on the spinor took 4, at ratios about 1e-2)
+    cfg = cf.load_config(Path(__file__).parents[1] / "scripts" / "configs" / "small_run.yaml")
+    _, u0, nuclei = cf.build_initial_state(cfg)
+    M = pr.step_count(cfg.time.T, cfg.time.dt)
+    traj = Trajectory.constant_velocity([n.Z for n in nuclei], [n.m for n in nuclei],
+                                        [n.q for n in nuclei], [n.qdot for n in nuclei],
+                                        0.0, cfg.time.T, M)
+    plan = pr.PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg)
+    _, rep = pr.duhamel_march(u0, traj, cfg.time.T, tol=cfg.solver.picard.tol,
+                              max_iter=cfg.solver.picard.max_iter, plan=plan, n_steps=M)
+    assert len(rep.step_iterations) == len(rep.step_contraction) == M
+    assert max(rep.step_iterations) <= 2
+    assert rep.contraction == max(rep.step_contraction) <= 1e-3
 
 
 def test_march_zero_datum_takes_one_iteration_per_step(grid16):
@@ -516,23 +537,23 @@ def test_march_max_iter_failure_names_the_step(grid16):
 
 
 def test_march_non_finite_distance_fails_at_once(grid16, monkeypatch):
-    # a NaN nonlinear term in step 2's first local iteration ends the march
+    # a NaN potential in step 2's first local iteration ends the march
     # there, naming the step; the NaN is not taken for convergence
-    nonlinearity = pr.apply_nonlinearity
+    convolve = pr.convolve_inverse_distance
     calls = []
 
-    def broken(u):
+    def broken(grid, source):
         calls.append(1)
-        out = nonlinearity(u)
+        out = convolve(grid, source)
         if len(calls) == first_of_step_2:
-            out.data[:] = np.nan
+            out[:] = np.nan
         return out
 
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
     kw = dict(tol=1e-10, plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8), n_steps=8)
     _, rep = pr.duhamel_march(u0, _static_traj(Z=0.4, T=0.4), 0.4, **kw)
-    first_of_step_2 = 1 + rep.step_iterations[0] + 1  # N(u0), step 1's, then step 2's first
-    monkeypatch.setattr(pr, "apply_nonlinearity", broken)
+    first_of_step_2 = 1 + rep.step_iterations[0] + 1  # V_H(u0), step 1's, then step 2's first
+    monkeypatch.setattr(pr, "convolve_inverse_distance", broken)
     with pytest.raises(pr.ConvergenceFailure, match="non-finite local distance at step 2") as err:
         pr.duhamel_march(u0, _static_traj(Z=0.4, T=0.4), 0.4, **kw)
     assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
