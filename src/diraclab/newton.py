@@ -114,7 +114,9 @@ def force_breakdown(u: SpinorField, nuclei, eps: float, rho: np.ndarray = None) 
     if rho.any():  # a zero field exerts exactly zero force
         for k, nuc in enumerate(nuclei):
             dx, dy, dz = u.grid.displacement_mesh(nuc.q)
-            w = rho / (dx * dx + dy * dy + dz * dz + eps**2) ** 1.5
+            s = dx * dx + dy * dy + dz * dz + eps**2
+            s *= np.sqrt(s)  # (r^2 + eps^2)^(3/2): a root and a product, not a power
+            w = rho / s
             # each displacement varies along one axis: weight it against w's marginal sum
             fld[k] = nuc.Z * h3 * np.array([dx.ravel() @ w.sum(axis=(1, 2)),
                                             dy.ravel() @ w.sum(axis=(0, 2)),
@@ -198,9 +200,10 @@ def _initial_arrays(nuclei0: list):
     return tuple(np.array([getattr(nuc, f) for nuc in nuclei0]) for f in ("Z", "m", "q", "qdot"))
 
 
-def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarray) -> Trajectory:
-    """Second-order double integration of a known force series from the
-    initial data of ``traj_in``.
+def _integrate_force_series(charges, masses, q0, v0, times: np.ndarray,
+                            F: np.ndarray) -> Trajectory:
+    """Second-order double integration of a known force series ``F`` (one
+    (n_nuclei, 3) row per time) from the positions ``q0`` and velocities ``v0``.
 
     This is velocity-Verlet specialized to a force that is an explicit
     function of time: drift with half-kick, then trapezoid velocity update.
@@ -210,13 +213,13 @@ def _integrate_force_series(traj_in: Trajectory, times: np.ndarray, F: np.ndarra
     n = F.shape[1]
     q = np.zeros((n, M + 1, 3))
     v = np.zeros((n, M + 1, 3))
-    q[:, 0] = traj_in.positions[:, 0]
-    v[:, 0] = traj_in.velocities[:, 0]
-    acc = F / traj_in.masses[None, :, None]
+    q[:, 0] = q0
+    v[:, 0] = v0
+    acc = F / masses[None, :, None]
     for j in range(M):
         q[:, j + 1] = q[:, j] + delta * v[:, j] + 0.5 * delta**2 * acc[j]
         v[:, j + 1] = v[:, j] + 0.5 * delta * (acc[j] + acc[j + 1])
-    return Trajectory(traj_in.charges, traj_in.masses, times, q, v)
+    return Trajectory(charges, masses, times, q, v)
 
 
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
@@ -256,7 +259,9 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
                 fsol.snapshots[j] = translate(fsol.snapshots[j], -traj_in.position(t)[0])
     forces = [force_breakdown(u, traj_in.nuclei_at(t), eps)
               for u, t in zip(fsol.snapshots, fsol.times)]
-    out = _integrate_force_series(traj_in, fsol.times, np.array([fb.total for fb in forces]))
+    out = _integrate_force_series(traj_in.charges, traj_in.masses, traj_in.positions[:, 0],
+                                  traj_in.velocities[:, 0], fsol.times,
+                                  np.array([fb.total for fb in forces]))
     return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
                                           velocity_cap=plan.velocity_cap), forces, march
 
@@ -312,6 +317,29 @@ def _newton_residual(traj: Trajectory, forces: list) -> float:
 ANDERSON_DEPTH = 3
 
 
+def _direct_start(u0: SpinorField, charges, masses, q0, v0, T: float, n_steps: int,
+                  eps: float):
+    """The fixed point's first trajectory on ``n_steps`` steps of [0, T]: the
+    quadratic in t through the forces F(0), F(delta) and F(2 delta) of two
+    :func:`_direct_step` steps from the initial data, integrated twice by
+    :func:`_integrate_force_series` from the same data.
+
+    The steps are the direct integrator's own, with no snapshot pass and no
+    collision floor.
+    """
+    delta = T / n_steps
+    V, _, V_H, force = _direct_first_node(u0, nucleus_states(charges, masses, q0, v0), eps)
+    forces, u, q, v = [force], u0, q0, v0
+    for _ in range(2):
+        u, q, v, force, V, _, V_H = _direct_step(u, q, v, forces[-1], V, V_H, charges, masses,
+                                                 delta, eps)
+        forces.append(force)
+    F0, F1, F2 = (fb.total for fb in forces)
+    j = np.arange(n_steps + 1)[:, None, None]
+    F = F0 + j * (F1 - F0) + 0.5 * j * (j - 1) * (F2 - 2 * F1 + F0)
+    return _integrate_force_series(charges, masses, q0, v0, np.linspace(0.0, T, n_steps + 1), F)
+
+
 def _anderson_step(xs: list, gs: list, beta: float) -> np.ndarray:
     """Anderson-mixed next iterate (Walker & Ni's form, mixing ``beta``) from the
     iterates ``xs`` and their residuals ``gs = P(x) - x``, oldest first.
@@ -341,7 +369,10 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
 
     Preconditions: initial separations >= 8*eps0 when several nuclei are
     present, and T inside the contraction window (configurable constant,
-    checked in H^sigma for nonzero u0).  Each outer iteration is one P
+    checked in H^sigma for nonzero u0).  The first q is
+    :func:`_direct_start`'s: the quadratic through the forces of the direct
+    integrator's first two steps of delta = T/n_steps, integrated twice from
+    the initial data.  Each outer iteration is one P
     evaluation, whose march solves every step to ``picard_tol`` from scratch;
     the previous evaluation's field is dropped first, so one evaluation's
     snapshots are held at a time.  Its residual, the undamped
@@ -364,7 +395,8 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     if charge(u0) > 0:
         check_contraction_window(T, u0, sigma, contraction_const)
     delta = T / n_steps
-    traj = Trajectory.constant_velocity(charges, masses, a, b, 0.0, T, n_steps)
+    eps = regularization_eps(plan.eps_reg, u0.grid)
+    traj = _direct_start(u0, charges, masses, a, b, T, n_steps, eps)
     history, iterations, contraction, xs, gs = [], [], [], [], []
     while True:
         traj_P, fsol, report_adm, forces, march = trajectory_map_P(
@@ -398,7 +430,6 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
                 f"{exc} (residuals: {history})", history) from exc
         pos, vel = x.reshape(2, *traj.positions.shape)
         traj = Trajectory(charges, masses, traj.times, pos, vel)
-    eps = regularization_eps(plan.eps_reg, u0.grid)
     report = FixedPointReport(
         *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
                    for u, t in zip(fsol.snapshots, fsol.times)]),
@@ -419,6 +450,41 @@ class DirectRunReport(RunDiagnostics):
 
     energy_drift: float
     momentum_drift: float
+
+
+def _direct_first_node(u: SpinorField, nuclei: list, eps: float):
+    """The direct integrator's state at its first node: ``(V, rho, V_H, force)``,
+    the nuclei's potential, the density and Hartree potential of ``u`` and the
+    forces, which read that density."""
+    rho = density(u)
+    return (coulomb_field(nuclei, eps, u.grid), rho, convolve_inverse_distance(u.grid, rho),
+            force_breakdown(u, nuclei, eps, rho=rho))
+
+
+def _direct_step(u: SpinorField, q: np.ndarray, v: np.ndarray, force: ForceBreakdown,
+                 V: np.ndarray, V_H: np.ndarray, charges, masses, delta: float, eps: float):
+    """One step of the direct integrator from ``(u, q, v)``, whose forces are
+    ``force``, ``V`` the nuclei's potential at ``q`` and ``V_H`` the Hartree
+    potential of ``u``.
+
+    A velocity-Verlet half-kick and drift of the nuclei, then one
+    :func:`propagator.strang_step` of the field with the Hartree term, whose
+    half-kicks take the potential at the step's start and end positions; the
+    step-end forces read the density that its second half-kick built, and the
+    second half-kick of the nuclei reads them.  Returns ``(u, q, v, force, V,
+    rho, V_H)`` at the step's end: the field, positions, velocities and forces,
+    the end potential and the density and Hartree potential of the field
+    (the pre-kick field's; the kick is a phase, so they are the field's own
+    up to roundoff).
+    """
+    vhalf = v + 0.5 * delta * force.total / masses[:, None]
+    q = q + delta * vhalf
+    # the forces and the step-end potential read positions only
+    nuclei = nucleus_states(charges, masses, q, vhalf)
+    V_end = coulomb_field(nuclei, eps, u.grid)
+    u, rho, V_H = strang_step(u, delta, V, V_out=V_end, hartree=True, V_H=V_H)
+    force = force_breakdown(u, nuclei, eps, rho=rho)
+    return u, q, vhalf + 0.5 * delta * force.total / masses[:, None], force, V_end, rho, V_H
 
 
 def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float = None,
@@ -466,25 +532,17 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     # each snapshot's density serves its forces and its diagnostics, and its
     # Hartree potential its diagnostics and the next step's first half-kick
     nuclei = nucleus_states(charges, masses, q0, v0)
-    V = coulomb_field(nuclei, eps, grid)
-    rho = density(u)
-    V_H = convolve_inverse_distance(grid, rho)
-    forces = [force_breakdown(u, nuclei, eps, rho=rho)]
+    V, rho, V_H, force = _direct_first_node(u, nuclei, eps)
+    forces = [force]
     passes = [snapshot_diagnostics(u, nuclei, eps, sigma, rho=rho, V=V, V_H=V_H)]
     for j in range(M):
-        vhalf = v[:, j] + 0.5 * delta * forces[-1].total / masses[:, None]
-        q[:, j + 1] = q[:, j] + delta * vhalf
+        u, q[:, j + 1], v[:, j + 1], force, V, rho, V_H = _direct_step(
+            u, q[:, j], v[:, j], forces[-1], V, V_H, charges, masses, delta, eps)
         check_separation(j + 1)
-        # the forces and the step-end potential read positions only
-        nuclei = nucleus_states(charges, masses, q[:, j + 1], vhalf)
-        V_end = coulomb_field(nuclei, eps, grid)
-        u, rho, V_H = strang_step(u, delta, V, V_out=V_end, hartree=True, V_H=V_H)
-        V = V_end
-        forces.append(force_breakdown(u, nuclei, eps, rho=rho))
-        v[:, j + 1] = vhalf + 0.5 * delta * forces[-1].total / masses[:, None]
+        forces.append(force)
         nuclei = nucleus_states(charges, masses, q[:, j + 1], v[:, j + 1])
         passes.append(snapshot_diagnostics(u, nuclei, eps, sigma, rho=rho, V=V, V_H=V_H))
-        if not (np.isfinite(forces[-1].total).all() and np.isfinite(passes[-1][0].total)):
+        if not (np.isfinite(force.total).all() and np.isfinite(passes[-1][0].total)):
             raise FloatingPointError(f"non-finite force or total energy at step {j + 1}")
 
     fsol = FieldSolution(times[-1:], [u])

@@ -267,6 +267,7 @@ def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
     T = 0.2
     picard_tol = 1e-9
     plan = PropagatorPlan(n_slices=8, eps_reg=0.75)
+    # at tol 1e-6 the direct start would pass at its first evaluation (6.8e-7)
     map_P = nt.trajectory_map_P
     calls = []
 
@@ -276,7 +277,7 @@ def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
         return result
 
     monkeypatch.setattr(nt, "trajectory_map_P", recorded)
-    fsol, traj, rep = nt.coupled_fixed_point(u0, nuclei, T, tol=1e-6, plan=plan, n_steps=8,
+    fsol, traj, rep = nt.coupled_fixed_point(u0, nuclei, T, tol=1e-7, plan=plan, n_steps=8,
                                              picard_tol=picard_tol, contraction_const=0.2)
     assert rep.outer_iterations >= 2
     assert len(calls) == rep.outer_iterations
@@ -308,10 +309,13 @@ def _count_march_iterations(monkeypatch):
     return iterations
 
 
-def test_fixed_point_small_run_converges_in_few_evaluations(monkeypatch):
-    # Anderson mixing on a P that contracts strongly: the demo config
-    # converges in a handful of evaluations, to a Newton residual far below tol
-    cfg = cf.load_config(Path(__file__).parents[1] / "scripts" / "configs" / "small_run.yaml")
+@pytest.mark.parametrize("name", ["small_run", "two_nuclei"])
+def test_fixed_point_demo_configs_converge_in_few_evaluations(monkeypatch, name):
+    # Anderson mixing on a P that contracts strongly, started from the force
+    # curve of two direct steps: the first residual is already below 1e-4
+    # (7.0e-2 and 3.1e-2 from the constant-velocity path), and each demo config
+    # converges in 3 evaluations, to a Newton residual far below tol
+    cfg = cf.load_config(Path(__file__).parents[1] / "scripts" / "configs" / f"{name}.yaml")
     _, u0, nuclei = cf.build_initial_state(cfg)
     marches = _count_march_iterations(monkeypatch)
     fp = cfg.solver.fixedpoint
@@ -320,10 +324,51 @@ def test_fixed_point_small_run_converges_in_few_evaluations(monkeypatch):
         plan=PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg),
         n_steps=step_count(cfg.time.T, cfg.time.dt), eps0=cfg.physics.epsilon0,
         picard_tol=cfg.solver.picard.tol, contraction_const=cfg.solver.contraction_const)
-    assert rep.outer_iterations == len(marches) <= 6
+    assert rep.step_history[0] < 1e-4
+    assert rep.outer_iterations == len(marches) <= 3
     assert rep.local_iterations == marches
     assert rep.step_history[-1] < fp.tol
-    assert rep.newton_residual < 1e-8
+    assert rep.newton_residual < {"small_run": 1e-8, "two_nuclei": 1e-9}[name]
+
+
+def test_fixed_point_starts_from_the_direct_integrators_first_two_steps(grid16, monkeypatch):
+    # the start takes two direct steps of delta = T/M, whose forces F(0), F(delta)
+    # and F(2 delta) are coupled_direct's over [0, 2 delta], bit for bit, and its
+    # trajectory is their quadratic integrated from the initial data: at the
+    # nodes its acceleration is that quadratic's to roundoff
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
+    nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0)),
+              NucleusState(0.4, 12.0, (2.4, 0.3, 0), (-0.03, 0, 0.01))]
+    T, M, eps = 0.2, 8, 0.75
+    delta = T / M
+    _, direct, rep = nt.coupled_direct(u0, nuclei, 2 * delta, delta, eps_reg=eps)
+    step = nt._direct_step
+    forces = []
+
+    def recorded(u, q, v, force, *args):
+        out = step(u, q, v, force, *args)
+        forces.extend([force, out[3]] if not forces else [out[3]])
+        return out
+
+    monkeypatch.setattr(nt, "_direct_step", recorded)
+    charges, masses, q0, v0 = nt._initial_arrays(nuclei)
+    traj = nt._direct_start(u0, charges, masses, q0, v0, T, M, eps)
+    assert len(forces) == len(rep.forces) == 3
+    for a, b in zip(forces, rep.forces, strict=True):
+        assert np.array_equal(a.field, b.field)
+        assert np.array_equal(a.internuclear, b.internuclear)
+    assert np.array_equal(traj.times, np.linspace(0.0, T, M + 1))
+    assert np.array_equal(traj.positions[:, 0], q0) and np.array_equal(traj.velocities[:, 0], v0)
+    F0, F1, F2 = (fb.total for fb in forces)
+    t = traj.times[1:-1, None, None] / delta
+    quadratic = F0 + t * (F1 - F0) + 0.5 * t * (t - 1) * (F2 - 2 * F1 + F0)
+    acc = (traj.positions[:, 2:] - 2 * traj.positions[:, 1:-1] + traj.positions[:, :-2]) / delta**2
+    want = np.transpose(quadratic / masses[None, :, None], (1, 0, 2))
+    assert np.max(np.abs(acc - want)) < 1e-9 * np.max(np.abs(want))
+    # the quadratic takes the three forces at their nodes, so the start's
+    # velocity-Verlet integration is on the direct trajectory there to roundoff
+    assert np.max(np.abs(traj.positions[:, :3] - direct.positions)) < 1e-14
+    assert np.max(np.abs(traj.velocities[:, :3] - direct.velocities)) < 1e-14
 
 
 def test_fixed_point_comoving_march_takes_a_few_local_iterations_per_step(grid16,

@@ -9,6 +9,7 @@ import pytest
 from diraclab import config as cf
 from diraclab import dirac as dr
 from diraclab import lattice as lat
+from diraclab import newton as nt
 from diraclab import propagator as pr
 from diraclab.hartree import hartree_potential
 from diraclab.potentials import NucleusState, Trajectory, coulomb_field, regularization_eps
@@ -464,6 +465,15 @@ def test_explicit_term_is_the_only_nonlinearity_call():
                        "c = apply_nonlinearity\n") == [1, 2]
     (line,) = _call_lines("apply_nonlinearity", Path(pr.__file__).read_text())
     body, first = inspect.getsourcelines(pr._explicit_term)
+    assert first <= line < first + len(body)
+
+
+def test_direct_step_is_newtons_only_strang_step_call():
+    # the coupled solvers advance the field by a direct step only through
+    # newton._direct_step: coupled_direct takes M of them and the fixed point's
+    # start two, so the start's steps are the direct integrator's own
+    (line,) = _call_lines("strang_step", Path(nt.__file__).read_text())
+    body, first = inspect.getsourcelines(nt._direct_step)
     assert first <= line < first + len(body)
 
 
