@@ -156,9 +156,9 @@ def _run_solvers(cfg, grid, u0, nuclei):
         t0 = time.time()
         fsol, traj, rep = coupled_fixed_point(
             u0, nuclei, cfg.time.T, tol=cfg.solver.fixedpoint.tol,
-            max_outer=cfg.solver.fixedpoint.max_outer, theta=cfg.solver.fixedpoint.damping,
-            plan=plan, n_steps=n_steps, eps0=cfg.physics.epsilon0,
-            picard_tol=cfg.solver.picard.tol, picard_max_iter=cfg.solver.picard.max_iter,
+            max_outer=cfg.solver.fixedpoint.max_outer, plan=plan, n_steps=n_steps,
+            eps0=cfg.physics.epsilon0, picard_tol=cfg.solver.picard.tol,
+            picard_max_iter=cfg.solver.picard.max_iter,
             sigma=cfg.solver.sigma, contraction_const=cfg.solver.contraction_const)
         results["fixed_point"] = (fsol, traj, rep)
         entries["fixed_point"] = {

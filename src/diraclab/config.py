@@ -68,7 +68,7 @@ class TimeConfig:
 class FixedPointConfig:
     tol: float = 1e-7
     max_outer: int = 40
-    damping: float = 0.5
+    damping: float = 0.5    # retired: read, range-checked and hashed, with no effect
 
 
 @dataclass
@@ -275,6 +275,10 @@ def parse_config(raw: dict) -> SimConfig:
     if init.gaussian is None and init.checkpoint is None:
         raise ConfigError("init.field must provide a gaussian spec or a checkpoint path "
                           "(init.field.gaussian or init.field.checkpoint)")
+
+    if "damping" in raw.get("solver", {}).get("fixedpoint", {}):
+        cfg.warnings.append("solver.fixedpoint.damping is retired and has no effect: "
+                            "the fixed point iterates q <- P(q) undamped")
 
     max_q = max(float(np.linalg.norm(p)) for p in init.positions)
     if max_q > 0 and cfg.grid.box_length < 4.0 * max_q:

@@ -297,10 +297,9 @@ class FixedPointReport(RunDiagnostics):
     """Outer iteration record; diagnostics with the nuclei at ``traj.nuclei_at(t)``."""
 
     outer_iterations: int     # P evaluations
-    step_history: list        # the undamped residual of each P evaluation
+    step_history: list        # the residual of each P evaluation
     local_iterations: list    # the march's local iterations in each P evaluation
     local_contraction: list   # each P evaluation's largest ratio of successive local distances
-    converged: bool
     newton_residual: float
     admissibility_failures: list
 
@@ -312,9 +311,6 @@ def _newton_residual(traj: Trajectory, forces: list) -> float:
     acc_fd = (traj.positions[:, 2:] - 2 * traj.positions[:, 1:-1] + traj.positions[:, :-2]) / delta**2
     acc_force = np.transpose(F[1:-1] / traj.masses[None, :, None], (1, 0, 2))
     return float(np.max(np.linalg.norm(acc_fd - acc_force, axis=2)))
-
-
-ANDERSON_DEPTH = 3
 
 
 def _direct_start(u0: SpinorField, charges, masses, q0, v0, T: float, n_steps: int,
@@ -340,48 +336,26 @@ def _direct_start(u0: SpinorField, charges, masses, q0, v0, T: float, n_steps: i
     return _integrate_force_series(charges, masses, q0, v0, np.linspace(0.0, T, n_steps + 1), F)
 
 
-def _anderson_step(xs: list, gs: list, beta: float) -> np.ndarray:
-    """Anderson-mixed next iterate (Walker & Ni's form, mixing ``beta``) from the
-    iterates ``xs`` and their residuals ``gs = P(x) - x``, oldest first.
-
-    With one pair, or when the least-squares problem over the residual
-    differences is rank-deficient or has a non-finite solution, this is the
-    damped step ``x + beta g``.  Non-finite data raise ``LinAlgError``.
-    """
-    x, g = xs[-1], gs[-1]
-    if len(xs) > 1:
-        dX, dG = np.diff(xs, axis=0).T, np.diff(gs, axis=0).T
-        if not (np.isfinite(dX).all() and np.isfinite(dG).all()):
-            raise np.linalg.LinAlgError("non-finite Anderson least-squares data")
-        gamma, _, rank, _ = np.linalg.lstsq(dG, g, rcond=None)
-        if rank == dG.shape[1] and np.isfinite(gamma).all():
-            return x + beta * g - (dX + beta * dG) @ gamma
-    return x + beta * g
-
-
 def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
-                        max_outer: int = 40, theta: float = 0.5,
-                        plan: PropagatorPlan = None, *, n_steps: int,
+                        max_outer: int = 40, plan: PropagatorPlan = None, *, n_steps: int,
                         eps0: float = 0.25, picard_tol: float = 1e-9,
                         picard_max_iter: int = 30, sigma: float = 1.25,
                         contraction_const: float = 1.0):
-    """Anderson-accelerated outer iteration on the trajectory map P to self-consistency.
+    """Plain iteration q <- P(q) of the trajectory map P to self-consistency.
 
     Preconditions: initial separations >= 8*eps0 when several nuclei are
     present, and T inside the contraction window (configurable constant,
-    checked in H^sigma for nonzero u0).  The first q is
+    checked in H^sigma for nonzero u0), where P contracts.  The first q is
     :func:`_direct_start`'s: the quadratic through the forces of the direct
     integrator's first two steps of delta = T/n_steps, integrated twice from
     the initial data.  Each outer iteration is one P
     evaluation, whose march solves every step to ``picard_tol`` from scratch;
     the previous evaluation's field is dropped first, so one evaluation's
-    snapshots are held at a time.  Its residual, the undamped
+    snapshots are held at a time.  Its residual,
     ``max(|P_v(q) - v|, |P_q(q) - q| / delta)`` in sup norm (delta the
     snapshot spacing), is recorded in ``step_history``, and the iteration
-    stops at the first q whose residual is below ``tol``.  The
-    next q is Anderson(3) on the stacked (positions, velocities) vector with
-    mixing ``theta`` (a damped step ``q + theta (P(q) - q)`` on the first
-    iteration and when the least-squares problem is rank-deficient).
+    stops at the first q whose residual is below ``tol``.  The next q is
+    P(q), the trajectory the evaluation returned.
     Returns the accepted q with the field, forces and admissibility failures
     of its own P evaluation, the pair's Newton residual, and per-snapshot
     energy and momentum.  Raises :class:`FixedPointDivergence` with the
@@ -397,7 +371,7 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
     delta = T / n_steps
     eps = regularization_eps(plan.eps_reg, u0.grid)
     traj = _direct_start(u0, charges, masses, a, b, T, n_steps, eps)
-    history, iterations, contraction, xs, gs = [], [], [], [], []
+    history, iterations, contraction = [], [], []
     while True:
         traj_P, fsol, report_adm, forces, march = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
@@ -419,22 +393,12 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
                 f"outer fixed point did not reach tol={tol} in {max_outer} iterations "
                 f"(residuals: {history})", history)
         del fsol  # the next evaluation must not hold this one's snapshots beside its own
-        xs.append(np.concatenate([traj.positions.ravel(), traj.velocities.ravel()]))
-        gs.append(np.concatenate([dq.ravel(), dv.ravel()]))
-        del xs[:-ANDERSON_DEPTH - 1], gs[:-ANDERSON_DEPTH - 1]
-        try:
-            x = _anderson_step(xs, gs, theta)
-        except np.linalg.LinAlgError as exc:
-            raise FixedPointDivergence(
-                f"outer fixed point: Anderson step failed at evaluation {len(history)}: "
-                f"{exc} (residuals: {history})", history) from exc
-        pos, vel = x.reshape(2, *traj.positions.shape)
-        traj = Trajectory(charges, masses, traj.times, pos, vel)
+        traj = traj_P
     report = FixedPointReport(
         *_stacked([snapshot_diagnostics(u, traj.nuclei_at(t), eps, sigma)
                    for u, t in zip(fsol.snapshots, fsol.times)]),
         forces, outer_iterations=len(history), step_history=history,
-        local_iterations=iterations, local_contraction=contraction, converged=True,
+        local_iterations=iterations, local_contraction=contraction,
         newton_residual=_newton_residual(traj, forces),
         admissibility_failures=report_adm.failures)
     return fsol, traj, report

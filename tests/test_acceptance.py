@@ -274,7 +274,7 @@ def coupled_runs():
         T = 0.25
         plan = pr.PropagatorPlan(n_slices=24, eps_reg=0.75)
         fa, ta, rep_fp = nt.coupled_fixed_point(
-            u0, nuclei, T, tol=1e-6, max_outer=40, theta=0.6, plan=plan, n_steps=24,
+            u0, nuclei, T, tol=1e-6, max_outer=40, plan=plan, n_steps=24,
             eps0=0.3, picard_tol=1e-9, contraction_const=0.2)
         fb, tb, rep_dir = nt.coupled_direct(u0, nuclei, T, T / 48, eps_reg=0.75)
         runs.append((fa, ta, rep_fp, fb, tb, rep_dir))

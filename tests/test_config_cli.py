@@ -1,9 +1,11 @@
 import copy
 import csv
+import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +106,7 @@ def test_parse_unknown_key_is_config_error_naming_key(section, key):
 
 @pytest.mark.parametrize("name,digest", [
     ("small_run", "be2bda8d091baaffa8867816d0e8701146be7b5086b02d16042430c223faf2cc"),
-    ("two_nuclei", "4d7bc2326bad233936f56a17c705f8c6030203d374261245f96134cc304cf732"),
+    ("two_nuclei", "34b17871b05d870470c270ee29b605d6e907804b54580886ddcdb9571753f9f5"),
 ])
 def test_shipped_config_hash_pinned(name, digest):
     # the hash is a run's identity in its manifest; the reader must not move it
@@ -175,6 +177,37 @@ def test_parse_small_box_warning():
     raw = _cfg(**{"init.positions": [[3.0, 0, 0]], "grid.box_length": 8.0})
     cfg = cf.parse_config(raw)
     assert cfg.warnings and "4*max|q|" in cfg.warnings[0]
+
+
+@pytest.mark.parametrize("fixedpoint,warned", [({"tol": 1e-7, "damping": 0.5}, True),
+                                               ({"tol": 1e-7}, False)])
+def test_retired_damping_key_parses_with_one_warning(fixedpoint, warned):
+    # solver.fixedpoint.damping has no effect: a config that sets it parses
+    # with one warning naming it, and at its default the hash does not move
+    raw = _cfg()
+    raw["solver"]["fixedpoint"] = fixedpoint
+    cfg = cf.parse_config(raw)
+    assert len(cfg.warnings) == warned
+    assert all("solver.fixedpoint.damping" in w and "no effect" in w for w in cfg.warnings)
+    assert cfg.config_hash() == cf.parse_config(_cfg(**{"solver.fixedpoint": {}})).config_hash()
+
+
+def _config_keys(cls=cf.SimConfig, where=""):
+    """Every dotted leaf key the config reader accepts, walked from the dataclasses."""
+    for f in fields(cls):
+        if f.init:
+            path = ".".join(filter(None, (where, f.metadata.get("under"), f.name)))
+            if f.type in cf._SHAPES:
+                yield path
+            else:
+                yield from _config_keys(vars(cf)[f.type], path)
+
+
+def test_readme_config_table_lists_every_key_the_reader_accepts():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | type | range | default |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    assert {row.split("`")[1] for row in rows} == set(_config_keys())
 
 
 def test_config_hash_stable_and_sensitive():

@@ -12,6 +12,7 @@ import pytest
 from diraclab import cli
 from diraclab import config as cf
 from diraclab import dirac as dr
+from diraclab import hartree as ht
 from diraclab import lattice as lat
 from diraclab import newton as nt
 from diraclab import propagator as pr
@@ -55,15 +56,21 @@ def test_picard_solve_holds_its_snapshots_and_a_few_fields(grid16, M):
 def test_fixed_point_holds_one_evaluation_of_snapshots(grid16, M):
     # each P evaluation marches afresh, and the previous evaluation's field is
     # dropped before the next is solved: beside one evaluation's M+1 snapshots
-    # the fixed point holds a few working fields (4.9 and 3.9 measured); holding
-    # the previous evaluation's snapshots through the next solve breaks the bound;
-    # tol 1e-9, as at 1e-8 the direct start passes at once for M = 8 (7.1e-9)
+    # the fixed point holds a few working fields (3.87 and 3.91 measured);
+    # holding the first evaluation's snapshots through the second solve breaks
+    # the bound.  The grid's cached mode energies, Hartree multiplier and
+    # H^sigma weight are built outside the traced call, so the peak does not
+    # depend on which test used the grid first; tol 1e-9, as at 1e-8 the
+    # direct start passes at once for M = 8 (7.1e-9)
+    grid16.mode_energy
+    ht.hartree_multiplier(grid16)
+    lat.sobolev_weight(grid16, 1.25, False)
     u0 = _packet(grid16)
     plan = pr.PropagatorPlan(n_slices=M, eps_reg=0.75)
     (fsol, _, rep), peak = peak_fields(lambda: nt.coupled_fixed_point(
         u0, NUCLEI, 0.01 * M, tol=1e-9, plan=plan, n_steps=M, eps0=0.3,
         contraction_const=0.2), grid16)
-    assert rep.outer_iterations >= 3 and len(fsol.snapshots) == M + 1
+    assert rep.outer_iterations >= 2 and len(fsol.snapshots) == M + 1
     assert peak < M + 1 + 6
 
 
