@@ -58,7 +58,7 @@ SOLVER_ERRORS = (ConvergenceFailure, FixedPointDivergence, AdmissibilityError, C
                  FloatingPointError)
 
 # fields a run holds besides the fixed point's snapshots: u0, the direct step's
-# or the march's working fields (with one step's slice potentials) and one
+# or the march's working fields (with one step's potential) and one
 # diagnostic pass (tracemalloc at n = 16, 32 and 64: at most 8.2 with u0, rounded up)
 WORKING_FIELDS = 10
 
@@ -122,8 +122,8 @@ def _initial_state(cfg):
 def _peak_estimate(cfg) -> int:
     """Estimated peak bytes of the config's solvers, at 64 n^3 bytes per field:
     ``WORKING_FIELDS``, plus for the fixed point the M+1 snapshots of one P
-    evaluation.  The march builds each step's slices when it reaches the
-    step, so only one step's potentials are alive, and the fixed point drops
+    evaluation.  The march builds each step's potential when it reaches the
+    step, so only one step's potential is alive, and the fixed point drops
     an evaluation's field before the next.  The direct run holds no snapshot
     list, and under ``both`` it runs after the fixed point's fields are freed."""
     fields = WORKING_FIELDS
@@ -138,7 +138,7 @@ def _check_memory(cfg) -> None:
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > limit:
         raise ConfigError(
-            f"grid.n, time.dt, time.n_slices, solver.method: estimated peak memory "
+            f"grid.n, time.T, time.dt, solver.method: estimated peak memory "
             f"{need / 2**30:.3g} GiB ({need} bytes) exceeds the physical memory "
             f"{limit / 2**30:.3g} GiB ({limit} bytes)")
 
@@ -149,7 +149,7 @@ def _run_solvers(cfg, grid, u0, nuclei):
     eps = regularization_eps(cfg.physics.epsilon_reg, grid)
     plan = PropagatorPlan(
         frame="comoving_single" if cfg.solver.mode == "comoving" else "lab",
-        n_slices=cfg.time.n_slices, eps_reg=eps, velocity_cap=cfg.solver.velocity_cap)
+        eps_reg=eps, velocity_cap=cfg.solver.velocity_cap)
     n_steps = step_count(cfg.time.T, cfg.time.dt)
     results, entries = {}, {}
     if cfg.solver.method in ("fixed_point", "both"):

@@ -7,13 +7,15 @@ exponential is evaluated by Strang splitting between the pointwise potential
 factor and the exact per-mode kinetic (plus optional comoving drift) factor,
 so every factor is unitary and charge is preserved to roundoff.  Backward
 evolution applies the adjoint product (reversed factors, negated durations).
-:func:`_frozen_slices` is the one slice builder and :func:`_apply_slices` the
-one applier.  The Duhamel solvers share one step schedule, :func:`_duhamel_steps`
-(one builder call per solve), and one explicit term, :func:`_explicit_term`; the
-Picard solve lists every step's slices once, the march builds each step's slices
-when it reaches the step.  One Strang kick-drift-kick is
-:func:`strang_step`; the split-step integrator below and the direct coupled
-integrator in ``newton`` step with it too.
+``n_slices`` and ``substeps`` belong to this product formula
+(:func:`product_formula_evolve`, :func:`evolve_linear`) alone.  The Duhamel
+solvers march on their own time grid, one Strang step per time step with the
+Hamiltonian frozen at the step's start node; they share one step schedule,
+:func:`_duhamel_steps`, and one explicit term, :func:`_explicit_term`.  The
+Picard solve builds every step's potential once, the march each step's when it
+reaches the step.  :func:`_freezer` freezes the Hamiltonian at a time for both.
+One Strang kick-drift-kick is :func:`strang_step`; the split-step integrator
+below and the direct coupled integrator in ``newton`` step with it too.
 
 The nonlinear field solver comes in two independent flavours used to check
 each other: the Duhamel integral form (trapezoid quadrature on the snapshot
@@ -80,7 +82,9 @@ class PropagatorPlan:
     """Discretization plan for the sliced propagator.
 
     ``n_slices`` counts slices over the full trajectory window; ``substeps``
-    Strang substeps are taken inside each slice.  ``eps_reg`` is the Coulomb
+    Strang substeps are taken inside each slice.  Both are read by the product
+    formula (:func:`product_formula_evolve`, :func:`evolve_linear`) alone: the
+    Duhamel solvers take one Strang step per time step.  ``eps_reg`` is the Coulomb
     regularization scale (unset: :func:`potentials.regularization_eps`).
     ``max_levels`` bounds the slice doublings of :func:`evolve_linear`, whose
     tolerance is its own argument.
@@ -195,12 +199,10 @@ def _segments(traj: Trajectory, s: float, t: float, n_slices: int):
     return segs
 
 
-def _frozen_slices(traj: Trajectory, windows, plan: PropagatorPlan, grid: GridSpec):
-    """Yield, per window ``(s, t)`` of ``windows``, an iterator of ``(duration,
-    potential, drift)`` per slice of [s, t] in application order (adjoint order
-    when ``t < s``).  Lab frame: the nuclei's potential at the slice's lattice
-    point, built as the slice is reached, no drift.  Comoving frame: one potential
-    of the nucleus at the origin per call, its velocity as drift.
+def _freezer(traj: Trajectory, plan: PropagatorPlan, grid: GridSpec):
+    """``t -> (potential, drift)``: the Hamiltonian frozen at time t.  Lab frame:
+    the nuclei's potential at t, built per call, no drift.  Comoving frame: one
+    potential of the nucleus at the origin, built here, and the velocity at t as drift.
     """
     eps = regularization_eps(plan.eps_reg, grid)
     if plan.frame == COMOVING_SINGLE:
@@ -208,23 +210,8 @@ def _frozen_slices(traj: Trajectory, windows, plan: PropagatorPlan, grid: GridSp
             raise ValueError("comoving frame is implemented for a single nucleus only")
         static = coulomb_field(nucleus_states(traj.charges, traj.masses, np.zeros((1, 3)),
                                               np.zeros((1, 3))), eps, grid)
-        frozen = lambda tf: (static, traj.velocity(tf)[0])
-    else:
-        frozen = lambda tf: (coulomb_field(traj.nuclei_at(tf), eps, grid), None)
-    for (s, t) in windows:
-        segs = _segments(traj, min(s, t), max(s, t), plan.n_slices)
-        if t < s:
-            segs = [(y, x, f) for (x, y, f) in reversed(segs)]
-        yield ((y - x, *frozen(tf)) for (x, y, tf) in segs)
-
-
-def _apply_slices(u: SpinorField, slices, substeps: int) -> SpinorField:
-    """Apply ``exp(-i dt (K + V))`` for each ``(dt, V, drift)`` slice in turn,
-    each by ``substeps`` Strang steps."""
-    for (dt, V, drift) in slices:
-        for _ in range(substeps):
-            u = strang_step(u, dt / substeps, V, drift=drift)
-    return u
+        return lambda t: (static, traj.velocity(t)[0])
+    return lambda t: (coulomb_field(traj.nuclei_at(t), eps, grid), None)
 
 
 def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory,
@@ -244,8 +231,16 @@ def product_formula_evolve(u0: SpinorField, s: float, t: float, traj: Trajectory
             raise AdmissibilityError(report)
     if t == s:
         return u0.copy()
-    (slices,) = _frozen_slices(traj, [(s, t)], plan, u0.grid)
-    return _apply_slices(u0, slices, plan.substeps)
+    frozen = _freezer(traj, plan, u0.grid)
+    segs = _segments(traj, min(s, t), max(s, t), plan.n_slices)
+    if t < s:
+        segs = [(b, a, tf) for (a, b, tf) in reversed(segs)]
+    u = u0
+    for (a, b, tf) in segs:
+        V, drift = frozen(tf)
+        for _ in range(plan.substeps):
+            u = strang_step(u, (b - a) / plan.substeps, V, drift=drift)
+    return u
 
 
 @dataclass
@@ -356,12 +351,11 @@ def check_contraction_window(T: float, u0: SpinorField, sigma: float,
 def _duhamel_steps(traj: Trajectory, T: float, plan: PropagatorPlan, grid: GridSpec,
                    n_steps: int):
     """``(times, i delta/2, steps)`` of ``n_steps`` equal trapezoid-Duhamel steps over
-    [t0, t0 + T]; ``steps`` yields each step's slices in turn, from one call of
-    :func:`_frozen_slices` at ``round(n_slices / n_steps)`` (at least 1) slices a step."""
+    [t0, t0 + T]; ``steps`` yields each step's ``(duration, potential, drift)`` in
+    turn, the Hamiltonian frozen at the step's start node (:func:`_freezer`)."""
     times = traj.t0 + np.linspace(0.0, T, n_steps + 1)
-    per_step = max(1, int(round(plan.n_slices / n_steps)))
-    steps = _frozen_slices(traj, zip(times[:-1], times[1:]),
-                           replace(plan, n_slices=n_steps * per_step), grid)
+    frozen = _freezer(traj, plan, grid)
+    steps = ((b - a, *frozen(a)) for a, b in zip(times[:-1], times[1:]))
     return times, 0.5j * (T / n_steps), steps
 
 
@@ -383,7 +377,7 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     over the whole window.  Iterate 0 is the linear evolution; each sweep
     overwrites snapshots 1..M in place (snapshot 0 is u0), and the returned
     FieldSolution holds them, so a solve holds the M+1 snapshots, every step's
-    slices and a few further fields.
+    potential and a few further fields.
     Returns (FieldSolution, PicardReport); raises :class:`ConvergenceFailure`
     with the iterate-distance history when ``max_iter`` is exhausted, or at
     once on a non-finite distance.
@@ -393,11 +387,11 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
         check_contraction_window(T, u0, sigma, contraction_const)
     grid = u0.grid
     times, half, steps = _duhamel_steps(traj, T, plan, grid, n_steps)
-    # the trajectory is fixed for the whole solve: build each step's slices once
-    steps = [list(slices) for slices in steps]
+    # the trajectory is fixed for the whole solve: build each step's potential once
+    steps = list(steps)
     iterates = [u0.copy()]
-    for slices in steps:
-        iterates.append(_apply_slices(iterates[-1], slices, plan.substeps))
+    for (dt, V, drift) in steps:
+        iterates.append(strang_step(iterates[-1], dt, V, drift=drift))
     first = _explicit_term(u0, half)  # snapshot 0 is u0 on every sweep
 
     distances = []
@@ -407,8 +401,8 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
         # it carries to step j+1, so the sweep overwrites each iterate in place
         term = first
         step_dists = []
-        for j, slices in enumerate(steps):
-            new = _apply_slices(SpinorField(grid, iterates[j].data - term), slices, plan.substeps)
+        for j, (dt, V, drift) in enumerate(steps):
+            new = strang_step(SpinorField(grid, iterates[j].data - term), dt, V, drift=drift)
             term = _explicit_term(iterates[j + 1], half)
             new.data -= term
             step_dists.append(l2_distance(new, iterates[j + 1]))
@@ -454,11 +448,11 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
     """The trapezoid-Duhamel system of :func:`duhamel_picard`, solved one step at a time.
 
     The system is causal: with ``h = (i delta/2) N``, ``N(u) = V_H(u) u``,
-    ``V_H(u) = |u|^2 * 1/|x|`` and U_j step j's slices, ``x_{j+1} = L_j - h(x_{j+1})``
+    ``V_H(u) = |u|^2 * 1/|x|`` and U_j step j's Strang step, ``x_{j+1} = L_j - h(x_{j+1})``
     where ``L_j = U_j (x_j - h(x_j))`` depends on x_j alone.  The implicit factor is
     pointwise: with ``a = delta/2`` and ``V = V_H(x_{j+1})``,
     ``x_{j+1} = L_j / (1 + i a V)``, so ``|x_{j+1}|^2 = rho_L / (1 + (a V)^2)`` with
-    rho_L the density of L_j.  Step j builds its slices and forms L_j and rho_L once,
+    rho_L the density of L_j.  Step j builds its potential and forms L_j and rho_L once,
     then iterates on the real potential, ``V <- (rho_L / (1 + (a V)^2)) * 1/|x|``,
     from the previous step's V (``V_H(u0)`` on the first step), until two iterates
     ``L_j / (1 + i a V)`` differ by less than ``tol`` in L2, a distance read from
@@ -467,7 +461,7 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
     ``x_{j+1} (1 - i a V)`` with that V.  A local iteration costs one scalar
     convolution, not a nonlinear spinor term, and the potential moves the density
     only through ``(a V)^2``, so it contracts with a ratio O(delta^2) whatever T
-    is.  Holds the M+1 snapshots, one step's slices and a few fields.
+    is.  Holds the M+1 snapshots, one step's potential and a few fields.
     Returns (FieldSolution, MarchReport); raises :class:`ConvergenceFailure`
     naming the step, with its local distances as the history, when a step
     exhausts ``max_iter`` or meets a non-finite distance.
@@ -480,10 +474,11 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
     V = convolve_inverse_distance(grid, density(u0))
     w = 1.0 + (a * V) ** 2  # |1 + i a V|^2
     counts, ratios = [], []
-    for j, slices in enumerate(steps):
+    for j, (dt, V_nuc, drift) in enumerate(steps):
         # the explicit part x_j - (i delta/2) V x_j, with the V that made x_j (V_H(u0) for u0)
-        L = _apply_slices(SpinorField(grid, snapshots[j].data * (1.0 - half * V)[..., None]),
-                          slices, plan.substeps).data
+        L = strang_step(SpinorField(grid, snapshots[j].data * (1.0 - half * V)[..., None]),
+                        dt, V_nuc, drift=drift).data
+        del V_nuc  # a lab step's potential: free it before the local iterations
         rho = density(SpinorField(grid, L))
         distances = []
         while True:

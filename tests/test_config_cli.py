@@ -296,6 +296,20 @@ def test_simulate_deterministic_output(tmp_path):
             assert out_a == out_b, (method, name)
 
 
+def test_simulate_output_does_not_read_the_slice_count(tmp_path):
+    # time.n_slices ladders the linear propagator of convergence alone: the
+    # solvers step on time.dt, so 1 and 4 slices a step write the same bytes
+    files = ["timeseries_fixed_point.csv", "timeseries_direct.csv", "final.dns"]
+    for n_slices in (4, 16):
+        raw = _cfg(**{"solver.method": "both", "time.n_slices": n_slices})
+        rc = cli.main(["--output-root", str(tmp_path / str(n_slices)), "simulate",
+                       "--config", str(_write_cfg(tmp_path, raw, name=f"{n_slices}.yaml"))])
+        assert rc == 0
+    for name in files:
+        assert ((tmp_path / "4" / "run" / name).read_bytes()
+                == (tmp_path / "16" / "run" / name).read_bytes()), name
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -438,6 +452,7 @@ def test_simulate_refuses_a_run_above_physical_memory(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     limit = (need - 4096) // 4096 * 4096
     assert err.startswith("config rejected:") and "estimated peak memory" in err
+    assert "grid.n, time.T, time.dt, solver.method:" in err
     assert f"({need} bytes)" in err and f"({limit} bytes)" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     _physical_memory(monkeypatch, need + 4096)

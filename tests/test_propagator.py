@@ -298,11 +298,11 @@ def test_picard_contraction_monotone_and_matches_split_step(grid16):
 
 @pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
 def test_picard_builds_potentials_once_per_solve(grid16, monkeypatch, frame):
-    # the trajectory is fixed for the solve, so each slice's potential is
+    # the trajectory is fixed for the solve, so each step's potential is
     # built once however many Picard sweeps reuse it
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
     traj = _moving_traj(T=0.4)
-    M, slices_per_step = 8, 2
+    M = 8
     build = pr.coulomb_field
     calls = []
 
@@ -311,14 +311,11 @@ def test_picard_builds_potentials_once_per_solve(grid16, monkeypatch, frame):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(pr, "coulomb_field", counted)
-    plan = pr.PropagatorPlan(frame=frame, n_slices=M * slices_per_step, eps_reg=0.8)
+    plan = pr.PropagatorPlan(frame=frame, eps_reg=0.8)
     _, rep = pr.duhamel_picard(u0, traj, 0.4, tol=1e-10, max_iter=25, plan=plan,
                                n_steps=M, enforce_window=False)
     assert rep.converged and rep.iterations >= 3
-    if frame == pr.LAB:
-        assert len(calls) == M * slices_per_step
-    else:
-        assert len(calls) == 1
+    assert len(calls) == (M if frame == pr.LAB else 1)
 
 
 def test_picard_window_guard(grid16):
@@ -429,16 +426,15 @@ def test_picard_non_finite_sweep_fails_at_once(grid16, monkeypatch):
     assert len(calls) == M + 1
 
 
-@pytest.mark.parametrize("slices_per_step", [1, 2])
 @pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
-def test_march_solves_the_whole_window_system(grid16, frame, slices_per_step):
+def test_march_solves_the_whole_window_system(grid16, frame):
     # the march and the whole-window sweep solve the same trapezoid system on
     # one step schedule, so their snapshots agree to the tolerance (1.0e-12
-    # measured at tol 1e-10 in every frame and at 1 and 2 slices per step)
+    # measured at tol 1e-10 in every frame)
     u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.2, (0.3, 0.06j, 0, 0))
     traj = _moving_traj(T=0.4)
     tol, M = 1e-10, 16
-    plan = pr.PropagatorPlan(frame=frame, n_slices=M * slices_per_step, eps_reg=0.8)
+    plan = pr.PropagatorPlan(frame=frame, eps_reg=0.8)
     kw = dict(tol=tol, plan=plan, n_steps=M)
     march, rep = pr.duhamel_march(u0, traj, 0.4, **kw)
     sweep, _ = pr.duhamel_picard(u0, traj, 0.4, enforce_window=False, **kw)
@@ -447,6 +443,26 @@ def test_march_solves_the_whole_window_system(grid16, frame, slices_per_step):
     assert all(k >= 1 for k in rep.step_iterations)
     assert max(lat.l2_distance(a, b) for a, b in zip(march.snapshots, sweep.snapshots,
                                                     strict=True)) < 10 * tol
+
+
+@pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
+@pytest.mark.parametrize("solve", [pr.duhamel_march, pr.duhamel_picard])
+def test_duhamel_solvers_ignore_the_slice_count(grid16, frame, solve):
+    # the Duhamel solvers take one Strang step per time step: the plan's
+    # n_slices belongs to the product formula and moves no snapshot bit
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.2, (0.3, 0.06j, 0, 0))
+    traj = _moving_traj(T=0.4)
+    M = 8
+    kw = dict(tol=1e-10, n_steps=M)
+    if solve is pr.duhamel_picard:
+        kw["enforce_window"] = False
+    one, _ = solve(u0, traj, 0.4, plan=pr.PropagatorPlan(frame=frame, n_slices=M, eps_reg=0.8),
+                   **kw)
+    four, _ = solve(u0, traj, 0.4,
+                    plan=pr.PropagatorPlan(frame=frame, n_slices=4 * M, eps_reg=0.8), **kw)
+    assert np.array_equal(one.times, four.times)
+    assert all(np.array_equal(a.data, b.data)
+               for a, b in zip(one.snapshots, four.snapshots, strict=True))
 
 
 def _call_lines(name: str, source: str) -> list:
@@ -465,6 +481,14 @@ def test_explicit_term_is_the_only_nonlinearity_call():
                        "c = apply_nonlinearity\n") == [1, 2]
     (line,) = _call_lines("apply_nonlinearity", Path(pr.__file__).read_text())
     body, first = inspect.getsourcelines(pr._explicit_term)
+    assert first <= line < first + len(body)
+
+
+def test_segments_is_called_by_the_product_formula_alone():
+    # the slice lattice belongs to product_formula_evolve: the Duhamel solvers
+    # step on their own time grid and cannot grow a slice lattice again
+    (line,) = _call_lines("_segments", Path(pr.__file__).read_text())
+    body, first = inspect.getsourcelines(pr.product_formula_evolve)
     assert first <= line < first + len(body)
 
 
@@ -517,11 +541,11 @@ def test_march_zero_datum_takes_one_iteration_per_step(grid16):
 
 
 @pytest.mark.parametrize("frame", [pr.LAB, pr.COMOVING_SINGLE])
-def test_march_builds_each_step_slices_once(grid16, monkeypatch, frame):
-    # a step's slices are built when the march reaches it and applied once;
+def test_march_builds_each_step_potential_once(grid16, monkeypatch, frame):
+    # a step's potential is built when the march reaches it and applied once;
     # the comoving frame builds its one static potential once per solve
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
-    M, slices_per_step = 8, 2
+    M = 8
     build = pr.coulomb_field
     calls = []
 
@@ -530,10 +554,10 @@ def test_march_builds_each_step_slices_once(grid16, monkeypatch, frame):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(pr, "coulomb_field", counted)
-    plan = pr.PropagatorPlan(frame=frame, n_slices=M * slices_per_step, eps_reg=0.8)
+    plan = pr.PropagatorPlan(frame=frame, eps_reg=0.8)
     _, rep = pr.duhamel_march(u0, _moving_traj(T=0.4), 0.4, tol=1e-10, plan=plan, n_steps=M)
     assert rep.iterations >= 2 * M
-    assert len(calls) == (M * slices_per_step if frame == pr.LAB else 1)
+    assert len(calls) == (M if frame == pr.LAB else 1)
 
 
 def test_march_max_iter_failure_names_the_step(grid16):
