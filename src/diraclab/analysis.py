@@ -85,7 +85,7 @@ def _coulomb_multiplier_ratios(u: SpinorField, sigmas, r: np.ndarray) -> list:
     for sigma in sigmas:
         if not 1.0 <= sigma < 1.5:
             raise ValueError(f"sigma must lie in [1, 3/2), got {sigma}")
-    weighted = SpinorField(u.grid, (1.0 / r)[..., None] * u.data)
+    weighted = SpinorField(u.grid, (1.0 / r) * u.data)
     lhs = sobolev_norms(weighted, [sigma - 1.0 for sigma in sigmas])
     return [float(num / rhs) if rhs != 0.0 else 0.0
             for num, rhs in zip(lhs, sobolev_norms(u, sigmas))]
@@ -328,8 +328,8 @@ def _annular_bump(grid: GridSpec, lam: float) -> SpinorField:
     env = np.exp(-s * s)
     env[r < lam] = 0.0
     env[r > 2.0 * lam] = 0.0
-    data = np.zeros((grid.n, grid.n, grid.n, 4), dtype=np.complex128)
-    data[..., 0] = env
+    data = np.zeros((4, grid.n, grid.n, grid.n), dtype=np.complex128)
+    data[0] = env
     return SpinorField(grid, data)
 
 

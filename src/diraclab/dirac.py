@@ -53,15 +53,16 @@ _BLOCK_POINTS = 2**14
 def _symbol_into(out: np.ndarray, kx, ky, kz, uhat: np.ndarray) -> np.ndarray:
     """Write ``H_xi uhat`` into ``out``, for the mesh ``(kx, ky, kz)`` of ``uhat``'s modes.
 
-    Written out per component (row r of H_xi acting on (u0,u1,u2,u3)):
-    the alpha blocks swap the upper and lower 2-spinors through the Pauli
-    matrices, beta flips the sign of the lower 2-spinor.
+    Written out per component (row r of H_xi acting on (u0,u1,u2,u3)), each a
+    contiguous plane of the component-major arrays: the alpha blocks swap the
+    upper and lower 2-spinors through the Pauli matrices, beta flips the sign
+    of the lower 2-spinor.
     """
-    u0, u1, u2, u3 = (uhat[..., c] for c in range(4))
-    out[..., 0] = u0 + kz * u2 + (kx - 1j * ky) * u3
-    out[..., 1] = u1 + (kx + 1j * ky) * u2 - kz * u3
-    out[..., 2] = -u2 + kz * u0 + (kx - 1j * ky) * u1
-    out[..., 3] = -u3 + (kx + 1j * ky) * u0 - kz * u1
+    u0, u1, u2, u3 = uhat
+    out[0] = u0 + kz * u2 + (kx - 1j * ky) * u3
+    out[1] = u1 + (kx + 1j * ky) * u2 - kz * u3
+    out[2] = -u2 + kz * u0 + (kx - 1j * ky) * u1
+    out[3] = -u3 + (kx + 1j * ky) * u0 - kz * u1
     return out
 
 
@@ -99,13 +100,13 @@ def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndar
     planes = max(1, _BLOCK_POINTS // grid.n**2)
     for a in range(0, grid.n, planes):
         b = slice(a, a + planes)
-        lam_b, kx_b, u_b = lam[b], kx[b], uhat[b]
+        lam_b, kx_b, u_b = lam[b], kx[b], uhat[:, b]
         out_b = _symbol_into(np.empty_like(u_b), kx_b, ky, kz, u_b)
-        out_b *= (-1j * (np.sin(dt * lam_b) / lam_b))[..., None]
-        u_b *= np.cos(dt * lam_b)[..., None]
+        out_b *= -1j * (np.sin(dt * lam_b) / lam_b)
+        u_b *= np.cos(dt * lam_b)
         u_b += out_b
         if drifting:
-            u_b *= _unit_phase(dt * (v[0] * kx_b + v[1] * ky + v[2] * kz))[..., None]
+            u_b *= _unit_phase(dt * (v[0] * kx_b + v[1] * ky + v[2] * kz))
     return uhat
 
 

@@ -50,7 +50,7 @@ def hartree_potential(u: SpinorField) -> np.ndarray:
 
 def apply_nonlinearity(u: SpinorField) -> SpinorField:
     """Return ``(|u|^2 * 1/|x|) u``."""
-    return SpinorField(u.grid, hartree_potential(u)[..., None] * u.data)
+    return SpinorField(u.grid, hartree_potential(u) * u.data)
 
 
 @dataclass
@@ -79,9 +79,9 @@ def bilinear_estimate_report(u: SpinorField, v: SpinorField, w: SpinorField,
     if not 0.0 < s < 0.5:
         raise ValueError(f"s must lie in (0, 1/2), got {s}")
     grid = u.grid
-    pair = np.sum(np.conj(u.data) * v.data, axis=-1)
+    pair = np.sum(np.conj(u.data) * v.data, axis=0)
     conv = convolve_inverse_distance(grid, pair)
-    lhs_field = SpinorField(grid, conv[..., None] * w.data)
+    lhs_field = SpinorField(grid, conv * w.data)
 
     def ratio(lhs: float, rhs: float) -> float:
         return lhs / rhs if rhs > 0.0 else 0.0

@@ -5,8 +5,10 @@ Conventions (natural units, hbar = c = electron mass = 1):
 * position grid ``x_j = j*h`` with ``h = L/n``, indices in C order (x-major);
 * frequency set ``xi = (2*pi/L) * m`` with integer ``m in {-n/2, ..., n/2-1}``
   per axis, laid out in FFT order;
-* a :class:`SpinorField` holds position-grid data; its spectrum is a plain
-  ``(n, n, n, 4)`` complex array in FFT order;
+* a :class:`SpinorField` holds position-grid data, component-major: a
+  C-contiguous ``(4, n, n, n)`` complex array, so ``data[c]`` is one
+  contiguous component and a potential of shape ``(n, n, n)`` broadcasts onto
+  it as it is; its spectrum is a plain array of the same shape in FFT order;
 * a field synthesised from a band of modes (:func:`random_smooth_field`,
   :func:`spectral_upsample`) keeps that band as its exact spectrum and its
   data read-only, so :func:`sobolev_norms` reads its norms from the band with
@@ -14,7 +16,10 @@ Conventions (natural units, hbar = c = electron mass = 1):
 * forward transform ``uhat(xi) = h^3 * sum_x u(x) exp(-i xi.x)`` and inverse
   ``u(x) = L^-3 * sum_xi uhat(xi) exp(+i xi.x)``, so that ``d_j -> i xi_j``
   and Parseval is exact on the discrete torus:
-  ``h^3 sum |u|^2 = L^-3 sum |uhat|^2``.
+  ``h^3 sum |u|^2 = L^-3 sum |uhat|^2``;
+* the DNS1 checkpoint stores the field x-major, component-minor (the
+  ``(n, n, n, 4)`` order); :func:`write_checkpoint` and :func:`read_checkpoint`
+  convert one x-plane at a time.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ def make_grid(n: int, box_length: float) -> GridSpec:
 
 @dataclass
 class SpinorField:
-    """4-component complex field on the position grid of a :class:`GridSpec`.
+    """4-component complex field on the position grid of a :class:`GridSpec`,
+    held component-major: ``data`` is ``(4, n, n, n)``.
 
     A spectrum is a plain array: see :func:`to_momentum` and :func:`to_position`.
     The optional third argument is accepted for callers that still pass the
@@ -130,9 +136,10 @@ class SpinorField:
     band: tuple = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self, _space):
-        expected = (self.grid.n, self.grid.n, self.grid.n, N_COMPONENTS)
+        expected = (N_COMPONENTS, self.grid.n, self.grid.n, self.grid.n)
         if self.data.shape != expected:
-            raise ValueError(f"spinor data shape {self.data.shape} != {expected}")
+            raise ValueError(f"spinor data shape {self.data.shape} != {expected}: a field is "
+                             "component-major, (4, n, n, n)")
         if self.data.dtype != np.complex128:
             self.data = self.data.astype(np.complex128)
         if _space != "position":
@@ -145,9 +152,9 @@ class SpinorField:
         return SpinorField(self.grid, self.data.copy())
 
     def is_finite(self) -> bool:
-        """Whether every entry is finite, checked one x-plane at a time (no
+        """Whether every entry is finite, checked one component at a time (no
         field-sized temporary)."""
-        return all(np.isfinite(plane).all() for plane in self.data.view(np.float64))
+        return all(np.isfinite(comp).all() for comp in self.data)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +162,12 @@ class SpinorField:
 
 
 def zero_spinor(grid: GridSpec) -> SpinorField:
-    return SpinorField(grid, np.zeros((grid.n, grid.n, grid.n, N_COMPONENTS), dtype=np.complex128))
+    return SpinorField(grid, np.zeros((N_COMPONENTS, grid.n, grid.n, grid.n), dtype=np.complex128))
 
 
 def constant_spinor(grid: GridSpec, weights) -> SpinorField:
     w = np.asarray(weights, dtype=np.complex128)
-    data = np.broadcast_to(w, (grid.n, grid.n, grid.n, N_COMPONENTS)).copy()
+    data = np.broadcast_to(w[:, None, None, None], (N_COMPONENTS, grid.n, grid.n, grid.n)).copy()
     return SpinorField(grid, data)
 
 
@@ -175,7 +182,7 @@ def plane_wave(grid: GridSpec, mode, weights) -> SpinorField:
         * np.exp(1j * xi[2] * c)[None, None, :]
     )
     w = np.asarray(weights, dtype=np.complex128)
-    return SpinorField(grid, phase[..., None] * w)
+    return SpinorField(grid, phase * w[:, None, None, None])
 
 
 def gaussian_spinor(grid: GridSpec, center, width: float, weights) -> SpinorField:
@@ -183,7 +190,7 @@ def gaussian_spinor(grid: GridSpec, center, width: float, weights) -> SpinorFiel
     r2 = grid.radius_sq_from(center)
     env = np.exp(-r2 / (2.0 * width**2))
     w = np.asarray(weights, dtype=np.complex128)
-    return SpinorField(grid, env[..., None] * w)
+    return SpinorField(grid, env * w[:, None, None, None])
 
 
 def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
@@ -209,7 +216,8 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
     z = rng.normal(size=(mx.size, 2, N_COMPONENTS))  # per mode, mx-major: 4 real, 4 imaginary
     xi2 = (2.0 * np.pi / grid.box_length) ** 2 * (mx * mx + my * my + mz * mz)
     damp = np.exp(-0.5 * xi2 * decay**2)
-    cube = ((z[:, 0] + 1j * z[:, 1]) * damp[:, None]).reshape(K, K, K, N_COMPONENTS)
+    coeffs = (z[:, 0] + 1j * z[:, 1]) * damp[:, None]  # drawn mode-major, stored component-major
+    cube = np.ascontiguousarray(coeffs.T).reshape(N_COMPONENTS, K, K, K)
     cube *= amplitude * grid.volume / K**1.5
     return _band_to_position(grid, cube, np.arange(-kmax, kmax + 1) % n)
 
@@ -220,13 +228,13 @@ def random_smooth_field(grid: GridSpec, rng, kmax: int = 5, decay: float = 1.0,
 
 def spinor_fft(data: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Unscaled 3-D ``fftn`` (``ifftn`` if ``inverse``) of each spinor component
-    ``data[..., c]`` into ``out[..., c]``; ``out`` may be ``data``.
+    ``data[c]`` into ``out[c]``; ``out`` may be ``data``.
 
-    Bitwise ``fftn(data, axes=(0, 1, 2))``, but one component at a time is
-    faster on the interleaved layout and needs no second field in place."""
+    Bitwise ``fftn(data, axes=(1, 2, 3))``; each component is one contiguous
+    cube, and one at a time needs no second field in place."""
     transform = np.fft.ifftn if inverse else np.fft.fftn
     for c in range(N_COMPONENTS):
-        transform(data[..., c], out=out[..., c])
+        transform(data[c], out=out[c])
     return out
 
 
@@ -245,15 +253,16 @@ def to_position(grid: GridSpec, uhat: np.ndarray) -> SpinorField:
 
 
 def _band_to_position(grid: GridSpec, cube: np.ndarray, idx: np.ndarray) -> SpinorField:
-    """``to_position`` of the spectrum that equals ``cube`` (K, K, K, 4) on the
+    """``to_position`` of the spectrum that equals ``cube`` (4, K, K, K) on the
     modes ``idx`` of every axis and is zero elsewhere, bitwise.
 
-    FFT pruning: ``ifftn``'s 1-D passes in its axis order (2, 1, 0), each on the
-    array zero-padded to n along that axis only, so all-zero lines are never
-    transformed: (K, K, K, 4) -> (K, K, n, 4) -> (K, n, n, 4) -> (n, n, n, 4).
+    FFT pruning: ``ifftn``'s 1-D passes over a component in its axis order
+    (z, y, x), each on the array zero-padded to n along that axis only, so
+    all-zero lines are never transformed:
+    (4, K, K, K) -> (4, K, K, n) -> (4, K, n, n) -> (4, n, n, n).
     The field keeps ``(cube, idx)``, both made read-only, as its band."""
     x = cube
-    for axis in (2, 1, 0):
+    for axis in (3, 2, 1):
         padded = np.zeros(x.shape[:axis] + (grid.n,) + x.shape[axis + 1:], dtype=np.complex128)
         padded[(slice(None),) * axis + (idx,)] = x
         x = np.fft.ifft(padded, axis=axis, out=padded)
@@ -267,10 +276,10 @@ def density(u: SpinorField) -> np.ndarray:
     """Pointwise C^4 density <u,u> on the position grid.
 
     Summed component by component in ``np.sum``'s order ``((a0 + a1) + a2) + a3``,
-    bitwise ``np.sum(|u|^2, axis=-1)`` without a length-4-axis reduction."""
-    rho = np.abs(u.data[..., 0]) ** 2
+    bitwise ``np.sum(|u|^2, axis=0)`` without a field-sized ``|u|^2``."""
+    rho = np.abs(u.data[0]) ** 2
     for c in range(1, N_COMPONENTS):
-        rho += np.abs(u.data[..., c]) ** 2
+        rho += np.abs(u.data[c]) ** 2
     return rho
 
 
@@ -327,7 +336,7 @@ def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
     # where a direct run's peak RSS reads about 1 MB higher
     weights = [sobolev_weight(u.grid, sigma, homogeneous)[modes] for sigma in sigmas]
     power = np.abs(spectrum) ** 2
-    return [float(np.sqrt(np.sum(w[..., None] * power) / u.grid.volume)) for w in weights]
+    return [float(np.sqrt(np.sum(w * power) / u.grid.volume)) for w in weights]
 
 
 def sobolev_norm(u: SpinorField, sigma: float) -> float:
@@ -364,7 +373,7 @@ def translate(u: SpinorField, shift) -> SpinorField:
     kx, ky, kz = u.grid.freq_mesh
     s = np.asarray(shift, dtype=float)
     phase = _unit_phase(kx * s[0] + ky * s[1] + kz * s[2])
-    np.multiply(phase[..., None], uhat, out=uhat)  # phase first: `uhat *= phase` rounds differently
+    np.multiply(phase, uhat, out=uhat)  # phase first: `uhat *= phase` rounds differently
     spinor_fft(uhat, uhat, inverse=True)
     uhat /= u.grid.spacing**3
     return SpinorField(u.grid, uhat)
@@ -386,7 +395,8 @@ def spectral_upsample(u: SpinorField, factor: int = 2) -> SpinorField:
 # layout: magic "DNS1" | u32 version | u32 n | f64 L | f64 t | u32 n_nuclei |
 #         per nucleus (Z, m, qx, qy, qz, vx, vy, vz) as f64 |
 #         n^3 x 4 complex entries as little-endian (re, im) f64 pairs,
-#         x-major, component-minor order.
+#         x-major, component-minor order: the (n, n, n, 4) order, which the
+#         writer and the reader convert one x-plane at a time.
 
 
 def write_checkpoint(path, u: SpinorField, t: float, charges=(), masses=(),
@@ -406,7 +416,10 @@ def write_checkpoint(path, u: SpinorField, t: float, charges=(), masses=(),
         fh.write(struct.pack("<ddI", u.grid.box_length, float(t), n_nuc))
         for k in range(n_nuc):
             fh.write(struct.pack("<8d", charges[k], masses[k], *positions[k], *velocities[k]))
-        fh.write(memoryview(np.ascontiguousarray(u.data, dtype="<c16")).cast("B"))  # no bytes copy
+        plane = np.empty((u.grid.n, u.grid.n, N_COMPONENTS), dtype="<c16")
+        for x_plane in np.moveaxis(u.data, 0, -1):  # one x-plane copy, no field copy
+            plane[...] = x_plane
+            fh.write(memoryview(plane).cast("B"))
 
 
 def read_checkpoint(path):
@@ -432,12 +445,14 @@ def read_checkpoint(path):
             raise ValueError(f"checkpoint {path} is {size} bytes, expected {expected} "
                              f"for n={n} with {n_nuc} nuclei")
         recs = np.frombuffer(fh.read(8 * 8 * n_nuc), dtype="<f8").reshape(n_nuc, 8)
-        raw = np.fromfile(fh, dtype="<c16", count=n**3 * N_COMPONENTS)  # no bytes copy
-    grid = GridSpec(int(n), float(box_length))
-    data = raw.reshape(n, n, n, N_COMPONENTS).astype(np.complex128, copy=False)
-    field = SpinorField(grid, data)
-    if not field.is_finite():
-        raise ValueError("checkpoint contains non-finite field data")
+        data = np.empty((N_COMPONENTS, n, n, n), dtype=np.complex128)
+        plane = np.empty((n, n, N_COMPONENTS), dtype="<c16")
+        for x_plane in np.moveaxis(data, 0, -1):  # one x-plane buffer, no field copy
+            fh.readinto(memoryview(plane).cast("B"))
+            if not np.isfinite(plane.view("<f8")).all():  # checked while the plane is in cache
+                raise ValueError("checkpoint contains non-finite field data")
+            x_plane[...] = plane
+    field = SpinorField(GridSpec(int(n), float(box_length)), data)
     charges = recs[:, 0].copy()
     masses = recs[:, 1].copy()
     positions = recs[:, 2:5].copy()

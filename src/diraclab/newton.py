@@ -162,7 +162,7 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     rho = density(u) if rho is None else rho
     V = coulomb_field(nuclei, eps, grid) if V is None else V
     V_H = convolve_inverse_distance(grid, rho) if V_H is None else V_H
-    a0, a1, b0, b1 = (uhat[..., c] for c in range(4))
+    a0, a1, b0, b1 = uhat
     upper = np.abs(a0) ** 2
     upper += np.abs(a1) ** 2
     lower = np.abs(b0) ** 2

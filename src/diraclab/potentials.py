@@ -440,10 +440,10 @@ def pullback(fmap: FreezingMap, t: float, u: SpinorField, check_l2: bool = True)
     phi = fmap.apply(t, X, box_length=grid.box_length)
     coords = (phi / grid.spacing).transpose(3, 0, 1, 2)  # fractional indices
     out = np.empty_like(u.data)
-    for comp in range(u.data.shape[-1]):
-        re = map_coordinates(u.data[..., comp].real, coords, order=3, mode="grid-wrap")
-        im = map_coordinates(u.data[..., comp].imag, coords, order=3, mode="grid-wrap")
-        out[..., comp] = re + 1j * im
+    for out_c, u_c in zip(out, u.data):  # one component at a time
+        re = map_coordinates(u_c.real, coords, order=3, mode="grid-wrap")
+        im = map_coordinates(u_c.imag, coords, order=3, mode="grid-wrap")
+        out_c[...] = re + 1j * im
     result = SpinorField(grid, out)
     if check_l2:
         nu, nv = l2_norm(u), l2_norm(result)
@@ -460,7 +460,7 @@ def pullback_error_estimate(fmap: FreezingMap, t: float, u: SpinorField) -> floa
     """Relative L2 interpolation error of :func:`pullback` against a 2x-refined oracle."""
     coarse = pullback(fmap, t, u, check_l2=False)
     fine = pullback(fmap, t, spectral_upsample(u, 2), check_l2=False)
-    sub = SpinorField(u.grid, fine.data[::2, ::2, ::2, :].copy())
+    sub = SpinorField(u.grid, fine.data[:, ::2, ::2, ::2].copy())
     denom = l2_norm(coarse)
     return l2_distance(coarse, sub) / denom if denom > 0 else 0.0
 

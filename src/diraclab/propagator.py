@@ -127,8 +127,8 @@ def step_count(T: float, dt: float) -> int:
 
 
 def _half_kick(delta: float, V, V_H=None):
-    """The factor ``exp(-i delta/2 (V + V_H))`` from the cos/sin of its angle, broadcast
-    over the spinor components; ``V`` may be the scalar 0.0.  With a Hartree
+    """The factor ``exp(-i delta/2 (V + V_H))`` from the cos/sin of its angle, which
+    broadcasts over the spinor components; ``V`` may be the scalar 0.0.  With a Hartree
     potential ``V_H`` the angle is scaled in the sum's own buffer; neither
     potential is written, as callers share them."""
     if V_H is None:
@@ -136,7 +136,7 @@ def _half_kick(delta: float, V, V_H=None):
     else:
         theta = V + V_H
         theta *= -delta / 2
-    return _unit_phase(theta)[..., None]
+    return _unit_phase(theta)
 
 
 def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
@@ -476,7 +476,7 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
     counts, ratios = [], []
     for j, (dt, V_nuc, drift) in enumerate(steps):
         # the explicit part x_j - (i delta/2) V x_j, with the V that made x_j (V_H(u0) for u0)
-        L = strang_step(SpinorField(grid, snapshots[j].data * (1.0 - half * V)[..., None]),
+        L = strang_step(SpinorField(grid, snapshots[j].data * (1.0 - half * V)),
                         dt, V_nuc, drift=drift).data
         del V_nuc  # a lab step's potential: free it before the local iterations
         rho = density(SpinorField(grid, L))
@@ -500,7 +500,7 @@ def duhamel_march(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8
                     f"local iterations (distances: {distances})", distances)
         counts.append(len(distances))
         ratios.append(max((d1 / d0 for d0, d1 in zip(distances, distances[1:])), default=0.0))
-        L *= (1.0 / (1.0 + half * V))[..., None]
+        L *= 1.0 / (1.0 + half * V)
         snapshots.append(SpinorField(grid, L))
         del L  # free before the next step builds its own
     return FieldSolution(times, snapshots), MarchReport(counts, ratios)

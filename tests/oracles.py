@@ -120,20 +120,20 @@ def step_momentum_whole(grid, uhat, dt, drift=None):
     Consumes ``uhat`` (scaled by the cosine in place)."""
     lam = grid.mode_energy
     out = dirac.apply_symbol(grid, uhat)
-    out *= (-1j * (np.sin(dt * lam) / lam))[..., None]
-    uhat *= np.cos(dt * lam)[..., None]
+    out *= -1j * (np.sin(dt * lam) / lam)
+    uhat *= np.cos(dt * lam)
     out += uhat
     if drift is not None:
         v = np.asarray(drift, dtype=float)
         if np.any(v != 0.0):
             kx, ky, kz = grid.freq_mesh
-            out *= np.exp(1j * dt * (v[0] * kx + v[1] * ky + v[2] * kz))[..., None]
+            out *= np.exp(1j * dt * (v[0] * kx + v[1] * ky + v[2] * kz))
     return out
 
 
 def half_kick_exp(delta, V):
     """The half-kick factor ``exp(-i delta/2 V)`` as one complex exponential."""
-    return np.exp(-0.5j * delta * V)[..., None]
+    return np.exp(-0.5j * delta * V)
 
 
 def translation_phase_exp(grid, shift):
@@ -220,7 +220,7 @@ def snapshot_oracle(u, nuclei, eps, sigma):
     out["E_total"] = sum(out[k] for k in ("E_field_kinetic", "E_interaction", "E_hartree",
                                           "E_nuclear_kinetic", "E_internuclear"))
     for i, k in enumerate(grid.freq_mesh):
-        grad = lat.to_position(grid, k[..., None] * uhat)
+        grad = lat.to_position(grid, k * uhat)
         out["p_" + "xyz"[i]] = (lat.inner(u, grad).real
                                 + sum(nuc.m * nuc.qdot[i] for nuc in nuclei))
     return out
@@ -233,7 +233,7 @@ def spectral_snapshot_oracle(u, sigma):
     of ``w = sum_c |uhat_c|^2``, ``lattice.sobolev_norm`` and ``lattice.charge``."""
     grid = u.grid
     uhat = lat.to_momentum(u)
-    w = np.sum(np.abs(uhat) ** 2, axis=-1)
+    w = np.sum(np.abs(uhat) ** 2, axis=0)
     kx, ky, kz = grid.freq_mesh
     return {"field_kinetic": np.vdot(uhat, dirac.apply_symbol(grid, uhat)).real / grid.volume,
             "momentum": np.array([np.sum(kx * w), np.sum(ky * w), np.sum(kz * w)]) / grid.volume,
@@ -246,7 +246,7 @@ def random_smooth_field_loop(grid, rng, kmax=5, decay=1.0, amplitude=1.0):
     (four real parts, then four imaginary parts) for each (mx, my, mz) in
     mx-major order, damped and stored one mode at a time."""
     n = grid.n
-    uhat = np.zeros((n, n, n, lat.N_COMPONENTS), dtype=np.complex128)
+    uhat = np.zeros((lat.N_COMPONENTS, n, n, n), dtype=np.complex128)
     scale = 2.0 * np.pi / grid.box_length
     for mx in range(-kmax, kmax + 1):
         for my in range(-kmax, kmax + 1):
@@ -255,6 +255,6 @@ def random_smooth_field_loop(grid, rng, kmax=5, decay=1.0, amplitude=1.0):
                          + 1j * rng.normal(size=lat.N_COMPONENTS))
                 xi2 = scale**2 * (mx * mx + my * my + mz * mz)
                 damp = np.exp(-0.5 * xi2 * decay**2)
-                uhat[mx % n, my % n, mz % n] = coeff * damp
+                uhat[:, mx % n, my % n, mz % n] = coeff * damp
     uhat *= amplitude * grid.volume / (2 * kmax + 1) ** 1.5
     return lat.to_position(grid, uhat)

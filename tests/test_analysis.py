@@ -121,7 +121,7 @@ def test_multiplier_sigma_one_is_weighted_l2(grid32):
     u = lat.gaussian_spinor(grid32, (0, 0, 0), 1.0, (1, 0, 0, 0))
     ratio = an.coulomb_multiplier_ratio(u, 1.0)
     w = 1.0 / np.maximum(grid32.radius_from((0, 0, 0)), grid32.spacing / 2)
-    weighted = lat.SpinorField(grid32, w[..., None] * u.data)
+    weighted = lat.SpinorField(grid32, w * u.data)
     direct = lat.l2_norm(weighted) / lat.sobolev_norm(u, 1.0)
     assert ratio == pytest.approx(direct, rel=1e-12)
 

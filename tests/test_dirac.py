@@ -43,7 +43,7 @@ def test_zero_momentum_gives_beta(grid16):
     u = lat.constant_spinor(grid16, w)
     out = dr.apply_free_dirac(u)
     expected = dr.dirac_matrices().beta @ w
-    assert np.max(np.abs(out.data - expected)) < 1e-12
+    assert np.max(np.abs(out.data - expected[:, None, None, None])) < 1e-12
 
 
 def test_plane_wave_eigenvector(grid16):
@@ -66,16 +66,16 @@ def test_apply_free_dirac_vs_fd4_oracle():
     # quartic spectral envelope keeps content at low |xi| where the 4th-order
     # stencil is accurate to the stated tolerance
     n = g.n
-    uh = rng.normal(size=(n, n, n, 4)) + 1j * rng.normal(size=(n, n, n, 4))
+    uh = np.moveaxis(rng.normal(size=(n, n, n, 4)) + 1j * rng.normal(size=(n, n, n, 4)), -1, 0)
     k2 = g.freq_sq
-    uh *= np.exp(-((k2 * 3.5**2 / 2.0) ** 2))[..., None]
+    uh *= np.exp(-((k2 * 3.5**2 / 2.0) ** 2))
     u = lat.to_position(g, uh)
     spec = dr.apply_free_dirac(u)
     m = dr.dirac_matrices()
-    fd = np.einsum("ab,xyzb->xyza", m.beta, u.data)
+    fd = np.einsum("ab,bxyz->axyz", m.beta, u.data)
     for j, A in enumerate(m.alphas):
-        dj = fd4_derivative(u.data, j, g.spacing)
-        fd += -1j * np.einsum("ab,xyzb->xyza", A, dj)
+        dj = fd4_derivative(u.data, j + 1, g.spacing)  # axis 0 is the component
+        fd += -1j * np.einsum("ab,bxyz->axyz", A, dj)
     rel = np.sqrt(np.sum(np.abs(spec.data - fd) ** 2) / np.sum(np.abs(spec.data) ** 2))
     assert rel < 1e-6
 
@@ -117,7 +117,8 @@ def test_free_dirac_of_a_drawn_field_acts_on_its_band(n, monkeypatch, tmp_path):
     assert lat.l2_distance(out, plain) <= 1e-12 * lat.l2_norm(plain)
     cube, idx = out.band
     spectrum = lat.to_momentum(plain)
-    assert np.max(np.abs(cube - spectrum[np.ix_(idx, idx, idx)])) <= 1e-12 * np.max(np.abs(cube))
+    band = spectrum[(slice(None),) + np.ix_(idx, idx, idx)]
+    assert np.max(np.abs(cube - band)) <= 1e-12 * np.max(np.abs(cube))
     assert not out.data.flags.writeable
 
 
@@ -152,15 +153,15 @@ def test_fused_step_matches_closed_form_and_is_unitary_per_mode(grid16, rng, dri
     kx, ky, kz = np.meshgrid(*[grid16.freq1d] * 3, indexing="ij")
     H = (kx[..., None, None] * m.alpha1 + ky[..., None, None] * m.alpha2
          + kz[..., None, None] * m.alpha3 + m.beta)
-    lam = np.sqrt(1.0 + kx**2 + ky**2 + kz**2)[..., None]
+    lam = np.sqrt(1.0 + kx**2 + ky**2 + kz**2)
     want = np.cos(dt * lam) * uhat - 1j * np.sin(dt * lam) / lam * np.einsum(
-        "...ij,...j->...i", H, uhat)
+        "...ij,j...->i...", H, uhat)
     if drift is not None:
-        want *= np.exp(1j * dt * (drift[0] * kx + drift[1] * ky + drift[2] * kz))[..., None]
+        want *= np.exp(1j * dt * (drift[0] * kx + drift[1] * ky + drift[2] * kz))
     scale = np.max(np.abs(uhat))
     assert np.max(np.abs(got - want)) <= 1e-14 * scale
-    norms = np.linalg.norm(uhat, axis=-1)
-    assert np.max(np.abs(np.linalg.norm(got, axis=-1) - norms)) <= 1e-14 * np.max(norms)
+    norms = np.linalg.norm(uhat, axis=0)
+    assert np.max(np.abs(np.linalg.norm(got, axis=0) - norms)) <= 1e-14 * np.max(norms)
 
 
 def test_step_semigroup_half_steps(grid16, rng):

@@ -38,7 +38,7 @@ def test_convolution_matches_complex_transform_oracle(n):
     grid = lat.make_grid(n, 12.0)
     rng = np.random.default_rng(n)
     u, v = (lat.random_smooth_field(grid, rng, kmax=4, decay=0.6) for _ in range(2))
-    for source in (lat.density(u), np.sum(np.conj(u.data) * v.data, axis=-1)):
+    for source in (lat.density(u), np.sum(np.conj(u.data) * v.data, axis=0)):
         got = ht.convolve_inverse_distance(grid, source)
         want = complex_fft_convolution(grid, source)
         assert np.iscomplexobj(got) == np.iscomplexobj(source)
@@ -181,9 +181,9 @@ def test_bilinear_sup_stable_under_refinement_two_hundred_triples():
         picks = rng.integers(0, pool_size, size=(200, 3))
         worst = 0.0
         for iu, iv, iw in picks:
-            pair = np.sum(np.conj(pool[iu].data) * pool[iv].data, axis=-1)
+            pair = np.sum(np.conj(pool[iu].data) * pool[iv].data, axis=0)
             conv = ht.convolve_inverse_distance(g, pair)
-            lhs_field = lat.SpinorField(g, conv[..., None] * pool[iw].data)
+            lhs_field = lat.SpinorField(g, conv * pool[iw].data)
             rhs = l2[iu] * h1[iv] * l2[iw]
             worst = max(worst, lat.l2_norm(lhs_field) / rhs)
         sups[n] = worst

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diraclab import lattice as lat
+from diraclab import propagator as pr
+from diraclab.potentials import NucleusState, Trajectory, coulomb_field
 from diraclab.propagator import _half_kick
 from oracles import (gaussian_h1_sq, half_kick_exp, random_smooth_field_loop,
                      translation_phase_exp)
@@ -52,10 +55,10 @@ def test_constant_field_dc_mode(grid16):
     c = np.array([1.0, 0.5j, -0.25, 0.0])
     u = lat.constant_spinor(grid16, c)
     uh = lat.to_momentum(u)
-    assert np.allclose(uh[0, 0, 0], c * grid16.volume)
-    mask = np.ones(uh.shape[:3], dtype=bool)
+    assert np.allclose(uh[:, 0, 0, 0], c * grid16.volume)
+    mask = np.ones(uh.shape[1:], dtype=bool)
     mask[0, 0, 0] = False
-    assert np.max(np.abs(uh[mask])) < 1e-10 * grid16.volume
+    assert np.max(np.abs(uh[:, mask])) < 1e-10 * grid16.volume
 
 
 def test_plane_wave_single_mode(grid16):
@@ -63,7 +66,7 @@ def test_plane_wave_single_mode(grid16):
     u = lat.plane_wave(grid16, (2, -1, 3), w)
     uh = lat.to_momentum(u)
     n = grid16.n
-    idx = (2 % n, (-1) % n, 3 % n)
+    idx = (slice(None), 2 % n, (-1) % n, 3 % n)
     assert np.allclose(uh[idx], w * grid16.volume)
     total = np.sum(np.abs(uh) ** 2)
     assert np.sum(np.abs(uh[idx]) ** 2) == pytest.approx(total, rel=1e-12)
@@ -82,11 +85,13 @@ def test_round_trip_and_parseval(grid16, rng):
 @pytest.mark.parametrize("strided", [False, True])
 def test_spinor_fft_matches_fftn_bitwise(n, inverse, strided):
     # per component, into a fresh array or in place, from a C-contiguous
-    # array or a strided view: bitwise the transform of the whole spinor
+    # array or a strided view (every second entry of an interleaved array):
+    # bitwise the transform of the whole spinor over its three grid axes
     rng = np.random.default_rng(n)
     raw = rng.normal(size=(n, n, n, 8)) + 1j * rng.normal(size=(n, n, n, 8))
-    data = raw[..., ::2] if strided else np.ascontiguousarray(raw[..., :4])
-    expected = (np.fft.ifftn if inverse else np.fft.fftn)(data, axes=(0, 1, 2))
+    data = (np.moveaxis(raw[..., ::2], -1, 0) if strided
+            else np.ascontiguousarray(np.moveaxis(raw[..., :4], -1, 0)))
+    expected = (np.fft.ifftn if inverse else np.fft.fftn)(data, axes=(1, 2, 3))
     out = np.empty_like(expected)
     assert lat.spinor_fft(data, out, inverse) is out
     assert np.array_equal(out, expected)
@@ -95,7 +100,7 @@ def test_spinor_fft_matches_fftn_bitwise(n, inverse, strided):
 
 
 def _spinor_transform_lines(source: str) -> list:
-    """Line of each ``fftn``/``ifftn`` call over axes (0, 1, 2) in ``source``."""
+    """Line of each ``fftn``/``ifftn`` call over the grid axes (1, 2, 3) in ``source``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -103,19 +108,43 @@ def _spinor_transform_lines(source: str) -> list:
         callee = getattr(node.func, "attr", getattr(node.func, "id", None))
         axes = [kw.value for kw in node.keywords if kw.arg == "axes"] + node.args[2:3]
         if callee in ("fftn", "ifftn") and any(
-                [getattr(e, "value", None) for e in getattr(a, "elts", ())] == [0, 1, 2] for a in axes):
+                [getattr(e, "value", None) for e in getattr(a, "elts", ())] == [1, 2, 3] for a in axes):
             lines.append(node.lineno)
     return sorted(lines)
 
 
 def test_spinor_fft_is_the_only_spinor_transform():
-    # a whole-spinor fftn/ifftn over axes (0, 1, 2) is the slow path that
-    # lattice.spinor_fft replaces; the scalar Hartree transforms take no such axes
+    # a whole-spinor fftn/ifftn over the grid axes (1, 2, 3) is the slow path
+    # that lattice.spinor_fft replaces; the scalar Hartree transforms take no such axes
     assert _spinor_transform_lines(
-        "def step(u):\n    return np.fft.ifftn(fftn(u, None, [0, 1, 2]), axes=(0, 1, 2))\n") == [2, 2]
+        "def step(u):\n    return np.fft.ifftn(fftn(u, None, [1, 2, 3]), axes=(1, 2, 3))\n") == [2, 2]
     package = Path(lat.__file__).parent
     found = {path.name: _spinor_transform_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_field_is_component_major_and_contiguous(tmp_path):
+    # a field is a C-contiguous (4, n, n, n) array wherever it is made: a
+    # strided one would still compute, only slower, and an interleaved
+    # (n, n, n, 4) array is refused by name
+    g = lat.make_grid(8, 6.0)
+    u = lat.random_smooth_field(g, 3, kmax=2, decay=0.6)
+    V = coulomb_field([NucleusState(0.5, 10.0, (0.2, 0, 0), (0, 0, 0))], 0.8, g)
+    traj = Trajectory.static([0.5], [10.0], [[0.2, 0, 0]], 0.0, 0.1, 4)
+    path = tmp_path / "u.dns"
+    lat.write_checkpoint(path, u, 0.0)
+    fields = [lat.zero_spinor(g), lat.constant_spinor(g, (1, 0, 0, 0)),
+              lat.plane_wave(g, (1, 0, 2), (1, 0.5j, 0, 0)),
+              lat.gaussian_spinor(g, (0.3, 0, 0), 1.0, (0, 1, 0, 0)), u,
+              lat.spectral_upsample(u), lat.to_position(g, lat.to_momentum(u)),
+              lat.translate(u, (0.1, -0.2, 0.3)), pr.strang_step(u, 0.01, V),
+              pr.strang_step(u, 0.01, V, hartree=True)[0], lat.read_checkpoint(path)[0],
+              *pr.duhamel_march(u, traj, 0.1, n_steps=4)[0].snapshots]
+    for f in fields:
+        assert f.data.shape == (lat.N_COMPONENTS,) + (f.grid.n,) * 3
+        assert f.data.flags.c_contiguous
+    with pytest.raises(ValueError, match=r"\(4, n, n, n\)"):
+        lat.SpinorField(g, np.zeros((8, 8, 8, 4), dtype=np.complex128))
 
 
 def test_spinor_field_holds_position_data_only(grid16):
@@ -205,9 +234,9 @@ def test_band_to_position_equals_to_position_of_the_scattered_spectrum(n, modes,
     g = lat.make_grid(n, 9.0)
     idx = np.array(modes)
     K = len(idx)
-    cube = rng.normal(size=(K, K, K, 4)) + 1j * rng.normal(size=(K, K, K, 4))
-    uhat = np.zeros((n, n, n, 4), dtype=np.complex128)
-    uhat[np.ix_(idx, idx, idx)] = cube
+    cube = rng.normal(size=(4, K, K, K)) + 1j * rng.normal(size=(4, K, K, K))
+    uhat = np.zeros((4, n, n, n), dtype=np.complex128)
+    uhat[(slice(None),) + np.ix_(idx, idx, idx)] = cube
     u = lat._band_to_position(g, cube, idx)
     assert np.array_equal(u.data.view(np.uint64), lat.to_position(g, uhat).data.view(np.uint64))
 
@@ -322,7 +351,7 @@ def test_unit_phase_is_bitwise_the_complex_exponential(grid16, rng, delta):
 def test_spectral_upsample_preserves_values(grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.7)
     fine = lat.spectral_upsample(u, 2)
-    assert np.max(np.abs(fine.data[::2, ::2, ::2] - u.data)) < 1e-10
+    assert np.max(np.abs(fine.data[:, ::2, ::2, ::2] - u.data)) < 1e-10
     assert lat.charge(fine) == pytest.approx(lat.charge(u), rel=1e-12)
 
 
@@ -334,8 +363,8 @@ def test_spectral_upsample_equals_full_spectrum_zero_pad(n, factor):
     u = lat.random_smooth_field(g, np.random.default_rng(n + factor), kmax=n // 2 - 1, decay=0.4)
     n2 = factor * n
     ix = np.fft.fftfreq(n, 1.0 / n).astype(int) % n2
-    out = np.zeros((n2, n2, n2, 4), dtype=np.complex128)
-    out[np.ix_(ix, ix, ix)] = lat.to_momentum(u)
+    out = np.zeros((4, n2, n2, n2), dtype=np.complex128)
+    out[(slice(None),) + np.ix_(ix, ix, ix)] = lat.to_momentum(u)
     ref = lat.to_position(lat.make_grid(n2, 12.0), out)
     fine = lat.spectral_upsample(u, factor)
     assert fine.grid == ref.grid
@@ -359,7 +388,7 @@ def test_checkpoint_round_trip(tmp_path, grid16, rng):
 def test_checkpoint_layout_bytes(tmp_path, grid16):
     # magic, version, n, then little-endian doubles; data x-major component-minor
     u = lat.zero_spinor(grid16)
-    u.data[0, 0, 0, 1] = 2.0 + 3.0j
+    u.data[1, 0, 0, 0] = 2.0 + 3.0j  # component 1 of the point (0, 0, 0)
     path = tmp_path / "layout.dns"
     lat.write_checkpoint(path, u, 1.5)
     blob = path.read_bytes()
@@ -376,9 +405,29 @@ def test_checkpoint_layout_bytes(tmp_path, grid16):
     assert first_entries[2] == 2.0 and first_entries[3] == 3.0
 
 
+# sha256 of the DNS1 file of the field below, computed while fields were still
+# stored interleaved, (n, n, n, 4): it pins the file's byte order and the order
+# in which random_smooth_field draws its normals
+PINNED_CHECKPOINT_SHA256 = "d4c940569263ffca7cd97e41f294ea02a75b23863fd928373fa424b3282aaff5"
+
+
+def test_checkpoint_of_a_pinned_field_keeps_its_digest(tmp_path):
+    g = lat.make_grid(8, 6.0)
+    base = lat.gaussian_spinor(g, (0.3, -0.2, 0.1), 1.1, (0.6, 0.2j, 0.1, -0.3j))
+    noise = lat.random_smooth_field(g, np.random.default_rng(2024), kmax=3, decay=0.7)
+    u = lat.SpinorField(g, base.data + 0.25 * noise.data)
+    path = tmp_path / "pinned.dns"
+    lat.write_checkpoint(path, u, 0.5, [0.5, 0.4], [10.0, 12.0], [[-0.6, 0, 0], [1.2, 0.3, 0]],
+                         [[0.05, 0.02, 0], [0, -0.01, 0.03]])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT_SHA256
+    v = lat.read_checkpoint(path)[0]
+    assert np.array_equal(v.data.view(np.uint64), u.data.view(np.uint64))
+
+
 def test_checkpoint_bytes_are_the_field_buffer(tmp_path, rng):
     # the written file is the header followed by the field's little-endian
-    # complex128 bytes, exactly as a tobytes() copy would lay them out
+    # complex128 bytes in the (n, n, n, 4) order, exactly as a tobytes() copy
+    # of the component-minor view would lay them out
     import struct
 
     g = lat.make_grid(16, 7.5)
@@ -387,7 +436,7 @@ def test_checkpoint_bytes_are_the_field_buffer(tmp_path, rng):
     lat.write_checkpoint(path, u, 0.25, [0.5], [10.0], [[0.1, -0.2, 0.3]], [[0, 0.2, 0]])
     want = (b"DNS1" + struct.pack("<II", 1, 16) + struct.pack("<ddI", 7.5, 0.25, 1)
             + struct.pack("<8d", 0.5, 10.0, 0.1, -0.2, 0.3, 0.0, 0.2, 0.0)
-            + np.ascontiguousarray(u.data, dtype="<c16").tobytes())
+            + np.ascontiguousarray(np.moveaxis(u.data, 0, -1), dtype="<c16").tobytes())
     assert path.read_bytes() == want
 
 
@@ -396,7 +445,20 @@ def test_density_is_bitwise_the_component_axis_sum(n):
     g = lat.make_grid(n, 9.0)
     for seed in range(3):
         u = lat.random_smooth_field(g, np.random.default_rng(seed), kmax=n // 2 - 1, decay=0.3)
-        assert np.array_equal(lat.density(u), np.sum(np.abs(u.data) ** 2, axis=-1))
+        assert np.array_equal(lat.density(u), np.sum(np.abs(u.data) ** 2, axis=0))
+
+
+@pytest.mark.parametrize("entry", [0, 3 * 8**3 + 17, 4 * 8**3 - 1])
+def test_checkpoint_rejects_non_finite_field_data(tmp_path, entry):
+    # one NaN anywhere in the field (first, interior or last complex entry) is refused
+    g = lat.make_grid(8, 6.0)
+    path = tmp_path / "nan.dns"
+    lat.write_checkpoint(path, lat.gaussian_spinor(g, (0, 0, 0), 1.0, (1, 0, 0, 0)), 0.0)
+    blob = bytearray(path.read_bytes())
+    blob[32 + 16 * entry + 8:32 + 16 * entry + 16] = np.array([np.nan]).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="non-finite"):
+        lat.read_checkpoint(path)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -412,7 +474,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 def test_checkpoint_round_trip_property(tmp_path_factory, n, n_nuc, seed, t):
     g = lat.make_grid(n, 7.0)
     rng = np.random.default_rng(seed)
-    shape = (n, n, n, lat.N_COMPONENTS)
+    shape = (lat.N_COMPONENTS, n, n, n)
     u = lat.SpinorField(g, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     recs = rng.normal(size=(n_nuc, 8))
     path = tmp_path_factory.mktemp("ck") / "state.dns"

@@ -39,7 +39,7 @@ def test_field_force_is_minus_gradient_of_interaction_energy():
     rng = np.random.default_rng(7)
     raw = lat.random_smooth_field(g, rng, kmax=4, decay=1.0)
     env = np.exp(-g.radius_sq_from((0, 0, 0)) / (2 * (g.box_length / 7) ** 2))
-    u = lat.SpinorField(g, env[..., None] * raw.data)
+    u = lat.SpinorField(g, env * raw.data)
     eps = 0.8
     q0 = np.array([0.7, -0.3, 0.2])
     F = nt.force_breakdown(u, [NucleusState(0.5, 1.0, q0, (0, 0, 0))], eps).field[0]
@@ -180,7 +180,7 @@ def test_snapshot_pass_matches_dense_spectral_oracle(n):
         u = lat.random_smooth_field(grid, np.random.default_rng(seed), kmax=4, decay=0.5)
         eb, p, hsigma, q = nt.snapshot_diagnostics(u, [], 0.8, 1.25)
         want = spectral_snapshot_oracle(u, 1.25)
-        w = np.sum(np.abs(lat.to_momentum(u)) ** 2, axis=-1)
+        w = np.sum(np.abs(lat.to_momentum(u)) ** 2, axis=0)
         kinetic_scale = np.sum(grid.mode_energy * w) / grid.volume
         momentum_scale = np.sum(np.sqrt(grid.freq_sq) * w) / grid.volume
         assert abs(eb.field_kinetic - want["field_kinetic"]) <= 1e-14 * kinetic_scale
@@ -563,13 +563,13 @@ def test_translation_equivariance_lattice_shift(grid16):
     shift_cells = 3
     s = np.array([shift_cells * h, 0.0, 0.0])
     u0 = lat.gaussian_spinor(grid16, (0.0, 0, 0), 1.3, (0.4, 0.1, 0, 0))
-    u0s = lat.SpinorField(grid16, np.roll(u0.data, shift_cells, axis=0))
+    u0s = lat.SpinorField(grid16, np.roll(u0.data, shift_cells, axis=1))  # along x
     nuc = [NucleusState(0.5, 10.0, (-0.75, 0, 0), (0.05, 0, 0))]
     nuc_s = [NucleusState(0.5, 10.0, (-0.75 + s[0], 0, 0), (0.05, 0, 0))]
     fa, ta, _ = nt.coupled_direct(u0, nuc, 0.3, 0.3 / 24, eps_reg=0.75)
     fb, tb, _ = nt.coupled_direct(u0s, nuc_s, 0.3, 0.3 / 24, eps_reg=0.75)
     assert np.max(np.abs(tb.positions - (ta.positions + s))) < 1e-8
-    rolled = np.roll(fa.final.data, shift_cells, axis=0)
+    rolled = np.roll(fa.final.data, shift_cells, axis=1)
     assert np.max(np.abs(fb.final.data - rolled)) < 1e-8
 
 

@@ -362,13 +362,13 @@ def test_gradient_decomposition_bound():
     bound = fmap.jacobian_deviation(t)
     uhat = lat.to_momentum(u)
     kx, ky, kz = g.freq_mesh
-    grads = [lat.to_position(g, 1j * K[..., None] * uhat) for K in (kx, ky, kz)]
+    grads = [lat.to_position(g, 1j * K * uhat) for K in (kx, ky, kz)]
     pulled_grads = [pot.pullback(fmap, t, gu, check_l2=False) for gu in grads]
     pb = pot.pullback(fmap, t, u, check_l2=False)
     pbhat = lat.to_momentum(pb)
     residual_sq = 0.0
     for K, pg in zip((kx, ky, kz), pulled_grads):
-        dPhi = lat.to_position(g, 1j * K[..., None] * pbhat)
+        dPhi = lat.to_position(g, 1j * K * pbhat)
         residual_sq += lat.l2_distance(dPhi, pg) ** 2
     residual = np.sqrt(residual_sq)
     h1 = lat.sobolev_norm(u, 1.0)

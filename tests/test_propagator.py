@@ -93,7 +93,7 @@ def test_strang_step_hands_back_its_second_kick_density_and_potential(grid16, rn
     w = pr.strang_step(u, 0.1, V + V_H0, V_out=0.0)
     assert np.array_equal(rho, lat.density(w))
     assert np.array_equal(V_H, hartree_potential(w))
-    assert np.array_equal(out.data, w.data * np.exp(-0.05j * (V_out + V_H))[..., None])
+    assert np.array_equal(out.data, w.data * np.exp(-0.05j * (V_out + V_H)))
 
 
 def test_product_formula_charge_preserved(grid16, rng):
