@@ -4,6 +4,9 @@ On the torus 1/|x| is the nonnegative multiplier ``4*pi/|xi|^2`` with the
 mean (xi = 0) mode zeroed, which shifts the potential by a constant: a global
 phase of u, with forces and densities unaffected.  A real density goes through
 a real transform pair; the direct integrator builds its potential once per snapshot.
+The complex pair density of the bilinear report goes through one complex
+spectrum array, transformed, multiplied and inverted in place, and the report
+takes every norm of a field, L2 included, from that field's one spectrum or band.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .lattice import (
     GridSpec,
     SpinorField,
     density,
-    l2_norm,
     sobolev_norms,
 )
 
@@ -33,11 +35,14 @@ def hartree_multiplier(grid: GridSpec) -> np.ndarray:
 
 
 def convolve_inverse_distance(grid: GridSpec, source: np.ndarray) -> np.ndarray:
-    """Convolution ``source * 1/|x|`` with the zero-mean torus kernel; a real source takes
-    ``rfftn``/``irfftn`` and the half-spectrum multiplier (``h^3`` and ``h^-3`` cancel)."""
+    """Convolution ``source * 1/|x|`` with the zero-mean torus kernel, in one spectrum
+    array: ``fftn``, ``mult`` and ``ifftn`` in place, and a real source ``rfftn``,
+    ``irfftn`` and the half-spectrum multiplier (``h^3`` and ``h^-3`` cancel)."""
     mult = hartree_multiplier(grid)
     if np.iscomplexobj(source):
-        return np.fft.ifftn(np.fft.fftn(source) * grid.spacing**3 * mult) / grid.spacing**3
+        shat = np.fft.fftn(source, out=np.empty(source.shape, dtype=np.complex128))
+        shat *= mult
+        return np.fft.ifftn(shat, out=shat)
     shat = np.fft.rfftn(source)
     shat *= mult[..., : grid.n // 2 + 1]
     return np.fft.irfftn(shat, s=source.shape, axes=(0, 1, 2))
@@ -86,10 +91,10 @@ def bilinear_estimate_report(u: SpinorField, v: SpinorField, w: SpinorField,
     def ratio(lhs: float, rhs: float) -> float:
         return lhs / rhs if rhs > 0.0 else 0.0
 
-    sig = (1.0, s + 1.0)
-    (lhs1, lhs_s1), (u1, u_s1), (v1, v_s1), (w1, w_s1) = (
+    sig = (0.0, 1.0, s + 1.0)
+    (lhs0, lhs1, lhs_s1), (u0, u1, u_s1), (_, v1, v_s1), (w0, w1, w_s1) = (
         sobolev_norms(f, sig) for f in (lhs_field, u, v, w))
-    l2 = ratio(l2_norm(lhs_field), l2_norm(u) * v1 * l2_norm(w))
+    l2 = ratio(lhs0, u0 * v1 * w0)
     h1 = ratio(lhs1, u1 * v1 * w1)
     hs1 = ratio(lhs_s1, u_s1 * v_s1 * w_s1)
     return BilinearRatios(l2=l2, h1=h1, hs1=hs1, s=s)

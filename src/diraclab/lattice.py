@@ -246,9 +246,13 @@ def to_momentum(u: SpinorField) -> np.ndarray:
 
 
 def to_position(grid: GridSpec, uhat: np.ndarray) -> SpinorField:
-    """The field ``ifftn(uhat) / h^3`` on ``grid`` of a spectrum ``uhat``."""
+    """The field ``ifftn(uhat) / h^3`` on ``grid`` of a spectrum ``uhat``.
+
+    Scaled by ``1.0 / h^3``, as the band synthesis and :func:`translate` are:
+    bitwise the division, as numpy divides a complex array by a real through
+    that reciprocal, at about a quarter of its cost."""
     x = spinor_fft(uhat, np.empty(uhat.shape, dtype=np.complex128), inverse=True)
-    x /= grid.spacing**3
+    x *= 1.0 / grid.spacing**3
     return SpinorField(grid, x)
 
 
@@ -266,21 +270,26 @@ def _band_to_position(grid: GridSpec, cube: np.ndarray, idx: np.ndarray) -> Spin
         padded = np.zeros(x.shape[:axis] + (grid.n,) + x.shape[axis + 1:], dtype=np.complex128)
         padded[(slice(None),) * axis + (idx,)] = x
         x = np.fft.ifft(padded, axis=axis, out=padded)
-    x /= grid.spacing**3
+    x *= 1.0 / grid.spacing**3
     cube.setflags(write=False)
     idx.setflags(write=False)
     return SpinorField(grid, x, band=(cube, idx))
 
 
-def density(u: SpinorField) -> np.ndarray:
-    """Pointwise C^4 density <u,u> on the position grid.
-
-    Summed component by component in ``np.sum``'s order ``((a0 + a1) + a2) + a3``,
-    bitwise ``np.sum(|u|^2, axis=0)`` without a field-sized ``|u|^2``."""
-    rho = np.abs(u.data[0]) ** 2
+def _component_power(data: np.ndarray) -> np.ndarray:
+    """``sum_c |data[c]|^2`` of a component-major spinor array (a field, a
+    spectrum or a band cube), one component at a time in ``np.sum``'s order
+    ``((a0 + a1) + a2) + a3``: bitwise ``np.sum(|data|^2, axis=0)`` without an
+    array of the input's size."""
+    power = np.abs(data[0]) ** 2
     for c in range(1, N_COMPONENTS):
-        rho += np.abs(u.data[c]) ** 2
-    return rho
+        power += np.abs(data[c]) ** 2
+    return power
+
+
+def density(u: SpinorField) -> np.ndarray:
+    """Pointwise C^4 density <u,u> on the position grid (:func:`_component_power`)."""
+    return _component_power(u.data)
 
 
 def charge(u: SpinorField) -> float:
@@ -320,7 +329,10 @@ def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
     Multiplier ``(1+|xi|^2)^(sigma/2)`` for sigma in [0, 2], or with
     ``homogeneous`` ``|xi|^sigma`` with the xi=0 mode dropped, for sigma >= 0.
     A field with a band is normed from the band's modes alone, with no
-    transform; any other field from its forward transform.
+    transform; any other field from its forward transform.  The power
+    ``sum_c |uhat_c|^2`` is summed over the components into one grid- (or
+    band-) sized array, and each sigma is one dot product of it with the
+    weight, so beside the spectrum the call holds a quarter of a field.
     """
     for sigma in sigmas:
         if homogeneous and sigma < 0:
@@ -332,11 +344,11 @@ def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
     else:
         spectrum, idx = u.band
         modes = np.ix_(idx, idx, idx)
-    # the weights before |uhat|^2: built after it, the cached n = 64 weight lands
-    # where a direct run's peak RSS reads about 1 MB higher
+    # the weights before the power array: built after it, the cached n = 64 weight
+    # lands where a direct run's peak RSS reads about 1 MB higher
     weights = [sobolev_weight(u.grid, sigma, homogeneous)[modes] for sigma in sigmas]
-    power = np.abs(spectrum) ** 2
-    return [float(np.sqrt(np.sum(w * power) / u.grid.volume)) for w in weights]
+    power = _component_power(spectrum)
+    return [float(np.sqrt(np.vdot(w, power) / u.grid.volume)) for w in weights]
 
 
 def sobolev_norm(u: SpinorField, sigma: float) -> float:
@@ -375,7 +387,7 @@ def translate(u: SpinorField, shift) -> SpinorField:
     phase = _unit_phase(kx * s[0] + ky * s[1] + kz * s[2])
     np.multiply(phase, uhat, out=uhat)  # phase first: `uhat *= phase` rounds differently
     spinor_fft(uhat, uhat, inverse=True)
-    uhat /= u.grid.spacing**3
+    uhat *= 1.0 / u.grid.spacing**3
     return SpinorField(u.grid, uhat)
 
 

@@ -45,6 +45,18 @@ def test_convolution_matches_complex_transform_oracle(n):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_complex_convolution_of_a_real_source_matches_the_real_branch(n):
+    # the complex branch leaves out the cancelling h^3 and h^-3: on a real
+    # source it gives the real pair's potential, with a roundoff imaginary part
+    grid = lat.make_grid(n, 12.0)
+    rho = lat.density(lat.random_smooth_field(grid, np.random.default_rng(n), kmax=3,
+                                              decay=0.6))
+    real = ht.convolve_inverse_distance(grid, rho)
+    got = ht.convolve_inverse_distance(grid, rho.astype(np.complex128))
+    assert np.max(np.abs(got - real)) <= 1e-14 * np.max(np.abs(real))
+
+
 def test_gaussian_potential_matches_erf_formula():
     # rho = exp(-|x|^2): potential pi^(3/2) erf(r)/r, compared on the central
     # region after aligning the free additive constant (the torus kernel is
@@ -156,6 +168,20 @@ def test_bilinear_ratio_translation_invariant(grid16, rng):
     assert ratios1.l2 == pytest.approx(ratios0.l2, rel=1e-10)
     assert ratios1.h1 == pytest.approx(ratios0.h1, rel=1e-10)
     assert ratios1.hs1 == pytest.approx(ratios0.hs1, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_bilinear_l2_ratio_matches_the_position_space_norms(n):
+    # the report takes every L2 norm as sigma = 0 of its spectral norms
+    # (Parseval); the position-space formula agrees to roundoff
+    grid = lat.make_grid(n, 12.0)
+    rng = np.random.default_rng(n)
+    u, v, w = (lat.random_smooth_field(grid, rng, kmax=min(4, n // 2 - 1), decay=0.8)
+               for _ in range(3))
+    conv = ht.convolve_inverse_distance(grid, np.sum(np.conj(u.data) * v.data, axis=0))
+    lhs = lat.l2_norm(lat.SpinorField(grid, conv * w.data))
+    want = lhs / (lat.l2_norm(u) * lat.sobolev_norm(v, 1.0) * lat.l2_norm(w))
+    assert ht.bilinear_estimate_report(u, v, w).l2 == pytest.approx(want, rel=1e-13)
 
 
 def test_bilinear_rejects_bad_s(grid16):

@@ -371,6 +371,25 @@ def test_spectral_upsample_equals_full_spectrum_zero_pad(n, factor):
     assert np.array_equal(fine.data.view(np.uint64), ref.data.view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_inverse_scalings_equal_the_division_by_h3(n):
+    # to_position, translate and the band synthesis scale by 1/h^3; numpy
+    # divides a complex array by a real through that same reciprocal, so each
+    # field equals ifftn(...) / h^3; L = 12 gives h^3 = 1728/n^3, not a power of two
+    g = lat.make_grid(n, 12.0)
+    h3 = g.spacing**3
+    u = lat.random_smooth_field(g, np.random.default_rng(n), kmax=n // 2 - 1, decay=0.4)
+    cube, idx = u.band
+    uhat = np.zeros((4, n, n, n), dtype=np.complex128)
+    uhat[(slice(None),) + np.ix_(idx, idx, idx)] = cube
+    want = np.fft.ifftn(uhat, axes=(1, 2, 3)) / h3
+    assert np.array_equal(u.data, want) and np.array_equal(lat.to_position(g, uhat).data, want)
+    shift = (0.3, -0.7, 1.1)
+    shifted = translation_phase_exp(g, shift) * lat.to_momentum(u)
+    assert np.array_equal(lat.translate(u, shift).data,
+                          np.fft.ifftn(shifted, axes=(1, 2, 3)) / h3)
+
+
 def test_checkpoint_round_trip(tmp_path, grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=3, decay=0.6)
     path = tmp_path / "state.dns"

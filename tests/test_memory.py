@@ -44,7 +44,7 @@ def test_picard_solve_holds_its_snapshots_and_a_few_fields(grid16, M):
     # one potential (1/8 field) per slice and a fixed number of working fields
     # (about 6 measured); three lists of M+1 fields would break the bound
     traj = Trajectory.static([0.4], [10.0], [[-0.6, 0, 0]], 0.0, 0.4, 8)
-    plan = pr.PropagatorPlan(n_slices=M, eps_reg=0.8)
+    plan = pr.PropagatorPlan(eps_reg=0.8)
     (sol, rep), peak = peak_fields(lambda: pr.duhamel_picard(
         _packet(grid16), traj, 0.4, tol=1e-9, plan=plan, n_steps=M, enforce_window=False),
         grid16)
@@ -66,7 +66,7 @@ def test_fixed_point_holds_one_evaluation_of_snapshots(grid16, M):
     ht.hartree_multiplier(grid16)
     lat.sobolev_weight(grid16, 1.25, False)
     u0 = _packet(grid16)
-    plan = pr.PropagatorPlan(n_slices=M, eps_reg=0.75)
+    plan = pr.PropagatorPlan(eps_reg=0.75)
     (fsol, _, rep), peak = peak_fields(lambda: nt.coupled_fixed_point(
         u0, NUCLEI, 0.01 * M, tol=1e-9, plan=plan, n_steps=M, eps0=0.3,
         contraction_const=0.2), grid16)
@@ -114,6 +114,34 @@ def test_read_checkpoint_holds_one_field(tmp_path, grid16, rng):
     (v, *_), peak = peak_fields(lambda: lat.read_checkpoint(path), grid16)
     assert np.array_equal(v.data, u.data) and v.data.flags.writeable
     assert peak < 1.25
+
+
+def test_sobolev_norms_hold_one_power_array_beside_the_spectrum(grid32, rng):
+    # the power sum_c |uhat_c|^2 is one grid- (or band-) sized array and each
+    # sigma one dot product with the cached weight: a position field holds its
+    # spectrum and a quarter field (1.25 measured; (4, n, n, n) arrays of
+    # |uhat|^2 and of each weighted product read 2), a drawn field a few band
+    # cubes.  A first call builds the grid's weights outside the traced ones
+    u = lat.random_smooth_field(grid32, rng, kmax=4, decay=0.8)
+    sigmas = (0.0, 1.0, 1.25)
+    field = u.copy()  # no band: normed from its forward transform
+    want = lat.sobolev_norms(field, sigmas)
+    norms, peak = peak_fields(lambda: lat.sobolev_norms(field, sigmas), grid32)
+    assert norms == want
+    assert peak <= 1.35
+    _, peak = peak_fields(lambda: lat.sobolev_norms(u, sigmas), grid32)
+    assert peak < 0.05
+
+
+def test_complex_convolution_holds_at_most_two_grids(grid32, rng):
+    # the pair density's spectrum is transformed, multiplied and inverted in
+    # one array (1.25 grids measured); fftn's per-axis copies and h^3-scaled
+    # products beside the spectrum read 3
+    u, v = (lat.random_smooth_field(grid32, rng, kmax=4, decay=0.8) for _ in range(2))
+    pair = np.sum(np.conj(u.data) * v.data, axis=0)
+    ht.hartree_multiplier(grid32)
+    _, peak = peak_fields(lambda: ht.convolve_inverse_distance(grid32, pair), grid32)
+    assert peak * 64 / 16 <= 2  # in complex grids of 16 n^3 bytes
 
 
 def test_write_checkpoint_copies_no_field(tmp_path, rng):

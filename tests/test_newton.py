@@ -196,7 +196,7 @@ def test_snapshot_pass_matches_dense_spectral_oracle(n):
 def test_map_P_symmetric_resting_nucleus_stays(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.3, (0.4, 0, 0, 0))
     traj = Trajectory.static([0.5], [10.0], [[0, 0, 0]], 0.0, 0.3, 24)
-    plan = PropagatorPlan(n_slices=24, eps_reg=0.8)
+    plan = PropagatorPlan(eps_reg=0.8)
     out, fsol, rep, *_ = nt.trajectory_map_P(traj, u0, 0.3, plan=plan, n_steps=24)
     assert np.max(np.abs(out.positions)) < 1e-8
     # velocities carry the raw force integral; the Nyquist-row parity artifact
@@ -235,7 +235,7 @@ def test_map_P_mirror_symmetry(grid16):
                                         [[-1.25, 0, 0], [1.25, 0, 0]],
                                         [[0.04, 0, 0], [-0.04, 0, 0]], 0.0, 0.3, 24)
     out, *_ = nt.trajectory_map_P(traj, u0, 0.3,
-                                  plan=PropagatorPlan(n_slices=24, eps_reg=0.8),
+                                  plan=PropagatorPlan(eps_reg=0.8),
                                   n_steps=24, eps0=eps0)
     # point reflection through the origin swaps the two nuclei
     assert np.max(np.abs(out.positions[0] + out.positions[1])) < 1e-8
@@ -250,7 +250,7 @@ def test_fixed_point_symmetric_rest(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.3, (0.4, 0, 0, 0))
     nuclei = [NucleusState(0.5, 10.0, (0, 0, 0), (0, 0, 0))]
     fsol, traj, rep = nt.coupled_fixed_point(
-        u0, nuclei, 0.3, tol=1e-9, plan=PropagatorPlan(n_slices=16, eps_reg=0.8),
+        u0, nuclei, 0.3, tol=1e-9, plan=PropagatorPlan(eps_reg=0.8),
         n_steps=16, contraction_const=0.2)
     assert np.max(np.abs(traj.positions[:, -1])) < 1e-8
 
@@ -265,7 +265,7 @@ def test_fixed_point_returns_last_map_evaluation(grid16, monkeypatch):
     nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
     T = 0.2
     picard_tol = 1e-9
-    plan = PropagatorPlan(n_slices=8, eps_reg=0.75)
+    plan = PropagatorPlan(eps_reg=0.75)
     # at tol 1e-6 the direct start would pass at its first evaluation (6.8e-7)
     map_P = nt.trajectory_map_P
     calls = []
@@ -312,7 +312,7 @@ def test_fixed_point_feeds_each_evaluation_the_previous_output(grid16, monkeypat
 
     monkeypatch.setattr(nt, "trajectory_map_P", recorded)
     _, traj, rep = nt.coupled_fixed_point(u0, nuclei, T, tol=1e-12,
-                                          plan=PropagatorPlan(n_slices=M, eps_reg=eps),
+                                          plan=PropagatorPlan(eps_reg=eps),
                                           n_steps=M, contraction_const=0.2)
     assert len(calls) == rep.outer_iterations >= 3
     start = nt._direct_start(u0, *nt._initial_arrays(nuclei), T, M, eps)
@@ -350,7 +350,7 @@ def test_fixed_point_demo_configs_converge_in_few_evaluations(monkeypatch, name)
     fp = cfg.solver.fixedpoint
     _, _, rep = nt.coupled_fixed_point(
         u0, nuclei, cfg.time.T, tol=fp.tol, max_outer=fp.max_outer,
-        plan=PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg),
+        plan=PropagatorPlan(eps_reg=cfg.physics.epsilon_reg),
         n_steps=step_count(cfg.time.T, cfg.time.dt), eps0=cfg.physics.epsilon0,
         picard_tol=cfg.solver.picard.tol, contraction_const=cfg.solver.contraction_const)
     assert rep.step_history[0] < 1e-4
@@ -410,7 +410,7 @@ def test_fixed_point_comoving_march_takes_a_few_local_iterations_per_step(grid16
     nuc = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
     marches = _count_march_iterations(monkeypatch)
     M = 16
-    plan = PropagatorPlan(frame="comoving_single", n_slices=M, eps_reg=0.75)
+    plan = PropagatorPlan(frame="comoving_single", eps_reg=0.75)
     _, _, rep = nt.coupled_fixed_point(u0, nuc, 0.25, tol=1e-8, plan=plan, n_steps=M,
                                        eps0=0.3, contraction_const=0.2)
     assert len(marches) == rep.outer_iterations >= 2
@@ -424,7 +424,7 @@ def test_fixed_point_divergence_after_max_outer_evaluations(grid16, monkeypatch)
     marches = _count_march_iterations(monkeypatch)
     with pytest.raises(nt.FixedPointDivergence) as info:
         nt.coupled_fixed_point(u0, nuclei, 0.2, tol=1e-30, max_outer=3,
-                               plan=PropagatorPlan(n_slices=8, eps_reg=0.75), n_steps=8,
+                               plan=PropagatorPlan(eps_reg=0.75), n_steps=8,
                                contraction_const=0.2)
     assert len(marches) == 3
     assert len(info.value.history) == 3
@@ -578,7 +578,7 @@ def test_cross_integrator_agreement(grid16):
     nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
     T = 0.3
     fa, ta, _ = nt.coupled_fixed_point(
-        u0, nuclei, T, tol=1e-8, plan=PropagatorPlan(n_slices=32, eps_reg=0.75),
+        u0, nuclei, T, tol=1e-8, plan=PropagatorPlan(eps_reg=0.75),
         n_steps=32, contraction_const=0.2)
     fb, tb, _ = nt.coupled_direct(u0, nuclei, T, T / 64, eps_reg=0.75)
     assert np.max(np.abs(ta.positions[:, -1] - tb.positions[:, -1])) < 5e-3
@@ -604,7 +604,7 @@ def test_fixed_point_comoving_frame_matches_lab(grid16):
     T = 0.25
     results = {}
     for frame in ("lab", "comoving_single"):
-        plan = PropagatorPlan(frame=frame, n_slices=24, eps_reg=0.75)
+        plan = PropagatorPlan(frame=frame, eps_reg=0.75)
         fsol, traj, _ = nt.coupled_fixed_point(
             u0, nuc, T, tol=1e-7, max_outer=40, plan=plan, n_steps=24,
             eps0=0.3, picard_tol=1e-9, contraction_const=0.2)

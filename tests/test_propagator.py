@@ -279,7 +279,7 @@ def test_picard_zero_datum_converges_immediately(grid16):
     u0 = lat.zero_spinor(grid16)
     traj = _static_traj()
     sol, rep = pr.duhamel_picard(u0, traj, 0.4, tol=1e-12, plan=pr.PropagatorPlan(
-        n_slices=8, eps_reg=0.8), n_steps=8)
+        eps_reg=0.8), n_steps=8)
     assert rep.iterations == 1
     assert max(lat.l2_norm(s) for s in sol.snapshots) == 0.0
 
@@ -287,7 +287,7 @@ def test_picard_zero_datum_converges_immediately(grid16):
 def test_picard_contraction_monotone_and_matches_split_step(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
     traj = _static_traj(Z=0.4, T=0.4)
-    plan = pr.PropagatorPlan(n_slices=32, eps_reg=0.8)
+    plan = pr.PropagatorPlan(eps_reg=0.8)
     sol, rep = pr.duhamel_picard(u0, traj, 0.4, tol=1e-10, max_iter=25, plan=plan,
                                  n_steps=32, enforce_window=False)
     assert rep.converged
@@ -322,7 +322,7 @@ def test_picard_window_guard(grid16):
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (3.0, 0, 0, 0))  # large datum
     traj = _static_traj()
     with pytest.raises(pr.ContractionWindowError, match="time hypothesis"):
-        pr.duhamel_picard(u0, traj, 0.5, plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8),
+        pr.duhamel_picard(u0, traj, 0.5, plan=pr.PropagatorPlan(eps_reg=0.8),
                           n_steps=8)
 
 
@@ -395,7 +395,7 @@ def test_picard_max_iter_failure_carries_history(grid16):
     traj = _static_traj(Z=0.4, T=0.4)
     with pytest.raises(pr.ConvergenceFailure) as err:
         pr.duhamel_picard(u0, traj, 0.4, tol=1e-14, max_iter=2,
-                          plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8),
+                          plan=pr.PropagatorPlan(eps_reg=0.8),
                           n_steps=8, enforce_window=False)
     assert len(err.value.history) == 2
     assert all(d > 0 for d in err.value.history)
@@ -420,7 +420,7 @@ def test_picard_non_finite_sweep_fails_at_once(grid16, monkeypatch):
     M = 8
     with pytest.raises(pr.ConvergenceFailure, match="non-finite iterate distance at sweep 1") as err:
         pr.duhamel_picard(u0, _static_traj(Z=0.4, T=0.4), 0.4, tol=1e-10, max_iter=25,
-                          plan=pr.PropagatorPlan(n_slices=M, eps_reg=0.8), n_steps=M,
+                          plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=M,
                           enforce_window=False)
     assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
     assert len(calls) == M + 1
@@ -509,7 +509,7 @@ def test_march_local_iterations_do_not_grow_with_the_window(grid16, amplitude):
     worst = []
     for T, M in ((0.15, 8), (0.6, 32)):
         _, rep = pr.duhamel_march(u0, _moving_traj(T=T, steps=M), T, tol=1e-10,
-                                  plan=pr.PropagatorPlan(n_slices=M, eps_reg=0.8), n_steps=M)
+                                  plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=M)
         worst.append(max(rep.step_iterations))
     assert worst[1] <= worst[0] + 1
 
@@ -525,7 +525,7 @@ def test_march_small_run_takes_two_local_iterations_per_step():
     traj = Trajectory.constant_velocity([n.Z for n in nuclei], [n.m for n in nuclei],
                                         [n.q for n in nuclei], [n.qdot for n in nuclei],
                                         0.0, cfg.time.T, M)
-    plan = pr.PropagatorPlan(n_slices=cfg.time.n_slices, eps_reg=cfg.physics.epsilon_reg)
+    plan = pr.PropagatorPlan(eps_reg=cfg.physics.epsilon_reg)
     _, rep = pr.duhamel_march(u0, traj, cfg.time.T, tol=cfg.solver.picard.tol,
                               max_iter=cfg.solver.picard.max_iter, plan=plan, n_steps=M)
     assert len(rep.step_iterations) == len(rep.step_contraction) == M
@@ -535,7 +535,7 @@ def test_march_small_run_takes_two_local_iterations_per_step():
 
 def test_march_zero_datum_takes_one_iteration_per_step(grid16):
     sol, rep = pr.duhamel_march(lat.zero_spinor(grid16), _static_traj(), 0.4, tol=1e-12,
-                                plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8), n_steps=8)
+                                plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=8)
     assert rep.step_iterations == [1] * 8
     assert max(lat.l2_norm(s) for s in sol.snapshots) == 0.0
 
@@ -565,7 +565,7 @@ def test_march_max_iter_failure_names_the_step(grid16):
     with pytest.raises(pr.ConvergenceFailure, match="step 1 did not reach tol=1e-14 in 2 "
                                                     "local iterations") as err:
         pr.duhamel_march(u0, _static_traj(Z=0.4, T=0.4), 0.4, tol=1e-14, max_iter=2,
-                         plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8), n_steps=8)
+                         plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=8)
     assert len(err.value.history) == 2
     assert all(d > 0 for d in err.value.history)
 
@@ -584,7 +584,7 @@ def test_march_non_finite_distance_fails_at_once(grid16, monkeypatch):
         return out
 
     u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (0.3, 0.06, 0, 0))
-    kw = dict(tol=1e-10, plan=pr.PropagatorPlan(n_slices=8, eps_reg=0.8), n_steps=8)
+    kw = dict(tol=1e-10, plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=8)
     _, rep = pr.duhamel_march(u0, _static_traj(Z=0.4, T=0.4), 0.4, **kw)
     first_of_step_2 = 1 + rep.step_iterations[0] + 1  # V_H(u0), step 1's, then step 2's first
     monkeypatch.setattr(pr, "convolve_inverse_distance", broken)
