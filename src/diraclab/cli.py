@@ -59,7 +59,8 @@ SOLVER_ERRORS = (ConvergenceFailure, FixedPointDivergence, AdmissibilityError, C
 
 # fields a run holds besides the fixed point's snapshots: u0, the direct step's
 # or the march's working fields (with one step's potential) and one
-# diagnostic pass (tracemalloc at n = 16, 32 and 64: at most 8.2 with u0, rounded up)
+# diagnostic pass (tracemalloc at n = 16, 32 and 64: at most 5.6 with u0; 10
+# leaves room for the heap and interpreter that tracemalloc does not count)
 WORKING_FIELDS = 10
 
 

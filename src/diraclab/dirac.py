@@ -56,13 +56,24 @@ def _symbol_into(out: np.ndarray, kx, ky, kz, uhat: np.ndarray) -> np.ndarray:
     Written out per component (row r of H_xi acting on (u0,u1,u2,u3)), each a
     contiguous plane of the component-major arrays: the alpha blocks swap the
     upper and lower 2-spinors through the Pauli matrices, beta flips the sign
-    of the lower 2-spinor.
+    of the lower 2-spinor.  Each row is summed in ``out``'s own plane with
+    ``out=`` ufuncs and one product buffer, and ``kx -+ i ky`` is formed once:
+    the operations and their order are those of the row's expression
+    ``u0 + kz u2 + (kx - i ky) u3`` (``-u2 + kz u0`` as ``kz u0 - u2``, the
+    same bits), so the result is bitwise that of the expressions.
     """
     u0, u1, u2, u3 = uhat
-    out[0] = u0 + kz * u2 + (kx - 1j * ky) * u3
-    out[1] = u1 + (kx + 1j * ky) * u2 - kz * u3
-    out[2] = -u2 + kz * u0 + (kx - 1j * ky) * u1
-    out[3] = -u3 + (kx + 1j * ky) * u0 - kz * u1
+    minus, plus = kx - 1j * ky, kx + 1j * ky
+    prod = np.empty_like(u0)
+    o0, o1, o2, o3 = out
+    np.add(u0, np.multiply(kz, u2, out=o0), out=o0)
+    o0 += np.multiply(minus, u3, out=prod)
+    np.add(u1, np.multiply(plus, u2, out=o1), out=o1)
+    o1 -= np.multiply(kz, u3, out=prod)
+    np.subtract(np.multiply(kz, u0, out=o2), u2, out=o2)
+    o2 += np.multiply(minus, u1, out=prod)
+    np.subtract(np.multiply(plus, u0, out=o3), u3, out=o3)
+    o3 -= np.multiply(kz, u1, out=prod)
     return out
 
 
@@ -102,8 +113,12 @@ def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndar
         b = slice(a, a + planes)
         lam_b, kx_b, u_b = lam[b], kx[b], uhat[:, b]
         out_b = _symbol_into(np.empty_like(u_b), kx_b, ky, kz, u_b)
-        out_b *= -1j * (np.sin(dt * lam_b) / lam_b)
-        u_b *= np.cos(dt * lam_b)
+        angle = dt * lam_b  # one angle for the cosine and the sine
+        u_b *= np.cos(angle)
+        np.sin(angle, out=angle)
+        angle /= lam_b  # sin(dt lam) / lam, in the angle's buffer
+        angle = -1j * angle  # dropping the real factor before the product
+        out_b *= angle
         u_b += out_b
         if drifting:
             u_b *= _unit_phase(dt * (v[0] * kx_b + v[1] * ky + v[2] * kz))

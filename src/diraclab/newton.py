@@ -41,6 +41,7 @@ from .propagator import (
     COMOVING_SINGLE,
     FieldSolution,
     PropagatorPlan,
+    _half_kick,
     check_contraction_window,
     duhamel_march,
     step_count,
@@ -116,7 +117,7 @@ def force_breakdown(u: SpinorField, nuclei, eps: float, rho: np.ndarray = None) 
             dx, dy, dz = u.grid.displacement_mesh(nuc.q)
             s = dx * dx + dy * dy + dz * dz + eps**2
             s *= np.sqrt(s)  # (r^2 + eps^2)^(3/2): a root and a product, not a power
-            w = rho / s
+            w = np.divide(rho, s, out=s)
             # each displacement varies along one axis: weight it against w's marginal sum
             fld[k] = nuc.Z * h3 * np.array([dx.ravel() @ w.sum(axis=(1, 2)),
                                             dy.ravel() @ w.sum(axis=(0, 2)),
@@ -132,11 +133,12 @@ def internuclear_energy(nuclei) -> float:
     return total
 
 
-def _conj_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The pointwise product ``conj(a) b``, with one temporary."""
-    out = np.conj(a)
-    out *= b
-    return out
+def _conj_sums(a: np.ndarray, b: np.ndarray, *axes) -> list:
+    """The sums of the pointwise product ``conj(a) b`` over each of ``axes``,
+    from one temporary, which is freed on return."""
+    prod = np.conj(a)
+    prod *= b
+    return [prod.sum(axis=ax) for ax in axes]
 
 
 def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
@@ -167,16 +169,18 @@ def snapshot_diagnostics(u: SpinorField, nuclei, eps: float, sigma: float,
     upper += np.abs(a1) ** 2
     lower = np.abs(b0) ** 2
     lower += np.abs(b1) ** 2
-    w = upper + lower
+    mass = np.sum(upper) - np.sum(lower)
+    w = upper
+    w += lower  # |uhat|^2, in the upper spinor's buffer
+    del lower
     # Re <a, (sigma.xi) b> = sum kx Re(a0* b1 + a1* b0) - ky Im(a1* b0 - a0* b1)
-    #                        + kz Re(a0* b0 - a1* b1)
-    c01, c10 = _conj_times(a0, b1), _conj_times(a1, b0)
-    ab = (xi @ (c01.sum(axis=(1, 2)) + c10.sum(axis=(1, 2))).real
-          + xi @ (c01.sum(axis=(0, 2)) - c10.sum(axis=(0, 2))).imag
-          + xi @ (_conj_times(a0, b0).sum(axis=(0, 1))
-                  - _conj_times(a1, b1).sum(axis=(0, 1))).real)
+    #                        + kz Re(a0* b0 - a1* b1), one complex product at a time
+    x01, y01 = _conj_sums(a0, b1, (1, 2), (0, 2))
+    x10, y10 = _conj_sums(a1, b0, (1, 2), (0, 2))
+    ab = (xi @ (x01 + x10).real + xi @ (y01 - y10).imag
+          + xi @ (_conj_sums(a0, b0, (0, 1))[0] - _conj_sums(a1, b1, (0, 1))[0]).real)
     energy = EnergyBreakdown(
-        field_kinetic=float((np.sum(upper) - np.sum(lower) + 2 * ab) / vol),
+        field_kinetic=float((mass + 2 * ab) / vol),
         interaction=float(h3 * np.sum(rho * V)),
         hartree=float(0.5 * h3 * np.sum(rho * V_H)),
         nuclear_kinetic=float(sum(0.5 * nuc.m * nuc.qdot @ nuc.qdot for nuc in nuclei)),
@@ -324,11 +328,12 @@ def _direct_start(u0: SpinorField, charges, masses, q0, v0, T: float, n_steps: i
     collision floor.
     """
     delta = T / n_steps
-    V, _, V_H, force = _direct_first_node(u0, nucleus_states(charges, masses, q0, v0), eps)
+    *_, force, kick = _direct_first_node(u0, nucleus_states(charges, masses, q0, v0), eps,
+                                         delta)
     forces, u, q, v = [force], u0, q0, v0
     for _ in range(2):
-        u, q, v, force, V, _, V_H = _direct_step(u, q, v, forces[-1], V, V_H, charges, masses,
-                                                 delta, eps)
+        u, q, v, force, *_, kick = _direct_step(u, q, v, forces[-1], kick, charges, masses,
+                                                delta, eps)
         forces.append(force)
     F0, F1, F2 = (fb.total for fb in forces)
     j = np.arange(n_steps + 1)[:, None, None]
@@ -416,39 +421,42 @@ class DirectRunReport(RunDiagnostics):
     momentum_drift: float
 
 
-def _direct_first_node(u: SpinorField, nuclei: list, eps: float):
-    """The direct integrator's state at its first node: ``(V, rho, V_H, force)``,
-    the nuclei's potential, the density and Hartree potential of ``u`` and the
-    forces, which read that density."""
+def _direct_first_node(u: SpinorField, nuclei: list, eps: float, delta: float):
+    """The direct integrator's state at its first node: ``(V, rho, V_H, force,
+    kick)``, the nuclei's potential, the density and Hartree potential of ``u``,
+    the forces, which read that density, and the first step's first half-kick
+    phase ``exp(-i delta/2 (V + V_H))``."""
     rho = density(u)
-    return (coulomb_field(nuclei, eps, u.grid), rho, convolve_inverse_distance(u.grid, rho),
-            force_breakdown(u, nuclei, eps, rho=rho))
+    V, V_H = coulomb_field(nuclei, eps, u.grid), convolve_inverse_distance(u.grid, rho)
+    return V, rho, V_H, force_breakdown(u, nuclei, eps, rho=rho), _half_kick(delta, V, V_H)
 
 
 def _direct_step(u: SpinorField, q: np.ndarray, v: np.ndarray, force: ForceBreakdown,
-                 V: np.ndarray, V_H: np.ndarray, charges, masses, delta: float, eps: float):
+                 kick: np.ndarray, charges, masses, delta: float, eps: float):
     """One step of the direct integrator from ``(u, q, v)``, whose forces are
-    ``force``, ``V`` the nuclei's potential at ``q`` and ``V_H`` the Hartree
-    potential of ``u``.
+    ``force``, and ``kick`` the first half-kick phase ``exp(-i delta/2 (V + V_H))``
+    of the nuclei's potential V at ``q`` and the Hartree potential V_H of ``u``.
 
     A velocity-Verlet half-kick and drift of the nuclei, then one
     :func:`propagator.strang_step` of the field with the Hartree term, whose
-    half-kicks take the potential at the step's start and end positions; the
+    second half-kick takes the potential at the step's end positions; the
     step-end forces read the density that its second half-kick built, and the
     second half-kick of the nuclei reads them.  Returns ``(u, q, v, force, V,
-    rho, V_H)`` at the step's end: the field, positions, velocities and forces,
-    the end potential and the density and Hartree potential of the field
+    rho, V_H, kick)`` at the step's end: the field, positions, velocities and
+    forces, the end potential, the density and Hartree potential of the field
     (the pre-kick field's; the kick is a phase, so they are the field's own
-    up to roundoff).
+    up to roundoff) and the second half-kick's phase, which is bit for bit
+    the next step's first, as the next step has the same delta, V and V_H.
     """
     vhalf = v + 0.5 * delta * force.total / masses[:, None]
     q = q + delta * vhalf
     # the forces and the step-end potential read positions only
     nuclei = nucleus_states(charges, masses, q, vhalf)
     V_end = coulomb_field(nuclei, eps, u.grid)
-    u, rho, V_H = strang_step(u, delta, V, V_out=V_end, hartree=True, V_H=V_H)
+    u, rho, V_H, kick = strang_step(u, delta, None, V_out=V_end, hartree=True, kick=kick)
     force = force_breakdown(u, nuclei, eps, rho=rho)
-    return u, q, vhalf + 0.5 * delta * force.total / masses[:, None], force, V_end, rho, V_H
+    return (u, q, vhalf + 0.5 * delta * force.total / masses[:, None], force, V_end, rho, V_H,
+            kick)
 
 
 def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float = None,
@@ -458,14 +466,16 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
     The field advances by one :func:`propagator.strang_step` per nuclear
     step, with the Hartree term refreshed in each half-kick and the nuclear
     potential evaluated at the step-start and step-end positions in the two
-    half-kicks.  Each step builds one density and one Hartree potential: the
-    step's second half-kick builds them from its pre-kick field w, whose
-    density is the step's output u's up to roundoff (the kick is a phase), and
-    hands them back.  The step's forces use that density; after its velocity
-    update one :func:`snapshot_diagnostics` pass (H^sigma norm with ``sigma``)
-    reads the step's end potential, that density and that Hartree potential,
-    which the next step's first half-kick reuses.  So M steps build M + 1
-    densities and M + 1 Hartree potentials.  Raises
+    half-kicks.  Each step builds one density, one Hartree potential and one
+    half-kick phase: the step's second half-kick builds them from its pre-kick
+    field w, whose density is the step's output u's up to roundoff (the kick
+    is a phase), and hands them back.  The step's forces use that density;
+    after its velocity update one :func:`snapshot_diagnostics` pass (H^sigma
+    norm with ``sigma``) reads the step's end potential, that density and that
+    Hartree potential, and the run drops them; the next step's first half-kick
+    takes the handed phase, bit for bit the one it would build from that
+    potential and the end potential.  So M steps build M + 1 densities, M + 1
+    Hartree potentials and M + 1 half-kick phases.  Raises
     :class:`CollisionError` when two nuclei start or come closer than two grid
     spacings (checked at t = 0 and at the end of every step),
     FloatingPointError naming a step with a non-finite force or total energy,
@@ -492,16 +502,17 @@ def coupled_direct(u0: SpinorField, nuclei0, T: float, dt: float, eps_reg: float
 
     check_separation(0)
 
-    # the step-end potential of one step is the step-start potential of the next;
     # each snapshot's density serves its forces and its diagnostics, and its
-    # Hartree potential its diagnostics and the next step's first half-kick
+    # potentials its diagnostics and the phase of the next step's first
+    # half-kick, which is the phase of this step's second
     nuclei = nucleus_states(charges, masses, q0, v0)
-    V, rho, V_H, force = _direct_first_node(u, nuclei, eps)
+    V, rho, V_H, force, kick = _direct_first_node(u, nuclei, eps, delta)
     forces = [force]
     passes = [snapshot_diagnostics(u, nuclei, eps, sigma, rho=rho, V=V, V_H=V_H)]
     for j in range(M):
-        u, q[:, j + 1], v[:, j + 1], force, V, rho, V_H = _direct_step(
-            u, q[:, j], v[:, j], forces[-1], V, V_H, charges, masses, delta, eps)
+        del V, rho, V_H  # the step reads the handed phase alone
+        u, q[:, j + 1], v[:, j + 1], force, V, rho, V_H, kick = _direct_step(
+            u, q[:, j], v[:, j], forces[-1], kick, charges, masses, delta, eps)
         check_separation(j + 1)
         forces.append(force)
         nuclei = nucleus_states(charges, masses, q[:, j + 1], v[:, j + 1])

@@ -140,33 +140,38 @@ def _half_kick(delta: float, V, V_H=None):
 
 
 def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
-                drift=None, V_H=None):
+                drift=None, kick=None):
     """One Strang kick-drift-kick: ``exp(-i delta/2 V_out) exp(-i delta K) exp(-i delta/2 V) u``.
 
     ``V`` and ``V_out`` are the potentials of the first and second half-kick
     (``V_out`` defaults to ``V``; with ``hartree`` either may be the scalar
     0.0, for no nuclei).  With ``hartree`` each half-kick adds the Hartree
-    potential of the field it acts on, the first ``V_H`` if given (the direct
-    integrator's snapshot potential).  ``drift`` is the kinetic factor's comoving velocity.
-    Returns the new field; with ``hartree``, ``(field, rho, V_H)``, where ``rho``
-    and ``V_H = rho * 1/|x|`` are the density and Hartree potential that the
-    second half-kick built from the pre-kick field w.  The kick is a phase, so
-    they are the field's own up to roundoff.
+    potential of the field it acts on; ``kick``, if given, is the first
+    half-kick's phase ``exp(-i delta/2 (V + V_H))`` itself (the direct
+    integrator hands on the previous step's second one), and ``V`` is then not
+    read.  ``drift`` is the kinetic factor's comoving velocity.
+    Returns the new field; with ``hartree``, ``(field, rho, V_H, kick)``, where
+    ``rho`` and ``V_H = rho * 1/|x|`` are the density and Hartree potential that
+    the second half-kick built from the pre-kick field w, and ``kick`` is that
+    half-kick's phase.  The kick is a phase, so rho and V_H are the field's own
+    up to roundoff.
     """
     grid = u.grid
-    kick = (_half_kick(delta, V, hartree_potential(u) if V_H is None else V_H) if hartree
-            else _half_kick(delta, V))
+    if kick is None:
+        kick = (_half_kick(delta, V, hartree_potential(u)) if hartree
+                else _half_kick(delta, V))
     data = u.data * kick  # a new array: the transforms below work in place
     if hartree or V_out is not None:
-        del kick  # the second half-kick has a potential of its own: free this one now
+        del kick  # the second half-kick has a phase of its own: drop this one now
     spinor_fft(data, data)
     dirac.step_momentum_data(grid, data, delta, drift)  # in place
     spinor_fft(data, data, inverse=True)
     if hartree:
         rho = density(SpinorField(grid, data))
         V_H = convolve_inverse_distance(grid, rho)
-        data *= _half_kick(delta, V if V_out is None else V_out, V_H)
-        return SpinorField(grid, data), rho, V_H
+        kick = _half_kick(delta, V if V_out is None else V_out, V_H)
+        data *= kick
+        return SpinorField(grid, data), rho, V_H, kick
     if V_out is not None:
         kick = _half_kick(delta, V_out)
     data *= kick
@@ -524,6 +529,6 @@ def split_step_nonlinear(u0: SpinorField, traj: Trajectory, T: float, dt: float,
     for j in range(M):
         V = coulomb_field(traj.nuclei_at(times[j]), eps, grid)
         out = strang_step(u, delta, V, hartree=include_hartree)
-        u = out[0] if include_hartree else out  # drop the step's density and potential
+        u = out[0] if include_hartree else out  # drop the step's density, potential and phase
         snaps.append(u)
     return FieldSolution(times, snaps)

@@ -107,6 +107,24 @@ def test_memory_estimate_bounds_the_traced_peak(method, T):
     assert peak + 1 <= estimate <= peak + 1 + 5
 
 
+def test_snapshot_diagnostics_hold_the_spectrum_and_one_complex_product():
+    # each conj(a) b product is summed over its axes and freed before the next
+    # is formed, and |uhat|^2 is summed in the upper spinor's buffer: beside
+    # the spectrum the pass holds one complex grid (1/4 field) and |uhat|^2
+    # (1.376 measured at n = 64); with the products held together it reads 2.13.
+    # The run's density and potentials are passed in, as the direct run does,
+    # and a first pass builds the grid's H^sigma weight outside the traced one
+    grid = lat.make_grid(64, 12.0)
+    u = _packet(grid)
+    rho = lat.density(u)
+    V, V_H = coulomb_field(NUCLEI, 0.75, grid), ht.convolve_inverse_distance(grid, rho)
+    want = nt.snapshot_diagnostics(u, NUCLEI, 0.75, 1.25, rho=rho, V=V, V_H=V_H)
+    got, peak = peak_fields(lambda: nt.snapshot_diagnostics(u, NUCLEI, 0.75, 1.25, rho=rho,
+                                                            V=V, V_H=V_H), grid)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
+    assert peak < 1.4
+
+
 def test_read_checkpoint_holds_one_field(tmp_path, grid16, rng):
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.8)
     path = tmp_path / "u.dns"

@@ -7,6 +7,7 @@ from diraclab import config as cf
 from diraclab import hartree as ht
 from diraclab import lattice as lat
 from diraclab import newton as nt
+from diraclab import propagator as pr
 from diraclab.dirac import apply_symbol
 from diraclab.potentials import NucleusState, Trajectory, coulomb_field
 from diraclab.propagator import PropagatorPlan, step_count
@@ -522,16 +523,18 @@ def test_direct_rejects_nuclei_that_start_closer_than_the_floor():
 
 
 def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatch):
-    # each step's first half-kick takes, bitwise, the Hartree potential that the
-    # previous step's second half-kick built (from its pre-kick field w), and
-    # that potential is the snapshot's own up to roundoff; snapshot 0 is u0 and
-    # snapshot j + 1 the output of step j (the run keeps no list)
+    # each step's first half-kick takes, bitwise, the phase that the previous
+    # step's second half-kick built from the step-end potential and the Hartree
+    # potential of its pre-kick field w (the first step, the phase of u0's
+    # potentials), and that Hartree potential is the snapshot's own up to
+    # roundoff; snapshot 0 is u0 and snapshot j + 1 the output of step j (the
+    # run keeps no list)
     step = nt.strang_step
     handed = []
 
     def recorded(u, *args, **kwargs):
         out = step(u, *args, **kwargs)
-        handed.append((u, kwargs["V_H"], out))
+        handed.append((u, kwargs["kick"], kwargs["V_out"], out))
         return out
 
     monkeypatch.setattr(nt, "strang_step", recorded)
@@ -541,12 +544,35 @@ def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatc
     assert len(handed) == 4
     snapshots = [u0] + [out[0] for *_, out in handed]
     built = [ht.hartree_potential(u0)] + [out[2] for *_, out in handed]
-    for j, (u, V_H, _) in enumerate(handed):
+    potentials = [coulomb_field(nuclei, 0.75, grid16)] + [V_out for _, _, V_out, _ in handed]
+    for j, (u, kick, _, _) in enumerate(handed):
         assert np.array_equal(u.data, snapshots[j].data)
-        assert np.array_equal(V_H, built[j])
+        assert np.array_equal(kick, pr._half_kick(0.04 / 4, potentials[j], built[j]))
+        assert j == 0 or kick is handed[j - 1][3][3]
         want = ht.hartree_potential(u)
-        assert np.max(np.abs(V_H - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(built[j] - want)) <= 1e-14 * np.max(np.abs(want))
     assert fsol.final is snapshots[-1]
+
+
+@pytest.mark.parametrize("M", [4, 8])
+def test_direct_run_builds_one_half_kick_phase_per_node(grid16, monkeypatch, M):
+    # a step's second half-kick phase is the next step's first and is handed
+    # on, so M steps build M + 1 phases (2 M when every step builds both of its
+    # own), and the fixed point's start, a first node and two steps, builds 3
+    unit_phase, built = pr._unit_phase, []
+
+    def counted(theta):
+        built.append(theta.shape)
+        return unit_phase(theta)
+
+    monkeypatch.setattr(pr, "_unit_phase", counted)
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
+    nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
+    nt.coupled_direct(u0, nuclei, 0.01 * M, 0.01, eps_reg=0.75)
+    assert built == [(16, 16, 16)] * (M + 1)
+    built.clear()
+    nt._direct_start(u0, *nt._initial_arrays(nuclei), 0.01 * M, M, 0.75)
+    assert len(built) == 3
 
 
 def test_direct_energy_momentum_drift_small(grid16):

@@ -80,20 +80,26 @@ def test_strang_step_leaves_its_input_unchanged(grid16, rng, V, options):
 
 @pytest.mark.parametrize("given", [False, True])
 def test_strang_step_hands_back_its_second_kick_density_and_potential(grid16, rng, given):
-    # with hartree the step returns the density and Hartree potential that its
-    # second half-kick built from the pre-kick field w, bitwise; w is the same
-    # first kick and kinetic step followed by a zero second kick
+    # with hartree the step returns the density, Hartree potential and phase that
+    # its second half-kick built from the pre-kick field w, bitwise; w is the same
+    # first kick and kinetic step followed by a zero second kick.  A first-kick
+    # phase given in place of the potentials gives the same bits, so the next
+    # step, given the phase handed back, is the step spelled from the potentials
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
     eps = regularization_eps(None, grid16)
     V = coulomb_field([NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))], eps, grid16)
     V_out = coulomb_field([NucleusState(0.5, 1.0, (0.1, 0, 0), (0, 0, 0))], eps, grid16)
     V_H0 = hartree_potential(u)
-    out, rho, V_H = pr.strang_step(u, 0.1, V, V_out=V_out, hartree=True,
-                                   V_H=V_H0 if given else None)
+    out, rho, V_H, kick = pr.strang_step(u, 0.1, V, V_out=V_out, hartree=True,
+                                         kick=pr._half_kick(0.1, V, V_H0) if given else None)
     w = pr.strang_step(u, 0.1, V + V_H0, V_out=0.0)
     assert np.array_equal(rho, lat.density(w))
     assert np.array_equal(V_H, hartree_potential(w))
+    assert np.array_equal(kick, pr._half_kick(0.1, V_out, V_H))
     assert np.array_equal(out.data, w.data * np.exp(-0.05j * (V_out + V_H)))
+    nxt = pr.strang_step(out, 0.1, None, V_out=V, hartree=True, kick=kick)[0]
+    w = pr.strang_step(out, 0.1, V_out + V_H, V_out=0.0)
+    assert np.array_equal(nxt.data, w.data * np.exp(-0.05j * (V + hartree_potential(w))))
 
 
 def test_product_formula_charge_preserved(grid16, rng):
