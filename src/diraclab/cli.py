@@ -34,7 +34,6 @@ from .lattice import (
 )
 from .newton import (
     CollisionError,
-    FixedPointDivergence,
     coupled_direct,
     coupled_fixed_point,
 )
@@ -54,8 +53,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
-SOLVER_ERRORS = (ConvergenceFailure, FixedPointDivergence, AdmissibilityError, CollisionError,
-                 FloatingPointError)
+# ConvergenceFailure covers newton.FixedPointDivergence, its subclass
+SOLVER_ERRORS = (ConvergenceFailure, AdmissibilityError, CollisionError, FloatingPointError)
 
 # fields a run holds besides the fixed point's snapshots: u0, the direct step's
 # or the march's working fields (with one step's potential) and one
@@ -86,8 +85,8 @@ def _output_dir(args, name: str) -> Path:
 
 def _write_timeseries(path: Path, traj, rep, every: int) -> None:
     """One CSV row per ``every``-th snapshot: charge, H^sigma norm, energy,
-    momentum and force from the solver's report and q and v from ``traj`` at
-    the snapshot time; nothing is computed here but formatting."""
+    momentum and force from the solver's report and q and v from ``traj``'s
+    node arrays; nothing is computed here but formatting."""
     cols = ["t", "charge", "hsigma",
             "E_field_kinetic", "E_interaction", "E_hartree", "E_nuclear_kinetic",
             "E_internuclear", "E_total", "p_x", "p_y", "p_z"]
@@ -102,9 +101,8 @@ def _write_timeseries(path: Path, traj, rep, every: int) -> None:
                _fmt(eb.field_kinetic), _fmt(eb.interaction), _fmt(eb.hartree),
                _fmt(eb.nuclear_kinetic), _fmt(eb.internuclear), _fmt(eb.total),
                _fmt(p[0]), _fmt(p[1]), _fmt(p[2])]
-        nuclei = traj.nuclei_at(t)
         for k in range(traj.n_nuclei):
-            for vec in (nuclei[k].q, nuclei[k].qdot, fb.field[k],
+            for vec in (traj.positions[k, j], traj.velocities[k, j], fb.field[k],
                         fb.internuclear[k], fb.total[k]):
                 row += [_fmt(vec[0]), _fmt(vec[1]), _fmt(vec[2])]
         lines.append(",".join(row))
@@ -254,7 +252,7 @@ def _suite_dirac(n: int, seed: int, outdir: Path):
     worst = 0.0
     for _ in range(20):
         u = random_smooth_field(grid, rng, kmax=4, decay=0.8)
-        lhs = l2_norm(apply_free_dirac(u))
+        lhs = sobolev_norm(apply_free_dirac(u), 0.0)  # the L2 norm, from the band
         rhs = sobolev_norm(u, 1.0)
         worst = max(worst, abs(lhs - rhs) / rhs)
     if worst > 1e-10:

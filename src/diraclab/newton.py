@@ -39,7 +39,9 @@ from .potentials import (
 )
 from .propagator import (
     COMOVING_SINGLE,
+    ConvergenceFailure,
     FieldSolution,
+    MarchReport,
     PropagatorPlan,
     _half_kick,
     check_contraction_window,
@@ -49,10 +51,8 @@ from .propagator import (
 )
 
 
-class FixedPointDivergence(RuntimeError):
-    def __init__(self, message, history):
-        super().__init__(message)
-        self.history = history
+class FixedPointDivergence(ConvergenceFailure):
+    """Raised when the outer fixed point does not converge; ``history`` holds its residuals."""
 
 
 class CollisionError(RuntimeError):
@@ -229,7 +229,7 @@ def _integrate_force_series(charges, masses, q0, v0, times: np.ndarray,
 def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
                      plan: PropagatorPlan = None, picard_tol: float = 1e-8,
                      picard_max_iter: int = 30, *, n_steps: int,
-                     eps0: float = None):
+                     eps0: float = 0.0):
     """One application of the trajectory map: solve the field along ``traj_in``,
     then integrate ``m_k qddot = F_k(t)`` from the input's initial data.
 
@@ -242,14 +242,15 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     checks it once, for ``u0``).
     Returns (trajectory, field solution, admissibility report, forces, march
     report), where ``forces`` holds one ForceBreakdown per snapshot along
-    ``traj_in`` and the march report is None for a zero field (no solve).
+    ``traj_in`` and the march report of a zero field, which is not solved,
+    lists no step.
     """
     plan = plan or PropagatorPlan()
     eps = regularization_eps(plan.eps_reg, u0.grid)
     if charge(u0) == 0.0:
         fsol = FieldSolution(traj_in.t0 + np.linspace(0.0, T, n_steps + 1),
                              [u0] * (n_steps + 1))
-        march = None
+        march = MarchReport([], [])
     else:
         # the comoving solve propagates v(t, x) = u(t, x + q(t)); the Hartree
         # term is exactly translation-covariant, so translating in at t0 and
@@ -266,8 +267,8 @@ def trajectory_map_P(traj_in: Trajectory, u0: SpinorField, T: float,
     out = _integrate_force_series(traj_in.charges, traj_in.masses, traj_in.positions[:, 0],
                                   traj_in.velocities[:, 0], fsol.times,
                                   np.array([fb.total for fb in forces]))
-    return out, fsol, admissibility_check(out, eps0=eps0 if eps0 is not None else 0.0,
-                                          velocity_cap=plan.velocity_cap), forces, march
+    return (out, fsol, admissibility_check(out, eps0=eps0, velocity_cap=plan.velocity_cap),
+            forces, march)
 
 
 @dataclass
@@ -381,8 +382,8 @@ def coupled_fixed_point(u0: SpinorField, nuclei0, T: float, tol: float = 1e-6,
         traj_P, fsol, report_adm, forces, march = trajectory_map_P(
             traj, u0, T, plan=plan, picard_tol=picard_tol,
             picard_max_iter=picard_max_iter, n_steps=n_steps, eps0=eps0)
-        iterations.append(march.iterations if march else 0)
-        contraction.append(march.contraction if march else 0.0)
+        iterations.append(march.iterations)
+        contraction.append(march.contraction)
         dq = traj_P.positions - traj.positions
         dv = traj_P.velocities - traj.velocities
         residual = float(np.maximum(np.max(np.abs(dv)), np.max(np.abs(dq)) / delta))  # NaN-safe
@@ -438,22 +439,23 @@ def _direct_step(u: SpinorField, q: np.ndarray, v: np.ndarray, force: ForceBreak
     of the nuclei's potential V at ``q`` and the Hartree potential V_H of ``u``.
 
     A velocity-Verlet half-kick and drift of the nuclei, then one
-    :func:`propagator.strang_step` of the field with the Hartree term, whose
-    second half-kick takes the potential at the step's end positions; the
-    step-end forces read the density that its second half-kick built, and the
-    second half-kick of the nuclei reads them.  Returns ``(u, q, v, force, V,
-    rho, V_H, kick)`` at the step's end: the field, positions, velocities and
-    forces, the end potential, the density and Hartree potential of the field
-    (the pre-kick field's; the kick is a phase, so they are the field's own
-    up to roundoff) and the second half-kick's phase, which is bit for bit
-    the next step's first, as the next step has the same delta, V and V_H.
+    :func:`propagator.strang_step` of the field with the Hartree term, handed
+    ``kick`` and, as ``V``, the potential at the step's end positions, which
+    its second half-kick alone reads; the step-end forces read the density
+    that its second half-kick built, and the second half-kick of the nuclei
+    reads them.  Returns ``(u, q, v, force, V, rho, V_H, kick)`` at the step's
+    end: the field, positions, velocities and forces, the end potential, the
+    density and Hartree potential of the field (the pre-kick field's; the kick
+    is a phase, so they are the field's own up to roundoff) and the second
+    half-kick's phase, which is bit for bit the next step's first, as the next
+    step has the same delta, V and V_H.
     """
     vhalf = v + 0.5 * delta * force.total / masses[:, None]
     q = q + delta * vhalf
     # the forces and the step-end potential read positions only
     nuclei = nucleus_states(charges, masses, q, vhalf)
     V_end = coulomb_field(nuclei, eps, u.grid)
-    u, rho, V_H, kick = strang_step(u, delta, None, V_out=V_end, hartree=True, kick=kick)
+    u, rho, V_H, kick = strang_step(u, delta, V_end, hartree=True, kick=kick)
     force = force_breakdown(u, nuclei, eps, rho=rho)
     return (u, q, vhalf + 0.5 * delta * force.total / masses[:, None], force, V_end, rho, V_H,
             kick)

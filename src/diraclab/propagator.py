@@ -139,29 +139,29 @@ def _half_kick(delta: float, V, V_H=None):
     return _unit_phase(theta)
 
 
-def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = False,
-                drift=None, kick=None):
-    """One Strang kick-drift-kick: ``exp(-i delta/2 V_out) exp(-i delta K) exp(-i delta/2 V) u``.
+def strang_step(u: SpinorField, delta: float, V, hartree: bool = False, drift=None,
+                kick=None):
+    """One Strang kick-drift-kick: ``exp(-i delta/2 V) exp(-i delta K) exp(-i delta/2 V) u``.
 
-    ``V`` and ``V_out`` are the potentials of the first and second half-kick
-    (``V_out`` defaults to ``V``; with ``hartree`` either may be the scalar
-    0.0, for no nuclei).  With ``hartree`` each half-kick adds the Hartree
-    potential of the field it acts on; ``kick``, if given, is the first
-    half-kick's phase ``exp(-i delta/2 (V + V_H))`` itself (the direct
-    integrator hands on the previous step's second one), and ``V`` is then not
-    read.  ``drift`` is the kinetic factor's comoving velocity.
+    ``V`` is the potential of every half-kick the step builds itself: always
+    the second, and the first unless ``kick`` hands that half-kick's phase in
+    (the direct integrator hands on the previous step's second one).  With
+    ``hartree`` each half-kick the step builds adds the Hartree potential of the
+    field it acts on, and ``V`` may be the scalar 0.0, for no nuclei.  ``drift``
+    is the kinetic factor's comoving velocity.
     Returns the new field; with ``hartree``, ``(field, rho, V_H, kick)``, where
     ``rho`` and ``V_H = rho * 1/|x|`` are the density and Hartree potential that
     the second half-kick built from the pre-kick field w, and ``kick`` is that
-    half-kick's phase.  The kick is a phase, so rho and V_H are the field's own
-    up to roundoff.
+    half-kick's phase ``exp(-i delta/2 (V + V_H))``.  The kick is a phase, so rho
+    and V_H are the field's own up to roundoff.
     """
     grid = u.grid
-    if kick is None:
+    handed = kick is not None
+    if not handed:
         kick = (_half_kick(delta, V, hartree_potential(u)) if hartree
                 else _half_kick(delta, V))
     data = u.data * kick  # a new array: the transforms below work in place
-    if hartree or V_out is not None:
+    if hartree or handed:
         del kick  # the second half-kick has a phase of its own: drop this one now
     spinor_fft(data, data)
     dirac.step_momentum_data(grid, data, delta, drift)  # in place
@@ -169,12 +169,10 @@ def strang_step(u: SpinorField, delta: float, V, V_out=None, hartree: bool = Fal
     if hartree:
         rho = density(SpinorField(grid, data))
         V_H = convolve_inverse_distance(grid, rho)
-        kick = _half_kick(delta, V if V_out is None else V_out, V_H)
+        kick = _half_kick(delta, V, V_H)
         data *= kick
         return SpinorField(grid, data), rho, V_H, kick
-    if V_out is not None:
-        kick = _half_kick(delta, V_out)
-    data *= kick
+    data *= _half_kick(delta, V) if handed else kick
     return SpinorField(grid, data)
 
 
@@ -372,9 +370,7 @@ def _explicit_term(u: SpinorField, half: complex) -> np.ndarray:
 
 
 def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-8,
-                   max_iter: int = 30, plan: PropagatorPlan = None, *, n_steps: int,
-                   sigma: float = 1.25, contraction_const: float = 1.0,
-                   enforce_window: bool = True):
+                   max_iter: int = 30, plan: PropagatorPlan = None, *, n_steps: int):
     """Fixed point of the Duhamel map by Picard iteration on a snapshot grid.
 
     The Duhamel integral is evaluated by composite trapezoid on ``n_steps`` (M)
@@ -382,14 +378,15 @@ def duhamel_picard(u0: SpinorField, traj: Trajectory, T: float, tol: float = 1e-
     over the whole window.  Iterate 0 is the linear evolution; each sweep
     overwrites snapshots 1..M in place (snapshot 0 is u0), and the returned
     FieldSolution holds them, so a solve holds the M+1 snapshots, every step's
-    potential and a few further fields.
+    potential and a few further fields.  It takes the inputs of
+    :func:`duhamel_march`, the solver it is the whole-window reference for; the
+    contraction window is checked where a run starts
+    (:func:`check_contraction_window`), not here.
     Returns (FieldSolution, PicardReport); raises :class:`ConvergenceFailure`
     with the iterate-distance history when ``max_iter`` is exhausted, or at
     once on a non-finite distance.
     """
     plan = plan or PropagatorPlan()
-    if enforce_window:
-        check_contraction_window(T, u0, sigma, contraction_const)
     grid = u0.grid
     times, half, steps = _duhamel_steps(traj, T, plan, grid, n_steps)
     # the trajectory is fixed for the whole solve: build each step's potential once

@@ -240,7 +240,7 @@ def test_criterion_08_picard_contraction_and_oracle():
     traj = Trajectory.static([0.4], [10.0], [[0, 0, 0]], 0.0, 0.4, 16)
     plan = pr.PropagatorPlan(n_slices=32, eps_reg=0.8)
     sol, rep = pr.duhamel_picard(u0, traj, 0.4, tol=1e-10, max_iter=25, plan=plan,
-                                 n_steps=32, enforce_window=False)
+                                 n_steps=32)
     oracle = pr.split_step_nonlinear(u0, traj, 0.4, 0.4 / 32, eps_reg=0.8)
     diff = lat.l2_distance(sol.final, oracle.final)
     _report(8, "Picard distances strictly decreasing after iteration 2; matches "

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -294,6 +295,22 @@ def test_simulate_deterministic_output(tmp_path):
             out_a = (tmp_path / method / "a" / "run" / name).read_bytes()
             out_b = (tmp_path / method / "b" / "run" / name).read_bytes()
             assert out_a == out_b, (method, name)
+
+
+def test_small_run_outputs_are_pinned(tmp_path):
+    # the same config and seed give bit-identical outputs across changes that
+    # claim the same behaviour; a change that moves a digest must say why
+    pinned = {
+        "timeseries_direct.csv": "5ca0ed0b37be2244dd69e53f602a4a1a191f68f8de584ea49efaf36dd4d686ed",
+        "timeseries_fixed_point.csv":
+            "ee9244ebe9cc53b4c314ba66800ab543363ffe8d25ce150612cd0c361f757627",
+        "final.dns": "7c71e0852306b08dc1d4e50a527df9c2a33a809c61d6e2549949e9252300ecf0",
+    }
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "small_run.yaml"
+    rc = cli.main(["--output-root", str(tmp_path), "simulate", "--config", str(config)])
+    assert rc == 0
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / "small_run" / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_simulate_output_does_not_read_the_slice_count(tmp_path):

@@ -46,8 +46,7 @@ def test_picard_solve_holds_its_snapshots_and_a_few_fields(grid16, M):
     traj = Trajectory.static([0.4], [10.0], [[-0.6, 0, 0]], 0.0, 0.4, 8)
     plan = pr.PropagatorPlan(eps_reg=0.8)
     (sol, rep), peak = peak_fields(lambda: pr.duhamel_picard(
-        _packet(grid16), traj, 0.4, tol=1e-9, plan=plan, n_steps=M, enforce_window=False),
-        grid16)
+        _packet(grid16), traj, 0.4, tol=1e-9, plan=plan, n_steps=M), grid16)
     assert rep.converged and rep.iterations > 2 and len(sol.snapshots) == M + 1
     assert peak <= M + 1 + M / 8 + 8
 
@@ -217,7 +216,7 @@ def test_hartree_strang_step_holds_at_most_two_fields():
     u = _packet(grid)
     V = coulomb_field(NUCLEI, 0.75, grid)
     pr.strang_step(u, 0.01, V, hartree=True)
-    _, peak = peak_fields(lambda: pr.strang_step(u, 0.01, V, V_out=V, hartree=True), grid)
+    _, peak = peak_fields(lambda: pr.strang_step(u, 0.01, V, hartree=True), grid)
     assert peak <= 2
 
 
@@ -230,6 +229,6 @@ def test_hartree_half_kick_scales_its_angle_in_place():
     V = coulomb_field(NUCLEI, 0.75, grid)
     V_copy = V.copy()
     pr.strang_step(u, 0.01, V, hartree=True)
-    _, peak = peak_fields(lambda: pr.strang_step(u, 0.01, V, V_out=V, hartree=True), grid)
+    _, peak = peak_fields(lambda: pr.strang_step(u, 0.01, V, hartree=True), grid)
     assert peak < 1.7
     assert np.array_equal(V, V_copy)  # the shared potential is not written

@@ -534,7 +534,7 @@ def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatc
 
     def recorded(u, *args, **kwargs):
         out = step(u, *args, **kwargs)
-        handed.append((u, kwargs["kick"], kwargs["V_out"], out))
+        handed.append((u, kwargs["kick"], args[1], out))  # args: (delta, V)
         return out
 
     monkeypatch.setattr(nt, "strang_step", recorded)
@@ -544,7 +544,7 @@ def test_direct_hands_snapshot_hartree_potential_to_next_step(grid16, monkeypatc
     assert len(handed) == 4
     snapshots = [u0] + [out[0] for *_, out in handed]
     built = [ht.hartree_potential(u0)] + [out[2] for *_, out in handed]
-    potentials = [coulomb_field(nuclei, 0.75, grid16)] + [V_out for _, _, V_out, _ in handed]
+    potentials = [coulomb_field(nuclei, 0.75, grid16)] + [V for _, _, V, _ in handed]
     for j, (u, kick, _, _) in enumerate(handed):
         assert np.array_equal(u.data, snapshots[j].data)
         assert np.array_equal(kick, pr._half_kick(0.04 / 4, potentials[j], built[j]))

@@ -83,23 +83,37 @@ def test_strang_step_hands_back_its_second_kick_density_and_potential(grid16, rn
     # with hartree the step returns the density, Hartree potential and phase that
     # its second half-kick built from the pre-kick field w, bitwise; w is the same
     # first kick and kinetic step followed by a zero second kick.  A first-kick
-    # phase given in place of the potentials gives the same bits, so the next
-    # step, given the phase handed back, is the step spelled from the potentials
+    # phase handed in gives the first kick, and V the second, so the next step,
+    # handed the phase handed back, is the step spelled from the potentials
     u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
     eps = regularization_eps(None, grid16)
-    V = coulomb_field([NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))], eps, grid16)
-    V_out = coulomb_field([NucleusState(0.5, 1.0, (0.1, 0, 0), (0, 0, 0))], eps, grid16)
+    V0 = coulomb_field([NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))], eps, grid16)
+    V1 = coulomb_field([NucleusState(0.5, 1.0, (0.1, 0, 0), (0, 0, 0))], eps, grid16)
     V_H0 = hartree_potential(u)
-    out, rho, V_H, kick = pr.strang_step(u, 0.1, V, V_out=V_out, hartree=True,
-                                         kick=pr._half_kick(0.1, V, V_H0) if given else None)
-    w = pr.strang_step(u, 0.1, V + V_H0, V_out=0.0)
+    first = V0 if given else V1  # unhanded, the step builds both kicks from its V
+    out, rho, V_H, kick = pr.strang_step(u, 0.1, V1, hartree=True,
+                                         kick=pr._half_kick(0.1, V0, V_H0) if given else None)
+    w = pr.strang_step(u, 0.1, 0.0, kick=pr._half_kick(0.1, first + V_H0))
     assert np.array_equal(rho, lat.density(w))
     assert np.array_equal(V_H, hartree_potential(w))
-    assert np.array_equal(kick, pr._half_kick(0.1, V_out, V_H))
-    assert np.array_equal(out.data, w.data * np.exp(-0.05j * (V_out + V_H)))
-    nxt = pr.strang_step(out, 0.1, None, V_out=V, hartree=True, kick=kick)[0]
-    w = pr.strang_step(out, 0.1, V_out + V_H, V_out=0.0)
-    assert np.array_equal(nxt.data, w.data * np.exp(-0.05j * (V + hartree_potential(w))))
+    assert np.array_equal(kick, pr._half_kick(0.1, V1, V_H))
+    assert np.array_equal(out.data, w.data * np.exp(-0.05j * (V1 + V_H)))
+    nxt = pr.strang_step(out, 0.1, V0, hartree=True, kick=kick)[0]
+    w = pr.strang_step(out, 0.1, 0.0, kick=pr._half_kick(0.1, V1 + V_H))
+    assert np.array_equal(nxt.data, w.data * np.exp(-0.05j * (V0 + hartree_potential(w))))
+
+
+def test_linear_strang_step_kicks_last_with_its_potential(grid16, rng):
+    # a handed first-kick phase serves the first half-kick alone: the second is
+    # built from V, bit for bit the step spelled as a zero-kick step and V's phase
+    u = lat.random_smooth_field(grid16, rng, kmax=4, decay=0.6)
+    eps = regularization_eps(None, grid16)
+    V0 = coulomb_field([NucleusState(0.5, 1.0, (0, 0, 0), (0, 0, 0))], eps, grid16)
+    V1 = coulomb_field([NucleusState(0.5, 1.0, (0.1, 0, 0), (0, 0, 0))], eps, grid16)
+    out = pr.strang_step(u, 0.1, V1, kick=pr._half_kick(0.1, V0))
+    w = pr.strang_step(u, 0.1, 0.0, kick=pr._half_kick(0.1, V0))
+    assert np.array_equal(out.data, w.data * pr._half_kick(0.1, V1))
+    assert not np.array_equal(out.data, w.data * pr._half_kick(0.1, V0))
 
 
 def test_product_formula_charge_preserved(grid16, rng):
@@ -295,7 +309,7 @@ def test_picard_contraction_monotone_and_matches_split_step(grid16):
     traj = _static_traj(Z=0.4, T=0.4)
     plan = pr.PropagatorPlan(eps_reg=0.8)
     sol, rep = pr.duhamel_picard(u0, traj, 0.4, tol=1e-10, max_iter=25, plan=plan,
-                                 n_steps=32, enforce_window=False)
+                                 n_steps=32)
     assert rep.converged
     assert rep.monotone_after_two
     oracle = pr.split_step_nonlinear(u0, traj, 0.4, 0.4 / 32, eps_reg=0.8)
@@ -319,17 +333,9 @@ def test_picard_builds_potentials_once_per_solve(grid16, monkeypatch, frame):
     monkeypatch.setattr(pr, "coulomb_field", counted)
     plan = pr.PropagatorPlan(frame=frame, eps_reg=0.8)
     _, rep = pr.duhamel_picard(u0, traj, 0.4, tol=1e-10, max_iter=25, plan=plan,
-                               n_steps=M, enforce_window=False)
+                               n_steps=M)
     assert rep.converged and rep.iterations >= 3
     assert len(calls) == (M if frame == pr.LAB else 1)
-
-
-def test_picard_window_guard(grid16):
-    u0 = lat.gaussian_spinor(grid16, (0, 0, 0), 1.2, (3.0, 0, 0, 0))  # large datum
-    traj = _static_traj()
-    with pytest.raises(pr.ContractionWindowError, match="time hypothesis"):
-        pr.duhamel_picard(u0, traj, 0.5, plan=pr.PropagatorPlan(eps_reg=0.8),
-                          n_steps=8)
 
 
 def test_split_step_reduces_to_product_formula_without_hartree(grid16, rng):
@@ -401,8 +407,7 @@ def test_picard_max_iter_failure_carries_history(grid16):
     traj = _static_traj(Z=0.4, T=0.4)
     with pytest.raises(pr.ConvergenceFailure) as err:
         pr.duhamel_picard(u0, traj, 0.4, tol=1e-14, max_iter=2,
-                          plan=pr.PropagatorPlan(eps_reg=0.8),
-                          n_steps=8, enforce_window=False)
+                          plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=8)
     assert len(err.value.history) == 2
     assert all(d > 0 for d in err.value.history)
 
@@ -426,8 +431,7 @@ def test_picard_non_finite_sweep_fails_at_once(grid16, monkeypatch):
     M = 8
     with pytest.raises(pr.ConvergenceFailure, match="non-finite iterate distance at sweep 1") as err:
         pr.duhamel_picard(u0, _static_traj(Z=0.4, T=0.4), 0.4, tol=1e-10, max_iter=25,
-                          plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=M,
-                          enforce_window=False)
+                          plan=pr.PropagatorPlan(eps_reg=0.8), n_steps=M)
     assert len(err.value.history) == 1 and np.isnan(err.value.history[0])
     assert len(calls) == M + 1
 
@@ -443,7 +447,7 @@ def test_march_solves_the_whole_window_system(grid16, frame):
     plan = pr.PropagatorPlan(frame=frame, eps_reg=0.8)
     kw = dict(tol=tol, plan=plan, n_steps=M)
     march, rep = pr.duhamel_march(u0, traj, 0.4, **kw)
-    sweep, _ = pr.duhamel_picard(u0, traj, 0.4, enforce_window=False, **kw)
+    sweep, _ = pr.duhamel_picard(u0, traj, 0.4, **kw)
     assert np.array_equal(march.times, sweep.times)
     assert len(rep.step_iterations) == M and rep.iterations == sum(rep.step_iterations)
     assert all(k >= 1 for k in rep.step_iterations)
@@ -460,8 +464,6 @@ def test_duhamel_solvers_ignore_the_slice_count(grid16, frame, solve):
     traj = _moving_traj(T=0.4)
     M = 8
     kw = dict(tol=1e-10, n_steps=M)
-    if solve is pr.duhamel_picard:
-        kw["enforce_window"] = False
     one, _ = solve(u0, traj, 0.4, plan=pr.PropagatorPlan(frame=frame, n_slices=M, eps_reg=0.8),
                    **kw)
     four, _ = solve(u0, traj, 0.4,
