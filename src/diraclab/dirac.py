@@ -15,6 +15,7 @@ Each mode factor is exactly unitary, so charge is preserved to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,28 +98,41 @@ def apply_free_dirac(u: SpinorField) -> SpinorField:
                                                   k[None, :, None], k[None, None, :], cube), idx)
 
 
+@lru_cache(maxsize=1)
+def _kinetic_factors(grid, dt: float) -> tuple:
+    """The per-mode factors ``(cos(dt lam), sin(dt lam)/lam)`` of one kinetic step,
+    read-only because the cache hands the same arrays to every caller.
+
+    Holds the last ``(grid, dt)`` only: a direct run steps with one ``dt`` and
+    builds them once, and a run whose step changes builds them at each change."""
+    lam = grid.mode_energy
+    angle = dt * lam  # one angle for the cosine and the sine
+    cos = np.cos(angle)
+    sinc = np.sin(angle, out=angle)
+    sinc /= lam  # sin(dt lam) / lam, in the angle's buffer
+    cos.setflags(write=False)
+    sinc.setflags(write=False)
+    return cos, sinc
+
+
 def step_momentum_data(grid, uhat: np.ndarray, dt: float, drift=None) -> np.ndarray:
     """One exact kinetic/drift step on momentum-space data (see module docstring).
 
     Works in place, one block of whole x-planes (at most ``_BLOCK_POINTS``
     modes) at a time: ``uhat_b = cos(dt lam) uhat_b + (-i sin(dt lam)/lam) H uhat_b``,
-    then the drift phase.  Returns ``uhat`` itself, so pass an array the
-    caller owns and reads no more."""
+    then the drift phase, with the factors of :func:`_kinetic_factors`.  Returns
+    ``uhat`` itself, so pass an array the caller owns and reads no more."""
     kx, ky, kz = grid.freq_mesh
-    lam = grid.mode_energy
+    cos, sinc = _kinetic_factors(grid, dt)
     v = np.zeros(3) if drift is None else np.asarray(drift, dtype=float)
     drifting = np.any(v != 0.0)
     planes = max(1, _BLOCK_POINTS // grid.n**2)
     for a in range(0, grid.n, planes):
         b = slice(a, a + planes)
-        lam_b, kx_b, u_b = lam[b], kx[b], uhat[:, b]
+        kx_b, u_b = kx[b], uhat[:, b]
         out_b = _symbol_into(np.empty_like(u_b), kx_b, ky, kz, u_b)
-        angle = dt * lam_b  # one angle for the cosine and the sine
-        u_b *= np.cos(angle)
-        np.sin(angle, out=angle)
-        angle /= lam_b  # sin(dt lam) / lam, in the angle's buffer
-        angle = -1j * angle  # dropping the real factor before the product
-        out_b *= angle
+        u_b *= cos[b]
+        out_b *= -1j * sinc[b]
         u_b += out_b
         if drifting:
             u_b *= _unit_phase(dt * (v[0] * kx_b + v[1] * ky + v[2] * kz))

@@ -77,14 +77,18 @@ class GridSpec:
     def freq_mesh(self) -> tuple:
         return tuple(np.meshgrid(self.freq1d, self.freq1d, self.freq1d, indexing="ij", sparse=True))
 
-    @cached_property
+    @property
     def freq_sq(self) -> np.ndarray:
+        """``|xi|^2`` per mode, a new array on each read: the cached builders that
+        read it (the H^sigma weight, the Hartree multiplier, the kinetic factors)
+        hold what they make of it, and the grid holds no mode-sized array."""
         kx, ky, kz = self.freq_mesh
         return kx * kx + ky * ky + kz * kz
 
-    @cached_property
+    @property
     def mode_energy(self) -> np.ndarray:
-        """Relativistic dispersion ``sqrt(1 + |xi|^2)`` per mode."""
+        """Relativistic dispersion ``sqrt(1 + |xi|^2)`` per mode, a new array on each
+        read; ``dirac._kinetic_factors`` is its one reader in the package."""
         return np.sqrt(1.0 + self.freq_sq)
 
     def wrap(self, values) -> np.ndarray:
@@ -331,8 +335,11 @@ def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
     A field with a band is normed from the band's modes alone, with no
     transform; any other field from its forward transform.  The power
     ``sum_c |uhat_c|^2`` is summed over the components into one grid- (or
-    band-) sized array, and each sigma is one dot product of it with the
-    weight, so beside the spectrum the call holds a quarter of a field.
+    band-) sized array, and each sigma is one ``einsum`` reduction of it with
+    the weight, so beside the spectrum the call holds a quarter of a field.
+    ``einsum`` runs on the calling thread: ``np.vdot`` of real arrays goes to
+    the threaded BLAS ``ddot``, whose first grid-sized calls in a process can
+    stall for tenths of a second.
     """
     for sigma in sigmas:
         if homogeneous and sigma < 0:
@@ -348,7 +355,8 @@ def sobolev_norms(u: SpinorField, sigmas, homogeneous: bool = False) -> list:
     # lands where a direct run's peak RSS reads about 1 MB higher
     weights = [sobolev_weight(u.grid, sigma, homogeneous)[modes] for sigma in sigmas]
     power = _component_power(spectrum)
-    return [float(np.sqrt(np.vdot(w, power) / u.grid.volume)) for w in weights]
+    return [float(np.sqrt(np.einsum("ijk,ijk->", w, power) / u.grid.volume))
+            for w in weights]
 
 
 def sobolev_norm(u: SpinorField, sigma: float) -> float:

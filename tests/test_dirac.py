@@ -1,9 +1,15 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from diraclab import cli
 from diraclab import dirac as dr
 from diraclab import lattice as lat
+from diraclab import newton as nt
+from diraclab.potentials import NucleusState
 from oracles import dense_mode_exponential, fd4_derivative, step_momentum_whole
 
 
@@ -192,10 +198,58 @@ def test_step_rejects_nonfinite_dt(grid16):
 @pytest.mark.parametrize("drift", [None, (0.2, -0.1, 0.05)])
 def test_blocked_kinetic_step_matches_whole_array_oracle(n, drift):
     # the step works over blocks of x-planes in place (one block at n = 16,
-    # several at 32 and 64) and gives the whole-array step's bits in the input buffer
+    # several at 32 and 64) and gives the whole-array step's bits in the input
+    # buffer, on every call of +dt, -dt, +dt: each sign change rebuilds the
+    # cached factors, and a repeated dt reads them
     grid = lat.make_grid(n, 12.0)
     uhat = lat.to_momentum(lat.random_smooth_field(grid, 7, kmax=6, decay=0.3))
-    want = step_momentum_whole(grid, uhat.copy(), 0.37, drift)
-    got = dr.step_momentum_data(grid, uhat, 0.37, drift)
-    assert got is uhat
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for dt in (0.37, -0.37, 0.37):
+        want = step_momentum_whole(grid, uhat.copy(), dt, drift)
+        got = dr.step_momentum_data(grid, uhat, dt, drift)
+        assert got is uhat
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_direct_run_builds_the_kinetic_factors_once(grid16):
+    # coupled_direct steps with one delta = T/M, so its M kinetic steps build
+    # the factors once and read them M - 1 times
+    dr._kinetic_factors.cache_clear()
+    u0 = lat.gaussian_spinor(grid16, (0.5, 0, 0), 1.3, (0.4, 0.1j, 0, 0))
+    nuclei = [NucleusState(0.5, 10.0, (-0.6, 0, 0), (0.05, 0.02, 0))]
+    fsol, traj, _ = nt.coupled_direct(u0, nuclei, 0.08, 0.01, eps_reg=0.75)
+    assert len(traj.times) == 9
+    info = dr._kinetic_factors.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 7, 1)
+
+
+def test_kinetic_factors_hold_the_last_grid_and_step_alone(grid16, grid32):
+    # a new dt or a new grid rebuilds the factors, and one (grid, dt) entry is
+    # held; the arrays are read-only and the cos / sin-over-lam of the step
+    dr._kinetic_factors.cache_clear()
+    for grid, dt in ((grid16, 0.1), (grid16, 0.1), (grid16, 0.2), (grid32, 0.2), (grid32, 0.2)):
+        cos, sinc = dr._kinetic_factors(grid, dt)
+    info = dr._kinetic_factors.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 2, 1)
+    lam = grid32.mode_energy
+    assert np.array_equal(cos, np.cos(0.2 * lam)) and np.array_equal(sinc, np.sin(0.2 * lam) / lam)
+    assert not cos.flags.writeable and not sinc.flags.writeable
+
+
+def _attribute_lines(name: str, source: str) -> list:
+    """Line of each read of the attribute ``name`` in ``source``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_kinetic_factors_are_the_only_mode_energy_reader():
+    # cos(dt lam) and sin(dt lam)/lam have one builder, the cached
+    # dirac._kinetic_factors: no second per-call kinetic path reads the dispersion
+    assert _attribute_lines("mode_energy", "lam = grid.mode_energy\nmode_energy = 1\n"
+                            "f(g.mode_energy, mode_energy)\n") == [1, 3]
+    package = Path(dr.__file__).parent
+    found = {path.name: _attribute_lines("mode_energy", path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    (line,) = found.pop("dirac.py")
+    body, first = inspect.getsourcelines(dr._kinetic_factors)
+    assert first <= line < first + len(body)
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -57,11 +57,13 @@ def test_fixed_point_holds_one_evaluation_of_snapshots(grid16, M):
     # dropped before the next is solved: beside one evaluation's M+1 snapshots
     # the fixed point holds a few working fields (3.87 and 3.91 measured);
     # holding the first evaluation's snapshots through the second solve breaks
-    # the bound.  The grid's cached mode energies, Hartree multiplier and
-    # H^sigma weight are built outside the traced call, so the peak does not
-    # depend on which test used the grid first; tol 1e-9, as at 1e-8 the
+    # the bound.  The grid's cached Hartree multiplier and H^sigma weight, and
+    # the kinetic factors of the direct start's step T/M, are built outside the
+    # traced call, so the peak does not depend on which test used the grid
+    # first (the march's step durations differ in their last bits, so it
+    # rebuilds the factors, a quarter field, inside); tol 1e-9, as at 1e-8 the
     # direct start passes at once for M = 8 (7.1e-9)
-    grid16.mode_energy
+    dr._kinetic_factors(grid16, 0.01 * M / M)
     ht.hartree_multiplier(grid16)
     lat.sobolev_weight(grid16, 1.25, False)
     u0 = _packet(grid16)
@@ -198,9 +200,10 @@ def test_random_smooth_field_holds_about_one_field():
 def test_kinetic_step_works_in_place_over_x_plane_blocks():
     # the mode step overwrites the spectrum one block of whole x-planes
     # (2^14 modes) at a time, so beside its input it holds about one block's
-    # symbol; a whole-array symbol would be one more field (1.5-1.8 measured)
+    # symbol; a whole-array symbol would be one more field (1.5-1.8 measured).
+    # The step's cached factors are built for its dt outside the traced call
     grid = lat.make_grid(64, 12.0)
-    grid.mode_energy  # cached per grid on first use: built outside the traced call
+    dr._kinetic_factors(grid, 0.01)
     uhat = lat.to_momentum(_packet(grid))
     out, peak = peak_fields(lambda: dr.step_momentum_data(grid, uhat, 0.01), grid)
     assert out is uhat
